@@ -15,9 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import InvalidNodeError
+
+if TYPE_CHECKING:
+    from .validation import ValidationReport
 
 # (name, sorted states) -- the identity of an object node.
 NodeKey = tuple[str, tuple[str, ...]]
@@ -165,6 +168,12 @@ class TaskTree:
     @property
     def units(self) -> tuple[FunctionalUnit, ...]:
         return self.graph.units
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """Full-rule validation report, computed once per tree."""
+        from .validation import validate_graph  # that module imports this one
+        return validate_graph(self.graph, as_task_tree=True, goal=self.goal)
 
 
 def merge_graphs(a: FoonGraph, b: FoonGraph) -> FoonGraph:

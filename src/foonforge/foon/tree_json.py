@@ -32,6 +32,7 @@ from .validation import validate_task_tree
 def parse_task_tree_json(source: str, *, check_structure: bool = True) -> TaskTree:
     """Parse and fully validate a task tree.
 
+    The report stays cached on the tree for scoring and the CLI to reuse.
     With ``check_structure=False`` the graph-level rules are skipped so a
     malformed tree can still be materialized for inspection; the schema is
     always enforced.

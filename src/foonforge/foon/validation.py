@@ -19,15 +19,6 @@ RULE_CYCLE = "cycle"
 RULE_GOAL = "goal"
 RULE_DISCONNECTED = "disconnected"
 
-ALL_RULES = (
-    RULE_BIPARTITE,
-    RULE_EMPTY_UNIT,
-    RULE_NOOP_UNIT,
-    RULE_CYCLE,
-    RULE_GOAL,
-    RULE_DISCONNECTED,
-)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -198,5 +189,5 @@ def _task_tree_violations(graph: FoonGraph, goal: ObjectNode) -> list[Violation]
 
 
 def validate_task_tree(tree: TaskTree) -> ValidationReport:
-    """Validate a task tree against the full rule set."""
-    return validate_graph(tree.graph, as_task_tree=True, goal=tree.goal)
+    """Full-rule report of a task tree, computed once and cached on the tree."""
+    return tree.validation

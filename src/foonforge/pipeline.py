@@ -30,7 +30,6 @@ from .errors import (
 )
 from .foon.model import TaskTree
 from .foon.tree_json import parse_task_tree_json, serialize_task_tree_json
-from .foon.validation import validate_task_tree
 from .prompts import DishSpec, PromptBundle, Strategy, render_for_dish
 
 log = logging.getLogger(__name__)
@@ -186,6 +185,10 @@ def sanitize_filename(name: str) -> str:
     return text or "unnamed"
 
 
+def _output_stem(dish: DishSpec) -> str:
+    return f"{sanitize_filename(dish.category)}/{sanitize_filename(dish.name)}"
+
+
 def strip_code_fence(text: str) -> str:
     """Remove one enclosing Markdown code fence, if present."""
     match = _FENCE.match(text.strip())
@@ -204,18 +207,17 @@ def handle_response(
     """Persist one model response and classify the outcome.
 
     Parse and validation failures are outcomes, not errors; only real IO
-    problems raise. ``rel_base`` overrides the output location (relative
-    to ``out_dir``, no extension) when the caller has already resolved
-    filename collisions.
+    problems raise. The tree is validated once, while it is parsed, and
+    its record carries that result on to scoring. ``rel_base`` overrides
+    the output location (relative to ``out_dir``, no extension) when the
+    caller has already resolved filename collisions.
     """
     out_dir = Path(out_dir)
     if rel_base is None:
-        rel_base = f"{sanitize_filename(dish.category)}/{sanitize_filename(dish.name)}"
+        rel_base = _output_stem(dish)
 
     text = response.text
     candidate = strip_code_fence(text) if lenient_json else text
-    tree: TaskTree | None = None
-    reason: FallbackReason | None = None
     try:
         tree = parse_task_tree_json(candidate)
     except TaskTreeJsonError:
@@ -224,11 +226,7 @@ def handle_response(
         reason = FallbackReason.SCHEMA
     except TaskTreeStructureError:
         reason = FallbackReason.STRUCTURAL
-
-    if tree is not None and not validate_task_tree(tree).ok:
-        tree, reason = None, FallbackReason.STRUCTURAL
-
-    if tree is not None:
+    else:
         rel_path = f"{rel_base}.json"
         _write_text(out_dir / rel_path, serialize_task_tree_json(tree) + "\n")
         return OutputRecord(dish, strategy, Outcome.JSON_OK, text, rel_path, tree=tree)
@@ -254,13 +252,11 @@ def _resolve_stems(manifest: InputManifest) -> list[str]:
     """
     stems: list[str] = []
     used: dict[str, int] = {}
-    for category, specs in manifest.categories:
-        cat = sanitize_filename(category)
-        for dish in specs:
-            stem = f"{cat}/{sanitize_filename(dish.name)}"
-            count = used.get(stem, 0) + 1
-            used[stem] = count
-            stems.append(stem if count == 1 else f"{stem}_{count}")
+    for dish in manifest.dishes():
+        stem = _output_stem(dish)
+        count = used.get(stem, 0) + 1
+        used[stem] = count
+        stems.append(stem if count == 1 else f"{stem}_{count}")
     return stems
 
 
@@ -385,12 +381,13 @@ def report_to_json(report: RunReport) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
 
-def load_run_report(path: str | Path, *, load_trees: bool = True) -> RunReport:
+def load_run_report(path: str | Path) -> RunReport:
     """Rebuild a report from ``run_report.json``.
 
-    With ``load_trees`` each successful record's tree is reparsed from
-    its output file (resolved relative to the report's directory) so the
-    report can be scored.
+    Each successful record's tree is reparsed from its output file
+    (resolved relative to the report's directory) so the report can be
+    scored. Parsing validates the tree once, and scoring reuses that
+    result.
     """
     path = Path(path)
     out_dir = path.parent
@@ -406,7 +403,7 @@ def load_run_report(path: str | Path, *, load_trees: bool = True) -> RunReport:
         )
         outcome = Outcome(entry["outcome"])
         tree = None
-        if outcome is Outcome.JSON_OK and load_trees:
+        if outcome is Outcome.JSON_OK:
             tree = parse_task_tree_json(
                 (out_dir / entry["output_path"]).read_text(encoding="utf-8")
             )

@@ -14,6 +14,7 @@ context hashes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import re
@@ -121,8 +122,9 @@ def context_hash(strategy: Strategy, text: str) -> str:
     return hashlib.sha256(f"{strategy.value}\n{text}".encode("utf-8")).hexdigest()
 
 
+@functools.cache
 def default_template(strategy: Strategy) -> str:
-    """The packaged template for a strategy."""
+    """The packaged template for a strategy, read once per process."""
     return read_data_text("templates", _TEMPLATE_FILES[strategy])
 
 
@@ -144,14 +146,17 @@ def _substitute(template: str, values: dict[str, str]) -> str:
     return _PLACEHOLDER.sub(repl, template)
 
 
-def _dish_values(dish: DishSpec) -> dict[str, str]:
-    return {
+def _render(strategy: Strategy, dish: DishSpec, template: str | None, **extra: str) -> str:
+    """Fill a template, the strategy's packaged one by default, for one dish."""
+    values = {
         "dish_name": dish.name,
         "category": dish.category or "uncategorized",
         "ingredients": _render_list(dish.ingredients),
         "tools": _render_list(dish.tools),
         "schema": OUTPUT_SCHEMA,
+        **extra,
     }
+    return _substitute(template if template is not None else default_template(strategy), values)
 
 
 def annotate_example(tree: TaskTree) -> str:
@@ -172,6 +177,14 @@ def annotate_example(tree: TaskTree) -> str:
     return f"# example: {tree.goal.name}, {steps} step{'s' if steps != 1 else ''}, tools: {', '.join(leaves)}"
 
 
+@functools.lru_cache(maxsize=4)
+def _example_block(examples: tuple[TaskTree, ...]) -> str:
+    """Annotated example trees, built once per set; equal trees render alike."""
+    return "\n\n".join(
+        annotate_example(tree) + "\n" + serialize_task_tree_json(tree) for tree in examples
+    )
+
+
 def render_example_based(
     dish: DishSpec,
     examples: Sequence[TaskTree],
@@ -180,14 +193,9 @@ def render_example_based(
     """Few-shot prompt: annotated example trees, then the dish request."""
     if not examples:
         raise PromptError("example-based prompts need at least one example tree")
-    template = template if template is not None else default_template(Strategy.EXAMPLE_BASED)
-    blocks = [
-        annotate_example(tree) + "\n" + serialize_task_tree_json(tree)
-        for tree in examples
-    ]
-    values = _dish_values(dish)
-    values["examples"] = "\n\n".join(blocks)
-    text = _substitute(template, values)
+    text = _render(
+        Strategy.EXAMPLE_BASED, dish, template, examples=_example_block(tuple(examples))
+    )
     return PromptBundle(Strategy.EXAMPLE_BASED, text, examples_used=len(examples))
 
 
@@ -199,10 +207,7 @@ def render_user_guided(
     """Prompt embedding the user's instructions verbatim."""
     if not instructions or not instructions.strip():
         raise PromptError("user-guided prompts need non-empty instructions")
-    template = template if template is not None else default_template(Strategy.USER_GUIDED)
-    values = _dish_values(dish)
-    values["instructions"] = instructions
-    text = _substitute(template, values)
+    text = _render(Strategy.USER_GUIDED, dish, template, instructions=instructions)
     return PromptBundle(Strategy.USER_GUIDED, text)
 
 
@@ -217,14 +222,11 @@ def render_contextual(
     ingredients = [i for i in available_ingredients if normalize_token(i)]
     if not tools and not ingredients:
         raise PromptError("contextual prompts need at least one availability list")
-    template = template if template is not None else default_template(Strategy.CONTEXTUAL)
     availability = (
         f"Available tools: {_render_list(tools)}\n"
         f"Available ingredients: {_render_list(ingredients)}"
     )
-    values = _dish_values(dish)
-    values["availability"] = availability
-    text = _substitute(template, values)
+    text = _render(Strategy.CONTEXTUAL, dish, template, availability=availability)
     return PromptBundle(Strategy.CONTEXTUAL, text)
 
 

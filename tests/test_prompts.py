@@ -10,6 +10,7 @@ from foonforge.prompts import (
     OUTPUT_SCHEMA,
     DishSpec,
     Strategy,
+    _example_block,
     annotate_example,
     load_examples,
     render_contextual,
@@ -67,6 +68,19 @@ def test_rendering_is_deterministic(dish, examples):
     b = render_example_based(dish, examples)
     assert a.text == b.text
     assert a.context_hash == b.context_hash
+
+
+def test_example_block_cache_keys_on_the_examples(dish, examples):
+    a, b = examples
+    sets = ([a], [b], [a])
+    uncached = []
+    for trees in sets:
+        _example_block.cache_clear()
+        uncached.append(render_example_based(dish, trees).text)
+    _example_block.cache_clear()
+    cached = [render_example_based(dish, trees).text for trees in sets]
+    assert cached == uncached
+    assert uncached[0] != uncached[1]
 
 
 def test_no_examples_rejected(dish):

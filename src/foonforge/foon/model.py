@@ -153,9 +153,34 @@ class FoonGraph:
         """Distinct object nodes in first-mention order."""
         return iter(self.node_index.values())
 
-    def producers(self, key: NodeKey) -> list[int]:
-        """Indices of units producing the given identity, ascending."""
-        return [i for i, unit in enumerate(self.units) if key in unit.output_keys]
+
+@dataclass(frozen=True)
+class UnitIndex:
+    """Each unit's key sets plus producer and consumer maps of a graph.
+
+    Built in one pass by :meth:`build` for the length of one kernel call
+    and dropped with it; graphs never hold one, so memory stays with the
+    caller that needs the index. ``producers`` lists unit indices in
+    ascending order; ``consumers`` holds sets, as the dependency edges do.
+    """
+
+    inputs: list[frozenset[NodeKey]]
+    outputs: list[frozenset[NodeKey]]
+    producers: dict[NodeKey, list[int]]
+    consumers: dict[NodeKey, set[int]]
+
+    @classmethod
+    def build(cls, graph: FoonGraph) -> UnitIndex:
+        inputs = [unit.input_keys for unit in graph.units]
+        outputs = [unit.output_keys for unit in graph.units]
+        producers: dict[NodeKey, list[int]] = {}
+        consumers: dict[NodeKey, set[int]] = {}
+        for i, (ins, outs) in enumerate(zip(inputs, outputs)):
+            for key in ins:
+                consumers.setdefault(key, set()).add(i)
+            for key in outs:
+                producers.setdefault(key, []).append(i)
+        return cls(inputs, outputs, producers, consumers)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,8 @@ def parse_task_tree_json(source: str, *, check_structure: bool = True) -> TaskTr
         payload = json.loads(source)
     except json.JSONDecodeError as exc:
         raise TaskTreeJsonError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise TaskTreeJsonError("not valid JSON: nested too deeply") from exc
 
     if not isinstance(payload, dict):
         raise TaskTreeSchemaError(

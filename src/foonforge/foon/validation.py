@@ -3,6 +3,13 @@
 Violations are data, not exceptions: callers decide whether a broken
 graph is an error. Rule identifiers are stable strings so reports can be
 matched programmatically.
+
+Cost: every check is linear in the number of units and their nodes.
+``validate_graph`` builds one :class:`UnitIndex` per call; the plain
+rules read each unit's key sets once, the goal rules look the goal up in
+the producer and consumer maps, the cycle check sorts the dependency
+edges (built once) topologically, and connectivity is a backward walk
+from the goal's producers that visits each unit once.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
-from .model import FoonGraph, MotionNode, NodeKey, ObjectNode, TaskTree
+from .model import FoonGraph, MotionNode, ObjectNode, TaskTree, UnitIndex
 
 RULE_BIPARTITE = "bipartite"
 RULE_EMPTY_UNIT = "empty-unit"
@@ -41,26 +48,23 @@ class ValidationReport:
         return frozenset(v.rule for v in self.violations)
 
 
-def unit_dependency_edges(graph: FoonGraph) -> dict[int, set[int]]:
+def unit_dependency_edges(index: UnitIndex) -> dict[int, set[int]]:
     """Map each unit index to the indices of units it feeds.
 
     Unit ``a`` feeds unit ``b`` when some output identity of ``a`` is an
     input identity of ``b``.
     """
-    consumers: dict[NodeKey, set[int]] = {}
-    for j, unit in enumerate(graph.units):
-        for key in unit.input_keys:
-            consumers.setdefault(key, set()).add(j)
-    edges: dict[int, set[int]] = {i: set() for i in range(len(graph.units))}
-    for i, unit in enumerate(graph.units):
-        for key in unit.output_keys:
-            edges[i] |= consumers.get(key, set())
+    edges: dict[int, set[int]] = {}
+    for i, keys in enumerate(index.outputs):
+        dests: set[int] = set()
+        for key in keys:
+            dests.update(index.consumers.get(key, ()))
+        edges[i] = dests
     return edges
 
 
-def find_cycle(graph: FoonGraph) -> list[int] | None:
+def find_cycle(edges: dict[int, set[int]]) -> list[int] | None:
     """Return the unit indices of one dependency cycle, or None."""
-    edges = unit_dependency_edges(graph)
     sorter: TopologicalSorter = TopologicalSorter()
     for src, dests in edges.items():
         sorter.add(src)
@@ -90,6 +94,7 @@ def validate_graph(
     if as_task_tree and goal is None:
         raise ValueError("as_task_tree validation requires a goal")
 
+    index = UnitIndex.build(graph)
     violations: list[Violation] = []
 
     for i, unit in enumerate(graph.units):
@@ -111,7 +116,7 @@ def validate_graph(
             violations.append(
                 Violation(RULE_EMPTY_UNIT, f"unit {i} has no {missing}", unit_index=i)
             )
-        for key in sorted(unit.input_keys & unit.output_keys):
+        for key in sorted(index.inputs[i] & index.outputs[i]):
             node = graph.node_index[key]
             violations.append(
                 Violation(
@@ -124,15 +129,15 @@ def validate_graph(
 
     if as_task_tree:
         assert goal is not None
-        violations.extend(_task_tree_violations(graph, goal))
+        violations.extend(_task_tree_violations(index, goal))
 
     return ValidationReport(tuple(violations))
 
 
-def _task_tree_violations(graph: FoonGraph, goal: ObjectNode) -> list[Violation]:
+def _task_tree_violations(index: UnitIndex, goal: ObjectNode) -> list[Violation]:
     violations: list[Violation] = []
 
-    producers = [i for i, u in enumerate(graph.units) if goal.key in u.output_keys]
+    producers = index.producers.get(goal.key, [])
     if not producers:
         violations.append(
             Violation(
@@ -141,18 +146,17 @@ def _task_tree_violations(graph: FoonGraph, goal: ObjectNode) -> list[Violation]
                 node=goal.describe(),
             )
         )
-    for i, unit in enumerate(graph.units):
-        if goal.key in unit.input_keys:
-            violations.append(
-                Violation(
-                    RULE_GOAL,
-                    f"goal {goal.describe()!r} is consumed by unit {i}",
-                    unit_index=i,
-                    node=goal.describe(),
-                )
+    for i in sorted(index.consumers.get(goal.key, ())):
+        violations.append(
+            Violation(
+                RULE_GOAL,
+                f"goal {goal.describe()!r} is consumed by unit {i}",
+                unit_index=i,
+                node=goal.describe(),
             )
+        )
 
-    cycle = find_cycle(graph)
+    cycle = find_cycle(unit_dependency_edges(index))
     if cycle:
         listed = ", ".join(str(i) for i in sorted(set(cycle)))
         violations.append(
@@ -164,19 +168,16 @@ def _task_tree_violations(graph: FoonGraph, goal: ObjectNode) -> list[Violation]
         )
 
     # a unit is connected when some chain of dependency edges leads from
-    # it to a goal-producing unit
-    edges = unit_dependency_edges(graph)
+    # it to a goal-producing unit: walk those edges backwards from there
     connected = set(producers)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(graph.units)):
-            if i in connected:
-                continue
-            if edges[i] & connected:
-                connected.add(i)
-                changed = True
-    for i in range(len(graph.units)):
+    frontier = list(producers)
+    while frontier:
+        for key in index.inputs[frontier.pop()]:
+            for i in index.producers.get(key, ()):
+                if i not in connected:
+                    connected.add(i)
+                    frontier.append(i)
+    for i in range(len(index.inputs)):
         if i not in connected:
             violations.append(
                 Violation(

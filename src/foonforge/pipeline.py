@@ -387,41 +387,47 @@ def load_run_report(path: str | Path) -> RunReport:
     Each successful record's tree is reparsed from its output file
     (resolved relative to the report's directory) so the report can be
     scored. Parsing validates the tree once, and scoring reuses that
-    result.
+    result. A file that is not JSON, or lacks a field, or holds one of
+    the wrong type raises :class:`ManifestError`.
     """
     path = Path(path)
-    out_dir = path.parent
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    records = []
-    for entry in raw["records"]:
-        dish_raw = entry["dish"]
-        dish = DishSpec(
-            dish_raw["category"],
-            dish_raw["name"],
-            tuple(dish_raw["ingredients"]),
-            tuple(dish_raw.get("tools", ())),
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        records = tuple(_load_record(entry, path.parent) for entry in raw["records"])
+        report = RunReport(
+            Strategy(raw["strategy"]), records, raw.get("started", ""), raw.get("finished", "")
         )
-        outcome = Outcome(entry["outcome"])
-        tree = None
-        if outcome is Outcome.JSON_OK:
-            tree = parse_task_tree_json(
-                (out_dir / entry["output_path"]).read_text(encoding="utf-8")
-            )
-        reason_raw = entry.get("fallback_reason")
-        records.append(
-            OutputRecord(
-                dish,
-                Strategy(entry["strategy"]),
-                outcome,
-                entry.get("raw_text", ""),
-                entry["output_path"],
-                tree=tree,
-                fallback_reason=FallbackReason(reason_raw) if reason_raw else None,
-            )
-        )
-    report = RunReport(
-        Strategy(raw["strategy"]), tuple(records), raw.get("started", ""), raw.get("finished", "")
-    )
+    except KeyError as exc:
+        raise ManifestError(f"{path} is not a run report: missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ManifestError(f"{path} is not a run report: {exc}") from exc
     if report.total != raw.get("total") or report.json_ok != raw.get("json_ok"):
         raise ManifestError(f"report counts in {path} are inconsistent with its records")
     return report
+
+
+def _load_record(entry: dict, out_dir: Path) -> OutputRecord:
+    dish_raw = entry["dish"]
+    dish = DishSpec(
+        dish_raw["category"],
+        dish_raw["name"],
+        tuple(dish_raw["ingredients"]),
+        tuple(dish_raw.get("tools", ())),
+    )
+    outcome = Outcome(entry["outcome"])
+    tree = None
+    if outcome is Outcome.JSON_OK:
+        tree = parse_task_tree_json((out_dir / entry["output_path"]).read_text(encoding="utf-8"))
+    reason_raw = entry.get("fallback_reason")
+    return OutputRecord(
+        dish,
+        Strategy(entry["strategy"]),
+        outcome,
+        entry.get("raw_text", ""),
+        entry["output_path"],
+        tree=tree,
+        fallback_reason=FallbackReason(reason_raw) if reason_raw else None,
+    )

@@ -56,14 +56,6 @@ class Strategy(str, Enum):
     USER_GUIDED = "user-guided"
     CONTEXTUAL = "contextual"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Strategy":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(s.value for s in cls)
-            raise PromptError(f"unknown strategy {name!r}, expected one of: {valid}") from None
-
 
 _TEMPLATE_FILES = {
     Strategy.EXAMPLE_BASED: "example_based.txt",

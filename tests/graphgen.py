@@ -7,6 +7,7 @@ pin exact case counts.
 from __future__ import annotations
 
 import random
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, permutations
 
 from foonforge.foon.model import (
@@ -16,6 +17,16 @@ from foonforge.foon.model import (
     ObjectNode,
     TaskTree,
     make_unit,
+)
+from foonforge.foon.validation import (
+    RULE_BIPARTITE,
+    RULE_CYCLE,
+    RULE_DISCONNECTED,
+    RULE_EMPTY_UNIT,
+    RULE_GOAL,
+    RULE_NOOP_UNIT,
+    ValidationReport,
+    Violation,
 )
 
 NAMES = [
@@ -128,6 +139,171 @@ def random_retrieval_case(rng: random.Random, max_units: int = 6):
     goal = graph.node_index[keys[rng.randrange(len(keys))]]
     available = set(rng.sample(pool, rng.randint(1, 5)))
     return graph, goal, available
+
+
+def chain_tree(steps: int, *, goal_first: bool = False) -> TaskTree:
+    """A valid linear task tree of ``steps`` units.
+
+    Step ``i`` turns stage ``i - 1`` (raw flour for the first step) into
+    stage ``i``; the last step makes the goal. Listed leaf first, or goal
+    first with ``goal_first``.
+    """
+    goal = ObjectNode("loaf")
+    units = [
+        make_unit(
+            [ObjectNode("stage", (f"s{i - 1}",)) if i else ObjectNode("flour")],
+            MOTIONS[i % len(MOTIONS)],
+            [ObjectNode("stage", (f"s{i}",)) if i < steps - 1 else goal],
+        )
+        for i in range(steps)
+    ]
+    if goal_first:
+        units.reverse()
+    return TaskTree(FoonGraph(tuple(units)), goal)
+
+
+def recipe_chain(steps: int, *, alternatives: bool = False):
+    """(graph, goal, available, expected units) of a linear recipe.
+
+    Each step also takes water. With ``alternatives`` every step gets a
+    second way to make its product, listed before the recipe: an
+    alternative that needs an extra grinding step, and one that needs
+    saffron, which the pantry lacks. The recipe itself is then still the
+    unique smallest selection.
+    """
+    recipe, extra = [], []
+    for i in range(steps):
+        previous = ObjectNode("stage", (f"s{i - 1}",)) if i else ObjectNode("flour")
+        product = ObjectNode("stage", (f"s{i}",)) if i < steps - 1 else ObjectNode("loaf")
+        recipe.append(make_unit([previous, ObjectNode("water")], "mix", [product]))
+        if alternatives:
+            paste = ObjectNode("paste", (f"p{i}",))
+            extra.append(make_unit([ObjectNode("salt")], "grind", [paste]))
+            extra.append(make_unit([previous, paste], "fold", [product]))
+            extra.append(make_unit([previous, ObjectNode("saffron")], "steep", [product]))
+    graph = FoonGraph(tuple(extra + recipe))
+    return graph, ObjectNode("loaf"), {"flour", "water", "salt"}, tuple(recipe)
+
+
+# --- reference validator ------------------------------------------------
+
+def reference_validate_graph(
+    graph: FoonGraph, *, as_task_tree: bool = False, goal: ObjectNode | None = None
+) -> ValidationReport:
+    """The original validator, kept as an oracle for the indexed one.
+
+    It rescans every unit for each question and finds connected units by
+    a fixpoint over all units, so it is quadratic on long chains.
+    """
+    violations: list[Violation] = []
+    for i, unit in enumerate(graph.units):
+        for node in (*unit.inputs, *unit.outputs):
+            if not isinstance(node, ObjectNode):
+                violations.append(
+                    Violation(
+                        RULE_BIPARTITE,
+                        f"unit {i} connects a motion to a non-object node",
+                        unit_index=i,
+                    )
+                )
+        if not isinstance(unit.motion, MotionNode):
+            violations.append(
+                Violation(RULE_BIPARTITE, f"unit {i} has a non-motion action node", unit_index=i)
+            )
+        if not unit.inputs or not unit.outputs:
+            missing = "inputs" if not unit.inputs else "outputs"
+            violations.append(
+                Violation(RULE_EMPTY_UNIT, f"unit {i} has no {missing}", unit_index=i)
+            )
+        for key in sorted(unit.input_keys & unit.output_keys):
+            node = graph.node_index[key]
+            violations.append(
+                Violation(
+                    RULE_NOOP_UNIT,
+                    f"unit {i} leaves {node.describe()!r} unchanged",
+                    unit_index=i,
+                    node=node.describe(),
+                )
+            )
+    if as_task_tree:
+        violations.extend(_reference_task_tree_violations(graph, goal))
+    return ValidationReport(tuple(violations))
+
+
+def _reference_edges(graph: FoonGraph) -> dict[int, set[int]]:
+    consumers: dict = {}
+    for j, unit in enumerate(graph.units):
+        for key in unit.input_keys:
+            consumers.setdefault(key, set()).add(j)
+    edges: dict[int, set[int]] = {i: set() for i in range(len(graph.units))}
+    for i, unit in enumerate(graph.units):
+        for key in unit.output_keys:
+            edges[i] |= consumers.get(key, set())
+    return edges
+
+
+def _reference_task_tree_violations(graph: FoonGraph, goal: ObjectNode) -> list[Violation]:
+    violations: list[Violation] = []
+    producers = [i for i, u in enumerate(graph.units) if goal.key in u.output_keys]
+    if not producers:
+        violations.append(
+            Violation(
+                RULE_GOAL,
+                f"goal {goal.describe()!r} is not produced by any unit",
+                node=goal.describe(),
+            )
+        )
+    for i, unit in enumerate(graph.units):
+        if goal.key in unit.input_keys:
+            violations.append(
+                Violation(
+                    RULE_GOAL,
+                    f"goal {goal.describe()!r} is consumed by unit {i}",
+                    unit_index=i,
+                    node=goal.describe(),
+                )
+            )
+
+    sorter: TopologicalSorter = TopologicalSorter()
+    for src, dests in _reference_edges(graph).items():
+        sorter.add(src)
+        for dest in dests:
+            sorter.add(dest, src)
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        cycle = [i for i in exc.args[1] if isinstance(i, int)]
+    else:
+        cycle = None
+    if cycle:
+        listed = ", ".join(str(i) for i in sorted(set(cycle)))
+        violations.append(
+            Violation(
+                RULE_CYCLE,
+                f"dependency cycle through units {listed}",
+                unit_index=min(cycle) if cycle else None,
+            )
+        )
+
+    edges = _reference_edges(graph)
+    connected = set(producers)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(graph.units)):
+            if i not in connected and edges[i] & connected:
+                connected.add(i)
+                changed = True
+    for i in range(len(graph.units)):
+        if i not in connected:
+            violations.append(
+                Violation(
+                    RULE_DISCONNECTED,
+                    f"unit {i} lies on no path to the goal",
+                    unit_index=i,
+                )
+            )
+    return violations
 
 
 # --- mutation suite -----------------------------------------------------

@@ -281,6 +281,18 @@ def test_evaluate_summary_and_csv(tmp_path, capsys, sample_manifest_path, sample
     assert lines[0] == "metric,value,notes"
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"records": [', b"{}", b'\xff\xfe{"records": []}'],
+    ids=["truncated", "empty", "not-utf8"],
+)
+def test_evaluate_malformed_report_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "run_report.json"
+    path.write_bytes(content)
+    assert main(["evaluate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_no_lenient_json_turns_fenced_output_into_fallback(
     tmp_path, capsys, sample_manifest_path
 ):

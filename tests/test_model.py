@@ -10,6 +10,7 @@ from foonforge.foon.model import (
     FunctionalUnit,
     MotionNode,
     ObjectNode,
+    UnitIndex,
     make_unit,
     merge_graphs,
 )
@@ -79,7 +80,7 @@ def test_graph_node_index_first_seen_and_produced_keys(sample_graph_text):
     assert len(graph.node_index) == 6
     assert ("macaroni", ("cooked",)) in graph.produced_keys
     assert ("water", ()) not in graph.produced_keys
-    assert graph.producers(("mac and cheese", ())) == [2]
+    assert UnitIndex.build(graph).producers[("mac and cheese", ())] == [2]
 
 
 def _canonical(graph: FoonGraph) -> list[str]:

@@ -168,6 +168,25 @@ def test_handle_response_fallback_categories(tmp_path, dish, text, reason):
     assert (tmp_path / record.output_path).read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"goal": ' * 100_000], ids=["arrays", "objects"]
+)
+def test_handle_response_deeply_nested_json_is_a_syntax_fallback(tmp_path, dish, text):
+    record = handle_response(ModelResponse(text), dish, tmp_path)
+    assert record.outcome is Outcome.TEXT_FALLBACK
+    assert record.fallback_reason is FallbackReason.JSON_SYNTAX
+    assert (tmp_path / record.output_path).read_text(encoding="utf-8") == text
+
+
+def test_deeply_nested_response_does_not_abort_the_batch(tmp_path, sample_manifest_path):
+    manifest = read_manifest(sample_manifest_path)
+    tree = random_task_tree(random.Random(2))
+    texts = [serialize_task_tree_json(tree), "[" * 100_000, serialize_task_tree_json(tree)]
+    fixture = _fixture_for(manifest, Strategy.CONTEXTUAL, texts)
+    report = run_generation(manifest, Strategy.CONTEXTUAL, ReplayClient(fixture), tmp_path)
+    assert [r.fallback_reason for r in report.records] == [None, FallbackReason.JSON_SYNTAX, None]
+
+
 def test_output_record_consistency_enforced(dish):
     with pytest.raises(ValueError):
         OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, "", "x.json")
@@ -335,3 +354,21 @@ def test_counting_identity_always_holds(tmp_path, sample_manifest_path):
     fixture = _fixture_for(manifest, Strategy.CONTEXTUAL, ["junk", "junk", "junk"])
     report = run_generation(manifest, Strategy.CONTEXTUAL, ReplayClient(fixture), tmp_path / "o")
     assert report.total == report.json_ok + report.text_fallback == len(report.records)
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        (b'{"records": [', "not valid JSON"),
+        (b'\xff\xfe{"records": []}', "not valid JSON"),
+        (b"{}", "missing field 'records'"),
+        (b'{"records": {"a": 1}, "strategy": "contextual"}', "not a run report"),
+        (b'{"records": [{"dish": []}], "strategy": "contextual"}', "not a run report"),
+        (b'{"records": [], "strategy": "fusion"}', "not a run report"),
+    ],
+)
+def test_load_run_report_rejects_malformed_reports(tmp_path, content, detail):
+    path = tmp_path / "run_report.json"
+    path.write_bytes(content)
+    with pytest.raises(ManifestError, match=detail):
+        load_run_report(path)

@@ -10,7 +10,7 @@ from foonforge.foon.retrieval import RetrievalFailure, retrieve_task_tree
 from foonforge.foon.text_format import parse_foon_text
 from foonforge.foon.validation import validate_task_tree
 
-from .graphgen import brute_force_retrieve, random_retrieval_case
+from .graphgen import brute_force_retrieve, chain_tree, random_retrieval_case, recipe_chain
 
 
 def test_sample_graph_needs_all_three_units(sample_graph_text):
@@ -88,7 +88,7 @@ def test_pantry_name_does_not_cover_produced_variants():
 def test_matches_brute_force_oracle_on_random_graphs():
     rng = random.Random(1234)
     feasible = infeasible = 0
-    for _ in range(60):
+    for _ in range(200):
         graph, goal, available = random_retrieval_case(rng)
         expected = brute_force_retrieve(graph, goal, available)
         result = retrieve_task_tree(graph, goal, available)
@@ -101,3 +101,36 @@ def test_matches_brute_force_oracle_on_random_graphs():
             assert result.units == tuple(graph.units[i] for i in expected)
             assert validate_task_tree(result).ok
     assert feasible and infeasible
+
+
+@pytest.mark.parametrize("steps", [20, 30])
+@pytest.mark.parametrize("alternatives", [False, True])
+def test_long_recipe_chains_have_known_answers(steps, alternatives):
+    graph, goal, available, expected = recipe_chain(steps, alternatives=alternatives)
+    result = retrieve_task_tree(graph, goal, available)
+    assert isinstance(result, TaskTree)
+    assert result.units == expected
+    assert validate_task_tree(result).ok
+
+
+def test_equal_alternatives_take_the_lowest_indices():
+    # the goal needs 12 parts, each made by either of two one-step units
+    parts = [ObjectNode("part", (f"p{j}",)) for j in range(12)]
+    makers = []
+    for part in parts:
+        makers.append(make_unit([ObjectNode("salt")], "grind", [part]))
+        makers.append(make_unit([ObjectNode("sugar")], "melt", [part]))
+    final = make_unit(parts, "mix", [ObjectNode("dish")])
+    for units in ((final, *makers), (final, *reversed(makers))):
+        graph = FoonGraph(units)
+        result = retrieve_task_tree(graph, ObjectNode("dish"), {"salt", "sugar"})
+        assert isinstance(result, TaskTree)
+        assert result.units == (final, *units[1::2])
+
+
+def test_long_unsatisfiable_chain_blames_its_first_raw_item():
+    tree = chain_tree(3000)
+    result = retrieve_task_tree(tree.graph, tree.goal, set())
+    assert isinstance(result, RetrievalFailure)
+    assert result.missing == "flour"
+    assert result.message == "no way to obtain 'flour'"

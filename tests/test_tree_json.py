@@ -37,6 +37,11 @@ def test_not_json_at_all_is_syntax_error():
         parse_task_tree_json("Sure! Here is your recipe: boil, mix, enjoy.")
 
 
+def test_deeply_nested_json_is_syntax_error():
+    with pytest.raises(TaskTreeJsonError, match="nested too deeply"):
+        parse_task_tree_json("[" * 100_000)
+
+
 @pytest.mark.parametrize(
     "payload, pointer_fragment",
     [

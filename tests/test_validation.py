@@ -22,7 +22,13 @@ from foonforge.foon.validation import (
     validate_task_tree,
 )
 
-from .graphgen import MUTATORS, random_task_tree
+from .graphgen import (
+    MUTATORS,
+    chain_tree,
+    random_graph,
+    random_task_tree,
+    reference_validate_graph,
+)
 
 
 def test_sample_graph_is_valid(sample_graph_text):
@@ -135,3 +141,48 @@ def test_mutators_each_trip_their_rule():
         report = validate_task_tree(mutant)
         assert not report.ok
         assert expected in report.rules, (mutate.__name__, report.rules)
+
+
+def _assert_matches_reference(graph, goal=None):
+    if goal is None:
+        assert validate_graph(graph) == reference_validate_graph(graph)
+    else:
+        assert validate_graph(graph, as_task_tree=True, goal=goal) == reference_validate_graph(
+            graph, as_task_tree=True, goal=goal
+        )
+
+
+def test_matches_reference_validator_on_random_trees_and_mutants():
+    rng = random.Random(7)
+    for _ in range(40):
+        tree = random_task_tree(rng, max_units=8)
+        for mutate in (lambda t: (t, None), *MUTATORS):
+            mutant, _ = mutate(tree)
+            _assert_matches_reference(mutant.graph, mutant.goal)
+            # a mutant shuffled keeps its violations but renumbers them
+            units = list(mutant.units)
+            rng.shuffle(units)
+            _assert_matches_reference(FoonGraph(tuple(units)), mutant.goal)
+
+
+def test_matches_reference_validator_on_random_graphs():
+    rng = random.Random(8)
+    for _ in range(60):
+        graph = random_graph(rng)
+        _assert_matches_reference(graph)
+        goal = graph.units[-1].outputs[0]
+        _assert_matches_reference(graph, goal)
+
+
+def test_matches_reference_validator_on_long_chains():
+    # the reference is quadratic on a chain listed leaf first, so the
+    # mutants, one reference run each, use shorter chains
+    for goal_first in (False, True):
+        tree = chain_tree(3000, goal_first=goal_first)
+        assert validate_task_tree(tree).ok
+        _assert_matches_reference(tree.graph, tree.goal)
+        for mutate in MUTATORS:
+            mutant, expected = mutate(chain_tree(400, goal_first=goal_first))
+            report = validate_graph(mutant.graph, as_task_tree=True, goal=mutant.goal)
+            assert expected in report.rules
+            _assert_matches_reference(mutant.graph, mutant.goal)

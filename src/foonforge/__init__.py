@@ -61,9 +61,7 @@ from .prompts import (
     PromptBundle,
     Strategy,
     load_examples,
-    render_contextual,
-    render_example_based,
-    render_user_guided,
+    render_for_dish,
 )
 
 __version__ = "0.1.0"
@@ -114,7 +112,5 @@ __all__ = [
     "PromptBundle",
     "Strategy",
     "load_examples",
-    "render_contextual",
-    "render_example_based",
-    "render_user_guided",
+    "render_for_dish",
 ]

@@ -14,15 +14,7 @@ import sys
 from pathlib import Path
 
 from .client import FixtureMissError, LiveClient, ReplayClient
-from .errors import (
-    ClientError,
-    FoonForgeError,
-    FoonSyntaxError,
-    ManifestError,
-    PromptError,
-    RetrievalError,
-    TaskTreeError,
-)
+from .errors import ClientError, FoonForgeError, PromptError, RetrievalError
 from .foon.model import FoonGraph, ObjectNode, TaskTree
 from .foon.retrieval import RetrievalFailure, retrieve_task_tree
 from .foon.text_format import parse_foon_text, serialize_foon_text
@@ -153,32 +145,19 @@ def main(argv=None) -> int:
     except (PromptError, ClientError, RetrievalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ManifestError, TaskTreeError, FoonSyntaxError, FoonForgeError, OSError) as exc:
+    except (FoonForgeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 
 def cmd_generate(args) -> int:
     manifest = read_manifest(args.manifest)
-
-    if args.live:
-        backend = LiveClient()
-    else:
-        if not Path(args.fixture).is_file():
-            print(f"error: fixture not found: {args.fixture}", file=sys.stderr)
-            return EXIT_IO
-        backend = ReplayClient(args.fixture)
+    backend = LiveClient() if args.live else ReplayClient(args.fixture)
 
     strategy = Strategy(args.strategy)
     examples = ()
-    instructions = args.instructions
     if strategy is Strategy.EXAMPLE_BASED:
-        examples_dir = args.examples or data_path("examples")
-        examples = load_examples(examples_dir)
-        if not examples:
-            raise PromptError(f"no usable example trees in {examples_dir}")
-    elif strategy is Strategy.USER_GUIDED and not instructions:
-        raise PromptError("user-guided generation requires --instructions")
+        examples = load_examples(args.examples or data_path("examples"))
 
     template = None
     if args.template:
@@ -190,7 +169,7 @@ def cmd_generate(args) -> int:
         backend,
         args.out,
         examples=examples,
-        instructions=instructions,
+        instructions=args.instructions,
         template=template,
         lenient_json=args.lenient_json,
         max_in_flight=args.max_in_flight,

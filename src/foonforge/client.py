@@ -10,6 +10,11 @@ body ``{"model", "prompt", "temperature", "max_output_tokens"}`` and read
 ``{"text", "finish_reason"}`` back. Provider specifics stay inside this
 module. Configuration comes from ``FOONFORGE_API_URL`` and
 ``FOONFORGE_API_KEY``.
+
+Fixture entries share that payload shape, and :func:`decode_response` is
+the one decoder for both backends: the live backend decodes each answer
+as it arrives, the replay backend every fixture entry when it is built,
+so a malformed entry fails before any dish is generated.
 """
 
 from __future__ import annotations
@@ -83,6 +88,24 @@ class ModelResponse:
     def __post_init__(self):
         if self.finish_reason is not FinishReason.ERROR and not self.text:
             raise ValueError("non-error responses must carry text")
+        self.text.encode("utf-8")  # outputs are UTF-8 files; a lone surrogate raises here
+
+
+def decode_response(payload, *, backend: Backend, latency: float = 0.0) -> ModelResponse:
+    """Build a response from a ``{"text", "finish_reason"}`` payload.
+
+    ``finish_reason`` defaults to ``complete``. A payload that is not an
+    object with a ``text`` string, names an unknown finish reason, or
+    carries text :class:`ModelResponse` rejects raises
+    :class:`MalformedResponseError`.
+    """
+    if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
+        raise MalformedResponseError("payload lacks a 'text' string")
+    try:
+        finish = FinishReason(payload.get("finish_reason", "complete"))
+        return ModelResponse(payload["text"], finish, latency, backend)
+    except ValueError as exc:
+        raise MalformedResponseError(str(exc)) from exc
 
 
 class TextGenerator(Protocol):
@@ -95,34 +118,37 @@ class ReplayClient:
     """Deterministic backend answering from a recorded fixture.
 
     The fixture is a JSON map of hex context hash to
-    ``{"text": ..., "finish_reason": ...}``. Lookups are pure, so replay
-    is bit-deterministic in any order and under any concurrency.
+    ``{"text": ..., "finish_reason": ...}``. Every entry is decoded once,
+    here, and a malformed one raises :class:`MalformedResponseError`.
+    Lookups are pure, so replay is bit-deterministic in any order and
+    under any concurrency.
     """
 
     def __init__(self, fixture: str | Path | Mapping[str, dict]):
-        if isinstance(fixture, (str, Path)):
-            self._entries = load_fixture(fixture)
-        else:
-            self._entries = dict(fixture)
+        entries = load_fixture(fixture) if isinstance(fixture, (str, Path)) else fixture
+        self._responses: dict[str, ModelResponse] = {}
+        for key, entry in entries.items():
+            try:
+                self._responses[key] = decode_response(entry, backend=Backend.REPLAY)
+            except MalformedResponseError as exc:
+                raise MalformedResponseError(f"fixture entry {key}: {exc}") from exc
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._responses)
 
     def generate(self, prompt: PromptBundle, params: GenerationParams) -> ModelResponse:
-        entry = self._entries.get(prompt.context_hash)
-        if entry is None:
+        response = self._responses.get(prompt.context_hash)
+        if response is None:
             raise FixtureMissError(prompt.context_hash)
-        return ModelResponse(
-            text=entry.get("text", ""),
-            finish_reason=FinishReason(entry.get("finish_reason", "complete")),
-            latency=0.0,
-            backend=Backend.REPLAY,
-        )
+        return response
 
 
 def load_fixture(path: str | Path) -> dict[str, dict]:
     """Read a replay fixture file into a hash-to-entry map."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ClientError(f"fixture {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ClientError(f"fixture {path} must be a JSON object keyed by context hash")
     for key, entry in raw.items():
@@ -223,7 +249,13 @@ class LiveClient:
 
             status = response.status_code
             if status == 200:
-                return self._build_response(response, time.monotonic() - start)
+                try:
+                    payload = response.json()
+                except (ValueError, RecursionError) as exc:
+                    raise MalformedResponseError("provider payload is not JSON") from exc
+                return decode_response(
+                    payload, backend=Backend.LIVE, latency=time.monotonic() - start
+                )
             last_status = status
             if status != 429 and not 500 <= status <= 599:
                 raise ProviderError(status, _safe_text(response))
@@ -233,25 +265,6 @@ class LiveClient:
         if last_status == 429:
             raise RateLimitedError(f"still rate limited after {MAX_RETRIES} retries")
         raise ProviderError(last_status, f"still failing after {MAX_RETRIES} retries")
-
-    def _build_response(self, response, latency: float) -> ModelResponse:
-        try:
-            payload = response.json()
-        except ValueError as exc:
-            raise MalformedResponseError("provider payload is not JSON") from exc
-        if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
-            raise MalformedResponseError("provider payload lacks a 'text' string")
-        reason = payload.get("finish_reason", "complete")
-        try:
-            finish = FinishReason(reason)
-        except ValueError as exc:
-            raise MalformedResponseError(f"unknown finish_reason {reason!r}") from exc
-        try:
-            return ModelResponse(
-                text=payload["text"], finish_reason=finish, latency=latency, backend=Backend.LIVE
-            )
-        except ValueError as exc:
-            raise MalformedResponseError(str(exc)) from exc
 
 
 def _safe_text(response) -> str:

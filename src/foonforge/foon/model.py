@@ -43,6 +43,11 @@ def _checked_token(value, what: str) -> str:
         raise InvalidNodeError(f"{what} must not be empty")
     if "\t" in token or "\n" in token:
         raise InvalidNodeError(f"{what} must not contain tabs or newlines: {token!r}")
+    if not token.isascii():  # O(1); only non-ASCII text can hold a lone surrogate
+        try:
+            token.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidNodeError(f"{what} must be valid Unicode text: {token!r}") from None
     return token
 
 

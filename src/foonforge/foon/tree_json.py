@@ -39,7 +39,7 @@ def parse_task_tree_json(source: str, *, check_structure: bool = True) -> TaskTr
     """
     try:
         payload = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise TaskTreeJsonError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise TaskTreeJsonError("not valid JSON: nested too deeply") from exc

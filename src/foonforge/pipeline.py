@@ -1,10 +1,13 @@
 """Batch generation pipeline: read manifest, generate per dish, persist.
 
-Each dish yields exactly one :class:`OutputRecord`. Responses that parse
-and validate as task trees are written as pretty JSON; everything else is
-preserved verbatim as a text file together with the failure category.
-Records are reported in manifest order even when generation runs
-concurrently.
+Each dish yields exactly one :class:`OutputRecord`, and
+:func:`handle_response` is the one place that classifies a response and
+writes its output file. A backend failure becomes an ``error`` response
+carrying the failure text, which is recorded as ``model_error`` without
+being parsed. Other responses that parse and validate as task trees are
+written as pretty JSON; everything else is preserved verbatim as a text
+file together with the failure category. Records are reported in
+manifest order even when generation runs concurrently.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .client import FixtureMissError, GenerationParams, ModelResponse, TextGenerator
+from .client import FinishReason, FixtureMissError, GenerationParams, ModelResponse, TextGenerator
 from .errors import (
     ClientError,
     InvalidNodeError,
@@ -30,7 +33,7 @@ from .errors import (
 )
 from .foon.model import TaskTree
 from .foon.tree_json import parse_task_tree_json, serialize_task_tree_json
-from .prompts import DishSpec, PromptBundle, Strategy, render_for_dish
+from .prompts import DishSpec, Strategy, render_for_dish
 
 log = logging.getLogger(__name__)
 
@@ -61,10 +64,6 @@ class InputManifest:
     def dishes(self) -> Iterator[DishSpec]:
         for _, specs in self.categories:
             yield from specs
-
-    @property
-    def dish_count(self) -> int:
-        return sum(len(specs) for _, specs in self.categories)
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def read_manifest(path: str | Path) -> InputManifest:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ManifestError(f"not valid JSON: {exc}") from exc
 
     if not isinstance(raw, dict):
@@ -206,30 +205,35 @@ def handle_response(
 ) -> OutputRecord:
     """Persist one model response and classify the outcome.
 
-    Parse and validation failures are outcomes, not errors; only real IO
-    problems raise. The tree is validated once, while it is parsed, and
-    its record carries that result on to scoring. ``rel_base`` overrides
-    the output location (relative to ``out_dir``, no extension) when the
-    caller has already resolved filename collisions.
+    An ``error`` response is a ``model_error`` fallback and is not
+    parsed. Parse and validation failures are outcomes, not errors; only
+    real IO problems raise. The tree is validated once, while it is
+    parsed, and its record carries that result on to scoring.
+    ``rel_base`` overrides the output location (relative to ``out_dir``,
+    no extension) when the caller has already resolved filename
+    collisions.
     """
     out_dir = Path(out_dir)
     if rel_base is None:
         rel_base = _output_stem(dish)
 
     text = response.text
-    candidate = strip_code_fence(text) if lenient_json else text
-    try:
-        tree = parse_task_tree_json(candidate)
-    except TaskTreeJsonError:
-        reason = FallbackReason.JSON_SYNTAX
-    except TaskTreeSchemaError:
-        reason = FallbackReason.SCHEMA
-    except TaskTreeStructureError:
-        reason = FallbackReason.STRUCTURAL
+    if response.finish_reason is FinishReason.ERROR:
+        reason = FallbackReason.MODEL_ERROR
     else:
-        rel_path = f"{rel_base}.json"
-        _write_text(out_dir / rel_path, serialize_task_tree_json(tree) + "\n")
-        return OutputRecord(dish, strategy, Outcome.JSON_OK, text, rel_path, tree=tree)
+        candidate = strip_code_fence(text) if lenient_json else text
+        try:
+            tree = parse_task_tree_json(candidate)
+        except TaskTreeJsonError:
+            reason = FallbackReason.JSON_SYNTAX
+        except TaskTreeSchemaError:
+            reason = FallbackReason.SCHEMA
+        except TaskTreeStructureError:
+            reason = FallbackReason.STRUCTURAL
+        else:
+            rel_path = f"{rel_base}.json"
+            _write_text(out_dir / rel_path, serialize_task_tree_json(tree) + "\n")
+            return OutputRecord(dish, strategy, Outcome.JSON_OK, text, rel_path, tree=tree)
 
     rel_path = f"{rel_base}.txt"
     _write_text(out_dir / rel_path, text)
@@ -276,12 +280,13 @@ def run_generation(
 ) -> RunReport:
     """Generate one recipe per dish and persist a run report.
 
-    Per-dish backend failures become text-fallback records with the error
-    text preserved; only manifest, configuration, and IO problems abort
-    the run. With ``strict_replay`` a fixture miss aborts instead.
+    Every prompt is rendered before anything is written, so a
+    :class:`PromptError` leaves nothing on disk. Per-dish backend
+    failures become ``model_error`` records with the error text
+    preserved; only manifest, configuration, and IO problems abort the
+    run. With ``strict_replay`` a fixture miss aborts instead.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = params or GenerationParams()
 
     dishes = list(manifest.dishes())
@@ -299,12 +304,13 @@ def run_generation(
         dish, bundle, stem = dishes[index], bundles[index], stems[index]
         try:
             response = backend.generate(bundle, params)
-        except FixtureMissError:
-            if strict_replay:
-                raise
-            return _error_record(dish, strategy, "fixture miss", bundle, out_dir, stem)
         except ClientError as exc:
-            return _error_record(dish, strategy, str(exc), bundle, out_dir, stem)
+            if strict_replay and isinstance(exc, FixtureMissError):
+                raise
+            error = "fixture miss" if isinstance(exc, FixtureMissError) else str(exc)
+            response = ModelResponse(
+                f"model error: {error}\n(prompt hash {bundle.context_hash})", FinishReason.ERROR
+            )
         return handle_response(
             response, dish, out_dir, strategy=strategy, lenient_json=lenient_json, rel_base=stem
         )
@@ -324,27 +330,6 @@ def run_generation(
         report.text_fallback,
     )
     return report
-
-
-def _error_record(
-    dish: DishSpec,
-    strategy: Strategy,
-    error_text: str,
-    bundle: PromptBundle,
-    out_dir: Path,
-    stem: str,
-) -> OutputRecord:
-    text = f"model error: {error_text}\n(prompt hash {bundle.context_hash})"
-    rel_path = f"{stem}.txt"
-    _write_text(out_dir / rel_path, text)
-    return OutputRecord(
-        dish,
-        strategy,
-        Outcome.TEXT_FALLBACK,
-        text,
-        rel_path,
-        fallback_reason=FallbackReason.MODEL_ERROR,
-    )
 
 
 def _utc_now() -> str:

@@ -8,8 +8,10 @@ Recognized placeholders: ``dish_name``, ``category``, ``ingredients``,
 contract exactly once. Substitution is single-pass: substituted values
 are never rescanned for placeholders.
 
-Rendering is pure; equal inputs yield byte-identical prompts and equal
-context hashes.
+:func:`render_for_dish` is the one renderer: it checks each strategy's
+input once (examples, instructions, or the dish's own availability
+lists) and fills the template. Rendering is pure; equal inputs yield
+byte-identical prompts and equal context hashes.
 """
 
 from __future__ import annotations
@@ -99,7 +101,6 @@ class PromptBundle:
 
     strategy: Strategy
     text: str
-    examples_used: int = 0
     context_hash: str = field(default="")
 
     def __post_init__(self):
@@ -138,19 +139,6 @@ def _substitute(template: str, values: dict[str, str]) -> str:
     return _PLACEHOLDER.sub(repl, template)
 
 
-def _render(strategy: Strategy, dish: DishSpec, template: str | None, **extra: str) -> str:
-    """Fill a template, the strategy's packaged one by default, for one dish."""
-    values = {
-        "dish_name": dish.name,
-        "category": dish.category or "uncategorized",
-        "ingredients": _render_list(dish.ingredients),
-        "tools": _render_list(dish.tools),
-        "schema": OUTPUT_SCHEMA,
-        **extra,
-    }
-    return _substitute(template if template is not None else default_template(strategy), values)
-
-
 def annotate_example(tree: TaskTree) -> str:
     """One-line annotation naming an example's key elements.
 
@@ -175,51 +163,6 @@ def _example_block(examples: tuple[TaskTree, ...]) -> str:
     return "\n\n".join(
         annotate_example(tree) + "\n" + serialize_task_tree_json(tree) for tree in examples
     )
-
-
-def render_example_based(
-    dish: DishSpec,
-    examples: Sequence[TaskTree],
-    template: str | None = None,
-) -> PromptBundle:
-    """Few-shot prompt: annotated example trees, then the dish request."""
-    if not examples:
-        raise PromptError("example-based prompts need at least one example tree")
-    text = _render(
-        Strategy.EXAMPLE_BASED, dish, template, examples=_example_block(tuple(examples))
-    )
-    return PromptBundle(Strategy.EXAMPLE_BASED, text, examples_used=len(examples))
-
-
-def render_user_guided(
-    dish: DishSpec,
-    instructions: str,
-    template: str | None = None,
-) -> PromptBundle:
-    """Prompt embedding the user's instructions verbatim."""
-    if not instructions or not instructions.strip():
-        raise PromptError("user-guided prompts need non-empty instructions")
-    text = _render(Strategy.USER_GUIDED, dish, template, instructions=instructions)
-    return PromptBundle(Strategy.USER_GUIDED, text)
-
-
-def render_contextual(
-    dish: DishSpec,
-    available_tools: Sequence[str],
-    available_ingredients: Sequence[str],
-    template: str | None = None,
-) -> PromptBundle:
-    """Prompt constrained to the kitchen's available resources."""
-    tools = [t for t in available_tools if normalize_token(t)]
-    ingredients = [i for i in available_ingredients if normalize_token(i)]
-    if not tools and not ingredients:
-        raise PromptError("contextual prompts need at least one availability list")
-    availability = (
-        f"Available tools: {_render_list(tools)}\n"
-        f"Available ingredients: {_render_list(ingredients)}"
-    )
-    text = _render(Strategy.CONTEXTUAL, dish, template, availability=availability)
-    return PromptBundle(Strategy.CONTEXTUAL, text)
 
 
 def load_examples(directory: str | Path) -> list[TaskTree]:
@@ -247,15 +190,36 @@ def render_for_dish(
     instructions: str | None = None,
     template: str | None = None,
 ) -> PromptBundle:
-    """Strategy dispatch used by the generation pipeline.
+    """Render one dish's prompt under a strategy.
 
-    Contextual prompts draw their availability lists from the dish spec
-    itself: the listed tools and ingredients are what the kitchen has.
+    Example-based prompts need at least one example tree, which they
+    show annotated; user-guided prompts need non-blank instructions,
+    which they embed verbatim; contextual prompts take the kitchen's
+    availability from the dish's own tools and ingredients. Inputs
+    another strategy uses are ignored. ``template`` overrides the
+    strategy's packaged template.
     """
     if strategy is Strategy.EXAMPLE_BASED:
-        return render_example_based(dish, examples, template)
-    if strategy is Strategy.USER_GUIDED:
-        if instructions is None:
-            raise PromptError("user-guided strategy requires instructions")
-        return render_user_guided(dish, instructions, template)
-    return render_contextual(dish, dish.tools, dish.ingredients, template)
+        if not examples:
+            raise PromptError("example-based prompts need at least one example tree")
+        extra = {"examples": _example_block(tuple(examples))}
+    elif strategy is Strategy.USER_GUIDED:
+        if not instructions or not instructions.strip():
+            raise PromptError("user-guided prompts need non-empty instructions")
+        extra = {"instructions": instructions}
+    else:
+        extra = {
+            "availability": f"Available tools: {_render_list(dish.tools)}\n"
+            f"Available ingredients: {_render_list(dish.ingredients)}"
+        }
+    values = {
+        "dish_name": dish.name,
+        "category": dish.category or "uncategorized",
+        "ingredients": _render_list(dish.ingredients),
+        "tools": _render_list(dish.tools),
+        "schema": OUTPUT_SCHEMA,
+        **extra,
+    }
+    if template is None:
+        template = default_template(strategy)
+    return PromptBundle(strategy, _substitute(template, values))

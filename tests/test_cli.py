@@ -129,6 +129,7 @@ def test_generate_user_guided_requires_instructions(tmp_path, capsys, sample_man
     )
     assert code == 1
     assert "instructions" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_generate_strict_replay_miss_exits_3(tmp_path, capsys, sample_manifest_path):
@@ -325,3 +326,89 @@ def test_no_lenient_json_turns_fenced_output_into_fallback(
 def test_unknown_subcommand_exits_1(capsys):
     assert main(["frobnicate"]) == 1
     assert capsys.readouterr().err
+
+
+_MALFORMED_JSON = [b"[" * 100_000, b'{"a": [', b"\xff\xfe{}"]
+_MALFORMED_IDS = ["nested", "truncated", "not-utf8"]
+
+
+@pytest.mark.parametrize("content", _MALFORMED_JSON, ids=_MALFORMED_IDS)
+def test_generate_malformed_manifest_exits_2(tmp_path, capsys, content, sample_fixture_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(content)
+    code = main(
+        [
+            "generate",
+            "--manifest",
+            str(manifest),
+            "--strategy",
+            "example-based",
+            "--fixture",
+            str(sample_fixture_path),
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        *[(content, 1) for content in _MALFORMED_JSON],
+        (json.dumps({"abc": {"text": "oops \ud800"}}).encode(), 1),
+        (json.dumps({"abc": {"text": "x", "finish_reason": "odd"}}).encode(), 1),
+        (None, 2),
+    ],
+    ids=[*_MALFORMED_IDS, "lone-surrogate", "unknown-finish-reason", "missing"],
+)
+def test_generate_bad_fixture_exits_before_any_dish(
+    tmp_path, capsys, sample_manifest_path, content, expected
+):
+    fixture = tmp_path / "fixture.json"
+    if content is not None:
+        fixture.write_bytes(content)
+    code = main(
+        [
+            "generate",
+            "--manifest",
+            str(sample_manifest_path),
+            "--strategy",
+            "contextual",
+            "--fixture",
+            str(fixture),
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert code == expected
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "convert", "retrieve", "template"])
+def test_non_utf8_input_file_exits_2(tmp_path, capsys, command, sample_manifest_path):
+    bad = tmp_path / "bad.foon"
+    bad.write_bytes(b"O\t\xff\xfe pan\n")
+    argv = {
+        "validate": ["validate", str(bad)],
+        "convert": ["convert", str(bad), str(tmp_path / "t.json"), "--to", "json", "--goal", "x"],
+        "retrieve": ["retrieve", "--graph", str(bad), "--goal", "x"],
+        "template": [
+            "generate",
+            "--manifest",
+            str(sample_manifest_path),
+            "--strategy",
+            "contextual",
+            "--fixture",
+            str(data_path("fixtures", "replay_contextual_run1.json")),
+            "--template",
+            str(bad),
+            "--out",
+            str(tmp_path / "out"),
+        ],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -27,13 +27,14 @@ from foonforge.errors import (
     RateLimitedError,
     RequestTimeoutError,
 )
-from foonforge.prompts import DishSpec, render_user_guided
+from foonforge.pipeline import FallbackReason, read_manifest, run_generation
+from foonforge.prompts import DishSpec, Strategy, render_for_dish
 
 
 @pytest.fixture()
 def bundle():
     dish = DishSpec("breakfast", "omelette", ("egg",), ("pan",))
-    return render_user_guided(dish, "plain and quick")
+    return render_for_dish(Strategy.USER_GUIDED, dish, instructions="plain and quick")
 
 
 @pytest.mark.parametrize(
@@ -76,6 +77,53 @@ def test_load_fixture_validates(tmp_path):
     path.write_text('{"abc": {"nope": 1}}', encoding="utf-8")
     with pytest.raises(ClientError):
         load_fixture(path)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"text": "x", "finish_reason": "odd"},
+        {"text": "", "finish_reason": "complete"},
+        {"text": 42},
+        {"text": ["x"]},
+        {"text": "oops \ud800"},
+        {"nope": 1},
+        "just text",
+    ],
+    ids=["unknown-reason", "empty-complete", "int-text", "list-text", "lone-surrogate",
+         "no-text", "not-an-object"],
+)
+def test_replay_client_rejects_malformed_entries_when_built(tmp_path, entry):
+    with pytest.raises(ClientError, match="fixture entry abc"):
+        ReplayClient({"abc": entry})
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"abc": entry}), encoding="utf-8")
+    with pytest.raises(ClientError):
+        ReplayClient(path)
+
+
+def test_replay_decodes_each_entry_once(bundle):
+    client = ReplayClient({bundle.context_hash: {"text": "canned", "finish_reason": "error"}})
+    first = client.generate(bundle, GenerationParams())
+    assert first.finish_reason is FinishReason.ERROR
+    assert client.generate(bundle, GenerationParams()) is first
+
+
+@pytest.mark.parametrize(
+    "content", [b"[" * 100_000, b'{"a": [', b"\xff\xfe{}"], ids=["nested", "truncated", "not-utf8"]
+)
+def test_load_fixture_rejects_unreadable_json(tmp_path, content):
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    with pytest.raises(ClientError, match="not valid JSON"):
+        load_fixture(path)
+
+
+def test_model_response_rejects_text_that_is_not_utf8():
+    with pytest.raises(ValueError):
+        ModelResponse("oops \ud800")
+    with pytest.raises(ValueError):
+        ModelResponse("\udfff", FinishReason.ERROR)
 
 
 def test_record_then_replay_round_trips(tmp_path, bundle):
@@ -226,6 +274,36 @@ def test_malformed_payloads(bundle):
         _live([FakeResponse(200, {"text": "x", "finish_reason": "odd"})]).generate(
             bundle, GenerationParams()
         )
+
+
+def test_live_lone_surrogate_is_a_model_error_record(tmp_path):
+    payload = {"text": "oops \ud800", "finish_reason": "complete"}
+    with pytest.raises(MalformedResponseError):
+        _live([FakeResponse(200, payload)]).generate(
+            render_for_dish(Strategy.CONTEXTUAL, DishSpec("a", "b", ("c",))), GenerationParams()
+        )
+
+    path = tmp_path / "manifest.json"
+    dishes = [
+        {"name": "omelette", "ingredients": ["egg"]},
+        {"name": "toast", "ingredients": ["bread"]},
+    ]
+    manifest = {"categories": [{"name": "breakfast", "dishes": dishes}]}
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    ok = FakeResponse(200, {"text": "plain words", "finish_reason": "complete"})
+    report = run_generation(
+        read_manifest(path),
+        Strategy.CONTEXTUAL,
+        _live([FakeResponse(200, payload), ok]),
+        tmp_path / "out",
+        max_in_flight=1,
+    )
+    first, second = report.records
+    assert first.fallback_reason is FallbackReason.MODEL_ERROR
+    assert first.raw_text.startswith("model error: ")
+    assert "surrogates not allowed" in first.raw_text
+    assert (tmp_path / "out" / first.output_path).read_text(encoding="utf-8") == first.raw_text
+    assert second.fallback_reason is FallbackReason.JSON_SYNTAX
 
 
 def test_fixture_file_sorted_and_stable(tmp_path, bundle):

@@ -4,11 +4,11 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from foonforge.client import ModelResponse, ReplayClient
-from foonforge.errors import FixtureMissError, ManifestError
+from foonforge.client import FinishReason, ModelResponse, ReplayClient
+from foonforge.errors import FixtureMissError, ManifestError, PromptError
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
 from foonforge.foon.validation import validate_task_tree
 from foonforge.pipeline import (
@@ -39,7 +39,6 @@ def _tree_response(tree) -> ModelResponse:
 def test_read_sample_manifest(sample_manifest_path):
     manifest = read_manifest(sample_manifest_path)
     assert len(manifest.categories) == 2
-    assert manifest.dish_count == 3
     names = [dish.name for dish in manifest.dishes()]
     assert names == ["mac and cheese", "spaghetti aglio e olio", "omelette"]
 
@@ -178,6 +177,64 @@ def test_handle_response_deeply_nested_json_is_a_syntax_fallback(tmp_path, dish,
     assert (tmp_path / record.output_path).read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize(
+    "text", ["", "model error: timeout", '{"goal": {"name": "x"}, "functional_units": []}']
+)
+def test_error_response_is_a_model_error_and_is_not_parsed(tmp_path, dish, text):
+    tree_text = serialize_task_tree_json(random_task_tree(random.Random(3)))
+    for candidate in (text, tree_text):
+        record = handle_response(ModelResponse(candidate, FinishReason.ERROR), dish, tmp_path)
+        assert record.outcome is Outcome.TEXT_FALLBACK
+        assert record.fallback_reason is FallbackReason.MODEL_ERROR
+        assert (tmp_path / record.output_path).read_text(encoding="utf-8") == candidate
+
+
+_SURROGATE_NAME_TREE = json.dumps(
+    {
+        "goal": {"name": "x\ud800"},
+        "functional_units": [
+            {"inputs": [{"name": "a"}], "motion": "mix", "outputs": [{"name": "x\ud800"}]}
+        ],
+    }
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    text=st.one_of(
+        st.text(max_size=300),
+        st.sampled_from(['{"goal": {}, "functional_units": [{}]}', "```json\n[]\n```"]),
+    ),
+    finish=st.sampled_from(FinishReason),
+    lenient=st.booleans(),
+)
+@example(text="1" * 5000, finish=FinishReason.COMPLETE, lenient=True)
+@example(text=_SURROGATE_NAME_TREE, finish=FinishReason.COMPLETE, lenient=True)
+@example(text="[" * 100_000, finish=FinishReason.TRUNCATED, lenient=False)
+def test_handle_response_classifies_any_response(tmp_path, dish, text, finish, lenient):
+    assume(text or finish is FinishReason.ERROR)
+    response = ModelResponse(text, finish)
+    record = handle_response(response, dish, tmp_path, lenient_json=lenient)
+    assert isinstance(record, OutputRecord)
+    assert record.raw_text == text
+    if finish is FinishReason.ERROR:
+        assert record.fallback_reason is FallbackReason.MODEL_ERROR
+    else:
+        assert record.fallback_reason is not FallbackReason.MODEL_ERROR
+    if record.outcome is Outcome.TEXT_FALLBACK:
+        assert (tmp_path / record.output_path).read_bytes().decode("utf-8") == text
+
+
+def test_prompt_error_leaves_nothing_on_disk(tmp_path, sample_manifest_path):
+    manifest = read_manifest(sample_manifest_path)
+    for strategy in (Strategy.EXAMPLE_BASED, Strategy.USER_GUIDED):
+        with pytest.raises(PromptError):
+            run_generation(manifest, strategy, ReplayClient({}), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+
 def test_deeply_nested_response_does_not_abort_the_batch(tmp_path, sample_manifest_path):
     manifest = read_manifest(sample_manifest_path)
     tree = random_task_tree(random.Random(2))
@@ -248,10 +305,12 @@ def test_empty_fixture_yields_model_error_fallbacks(tmp_path, sample_manifest_pa
     )
     assert report.total == 3
     assert report.json_ok == 0
-    for record in report.records:
+    for dish, record in zip(manifest.dishes(), report.records):
         assert record.fallback_reason is FallbackReason.MODEL_ERROR
-        assert "fixture miss" in record.raw_text
-        assert (tmp_path / "out" / record.output_path).is_file()
+        bundle = render_for_dish(Strategy.CONTEXTUAL, dish)
+        expected = f"model error: fixture miss\n(prompt hash {bundle.context_hash})"
+        assert record.raw_text == expected
+        assert (tmp_path / "out" / record.output_path).read_text(encoding="utf-8") == expected
 
 
 def test_strict_replay_aborts_on_miss(tmp_path, sample_manifest_path):

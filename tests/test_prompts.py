@@ -13,9 +13,7 @@ from foonforge.prompts import (
     _example_block,
     annotate_example,
     load_examples,
-    render_contextual,
-    render_example_based,
-    render_user_guided,
+    render_for_dish,
 )
 from foonforge.resources import data_path
 
@@ -50,9 +48,9 @@ def test_dish_spec_invariants():
 
 
 def test_example_based_contains_each_example(dish, examples):
-    bundle = render_example_based(dish, examples)
+    bundle = render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=examples)
     assert bundle.strategy is Strategy.EXAMPLE_BASED
-    assert bundle.examples_used == len(examples) == 2
+    assert len(examples) == 2
     for tree in examples:
         assert serialize_task_tree_json(tree) in bundle.text
         assert annotate_example(tree) in bundle.text
@@ -64,8 +62,8 @@ def test_annotation_header_shape(examples):
 
 
 def test_rendering_is_deterministic(dish, examples):
-    a = render_example_based(dish, examples)
-    b = render_example_based(dish, examples)
+    a = render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=examples)
+    b = render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=examples)
     assert a.text == b.text
     assert a.context_hash == b.context_hash
 
@@ -76,41 +74,41 @@ def test_example_block_cache_keys_on_the_examples(dish, examples):
     uncached = []
     for trees in sets:
         _example_block.cache_clear()
-        uncached.append(render_example_based(dish, trees).text)
+        uncached.append(render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees).text)
     _example_block.cache_clear()
-    cached = [render_example_based(dish, trees).text for trees in sets]
+    cached = [render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees).text for trees in sets]
     assert cached == uncached
     assert uncached[0] != uncached[1]
 
 
 def test_no_examples_rejected(dish):
     with pytest.raises(PromptError, match="at least one example"):
-        render_example_based(dish, [])
+        render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=[])
 
 
 def test_user_guided_embeds_instructions_verbatim(dish):
     instructions = "vegetarian, no oven\nand absolutely no cilantro"
-    bundle = render_user_guided(dish, instructions)
+    bundle = render_for_dish(Strategy.USER_GUIDED, dish, instructions=instructions)
     assert instructions in bundle.text
-    with pytest.raises(PromptError):
-        render_user_guided(dish, "   ")
+    for blank in ("   ", "", None):
+        with pytest.raises(PromptError, match="instructions"):
+            render_for_dish(Strategy.USER_GUIDED, dish, instructions=blank)
 
 
-def test_contextual_lists_resources_sorted_and_deduped(dish):
-    bundle = render_contextual(dish, ["pan", "Pan"], ["egg", "salt"])
-    assert "Available tools: pan" in bundle.text
+def test_contextual_lists_resources_sorted_and_deduped():
+    dish = DishSpec("breakfast", "omelette", ("salt", "Egg"), ("pan", "Pan", "whisk"))
+    bundle = render_for_dish(Strategy.CONTEXTUAL, dish)
+    assert "Available tools: pan, whisk" in bundle.text
     assert "Available ingredients: egg, salt" in bundle.text
-    with pytest.raises(PromptError):
-        render_contextual(dish, [], [])
-    only_tools = render_contextual(dish, ["pan"], [])
-    assert "Available ingredients: none" in only_tools.text
+    no_tools = render_for_dish(Strategy.CONTEXTUAL, DishSpec("breakfast", "omelette", ("egg",)))
+    assert "Available tools: none" in no_tools.text
 
 
 def test_schema_block_exactly_once(dish, examples):
     bundles = [
-        render_example_based(dish, examples),
-        render_user_guided(dish, "keep it simple"),
-        render_contextual(dish, ["pan"], ["egg"]),
+        render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=examples),
+        render_for_dish(Strategy.USER_GUIDED, dish, instructions="keep it simple"),
+        render_for_dish(Strategy.CONTEXTUAL, dish),
     ]
     for bundle in bundles:
         assert bundle.text.count(OUTPUT_SCHEMA) == 1
@@ -120,29 +118,43 @@ def test_prompt_length_monotone_in_example_count(dish):
     rng = random.Random(11)
     trees = [random_task_tree(rng, max_units=3) for _ in range(4)]
     lengths = [
-        len(render_example_based(dish, trees[: k + 1]).text) for k in range(len(trees))
+        len(render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees[: k + 1]).text)
+        for k in range(len(trees))
     ]
     assert lengths == sorted(lengths)
 
 
 def test_context_hash_distinguishes_strategies(dish):
-    guided = render_user_guided(dish, "anything", template="a {{schema}}")
-    contextual = render_contextual(dish, ["pan"], [], template="a {{schema}}")
+    guided = render_for_dish(
+        Strategy.USER_GUIDED, dish, instructions="anything", template="a {{schema}}"
+    )
+    contextual = render_for_dish(Strategy.CONTEXTUAL, dish, template="a {{schema}}")
     assert guided.text != contextual.text or guided.context_hash != contextual.context_hash
 
 
 def test_template_placeholder_errors(dish):
     with pytest.raises(PromptError, match="unknown placeholder"):
-        render_user_guided(dish, "x", template="{{bogus}} {{schema}}")
+        render_for_dish(
+            Strategy.USER_GUIDED, dish, instructions="x", template="{{bogus}} {{schema}}"
+        )
     with pytest.raises(PromptError, match="exactly once"):
-        render_user_guided(dish, "x", template="no schema here")
+        render_for_dish(
+            Strategy.USER_GUIDED, dish, instructions="x", template="no schema here"
+        )
     with pytest.raises(PromptError, match="exactly once"):
-        render_user_guided(dish, "x", template="{{schema}} {{schema}}")
+        render_for_dish(
+            Strategy.USER_GUIDED, dish, instructions="x", template="{{schema}} {{schema}}"
+        )
 
 
 def test_substitution_is_single_pass(dish):
     # placeholder-looking text inside a value must not be re-expanded
-    bundle = render_user_guided(dish, "use {{tools}} literally", template="{{instructions}}\n{{schema}}")
+    bundle = render_for_dish(
+        Strategy.USER_GUIDED,
+        dish,
+        instructions="use {{tools}} literally",
+        template="{{instructions}}\n{{schema}}",
+    )
     assert "use {{tools}} literally" in bundle.text
 
 

@@ -8,20 +8,26 @@ user-guided, then contextual), and the first example-based run yields
 exactly 34 attempted / 27 JSON / 7 text-fallback outputs. The script
 verifies all of that by actually running the pipeline against the built
 fixtures before writing anything, so a failed tuning assertion leaves the
-repo untouched.
+repo untouched: every file is built in a temp directory first.
 
 Run from the repo root after changing templates, the dish table, or the
 tree builders::
 
     python3 scripts/build_fixtures.py
 
-Output is deterministic: reruns produce byte-identical files.
+Output is deterministic: reruns produce byte-identical files. With
+``--check`` nothing is written: the built files are compared byte for
+byte with the packaged ones, and any that differ are named on stderr
+with exit code 1. A writer change that alters one serialized byte shows
+up here instead of as fixture misses.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
+import shutil
 import statistics
 import sys
 import tempfile
@@ -458,24 +464,26 @@ def write_json(path: Path, payload) -> None:
                     encoding="utf-8")
 
 
-def main() -> int:
+def build(out_dir: Path) -> list[Path]:
+    """Build and verify every data file under ``out_dir``; returns their
+    paths relative to it."""
     manifest_payload = build_manifest_payload()
     examples_trees = build_example_trees()
 
     # examples must hit disk before rendering so fixture hashes key on
     # exactly what the pipeline will load
-    examples_dir = DATA_DIR / "examples"
+    examples_dir = out_dir / "examples"
     examples_dir.mkdir(parents=True, exist_ok=True)
     for name, tree in examples_trees.items():
         (examples_dir / f"{name}.json").write_text(
             serialize_task_tree_json(tree) + "\n", encoding="utf-8"
         )
 
-    write_json(DATA_DIR / "manifest_34.json", manifest_payload)
-    write_json(DATA_DIR / "manifest_sample.json", build_sample_manifest_payload())
-    (DATA_DIR / "macaroni.foon").write_text(SAMPLE_GRAPH, encoding="utf-8")
+    write_json(out_dir / "manifest_34.json", manifest_payload)
+    write_json(out_dir / "manifest_sample.json", build_sample_manifest_payload())
+    (out_dir / "macaroni.foon").write_text(SAMPLE_GRAPH, encoding="utf-8")
 
-    manifest = read_manifest(DATA_DIR / "manifest_34.json")
+    manifest = read_manifest(out_dir / "manifest_34.json")
     examples = load_examples(examples_dir)
     assert len(examples) == len(examples_trees)
 
@@ -495,12 +503,12 @@ def main() -> int:
         files = []
         for run_index, (fixture, _) in enumerate(runs):
             rel = f"fixtures/replay_{slug}_run{run_index + 1}.json"
-            write_json(DATA_DIR / rel, fixture)
+            write_json(out_dir / rel, fixture)
             files.append(rel)
         strategy_files[strategy.value] = files
 
     write_json(
-        DATA_DIR / "fixtures" / "runs.json",
+        out_dir / "fixtures" / "runs.json",
         {
             "manifest": "manifest_34.json",
             "examples_dir": "examples",
@@ -508,6 +516,36 @@ def main() -> int:
             "strategies": strategy_files,
         },
     )
+    return sorted(p.relative_to(out_dir) for p in out_dir.rglob("*") if p.is_file())
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare the built files with the packaged ones and write nothing; "
+        "exit 1 naming every file that differs",
+    )
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        built = build(Path(tmp))
+        if args.check:
+            drifted = [
+                str(rel)
+                for rel in built
+                if not (DATA_DIR / rel).is_file()
+                or (DATA_DIR / rel).read_bytes() != (Path(tmp) / rel).read_bytes()
+            ]
+            if drifted:
+                print(f"drift from {DATA_DIR}: {', '.join(drifted)}", file=sys.stderr)
+                return 1
+            print(f"all {len(built)} data files under {DATA_DIR} are up to date")
+            return 0
+        for rel in built:
+            (DATA_DIR / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(Path(tmp) / rel, DATA_DIR / rel)
     print(f"wrote data files under {DATA_DIR}")
     return 0
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +39,7 @@ from .errors import (
     TransportError,
 )
 from .prompts import PromptBundle
+from .resources import write_text_atomic
 
 API_KEY_ENV = "FOONFORGE_API_KEY"
 API_URL_ENV = "FOONFORGE_API_URL"
@@ -164,8 +164,8 @@ def record_fixture(
 ) -> dict[str, dict]:
     """Add or overwrite one fixture entry; returns the updated map.
 
-    The file is rewritten via a temp file and atomic rename so a partial
-    failure never corrupts an existing fixture.
+    The file is rewritten through :func:`write_text_atomic`, so a failed
+    write never corrupts an existing fixture.
     """
     path = Path(path)
     entries: dict[str, dict] = {}
@@ -175,18 +175,9 @@ def record_fixture(
         "text": response.text,
         "finish_reason": response.finish_reason.value,
     }
-    payload = json.dumps(entries, indent=2, ensure_ascii=False, sort_keys=True)
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_text_atomic(
+        path, json.dumps(entries, indent=2, ensure_ascii=False, sort_keys=True)
+    )
     return entries
 
 

@@ -13,7 +13,7 @@ from .model import (
 )
 from .retrieval import RetrievalFailure, retrieve_task_tree
 from .text_format import parse_foon_text, serialize_foon_text
-from .tree_json import parse_task_tree_json, serialize_task_tree_json, tree_to_obj
+from .tree_json import parse_task_tree_json, serialize_task_tree_json
 from .validation import (
     RULE_BIPARTITE,
     RULE_CYCLE,
@@ -43,7 +43,6 @@ __all__ = [
     "serialize_foon_text",
     "parse_task_tree_json",
     "serialize_task_tree_json",
-    "tree_to_obj",
     "RULE_BIPARTITE",
     "RULE_CYCLE",
     "RULE_DISCONNECTED",

@@ -43,12 +43,18 @@ def _checked_token(value, what: str) -> str:
         raise InvalidNodeError(f"{what} must not be empty")
     if "\t" in token or "\n" in token:
         raise InvalidNodeError(f"{what} must not contain tabs or newlines: {token!r}")
-    if not token.isascii():  # O(1); only non-ASCII text can hold a lone surrogate
-        try:
-            token.encode("utf-8")
-        except UnicodeEncodeError:
-            raise InvalidNodeError(f"{what} must be valid Unicode text: {token!r}") from None
+    require_unicode(token, what)
     return token
+
+
+def require_unicode(text: str, what: str) -> None:
+    """Reject text holding a lone surrogate, which no UTF-8 file or hash
+    input can carry, with :class:`InvalidNodeError`."""
+    if not text.isascii():  # O(1); only non-ASCII text can hold a lone surrogate
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidNodeError(f"{what} must be valid Unicode text: {text!r}") from None
 
 
 @dataclass(frozen=True)

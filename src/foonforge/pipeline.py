@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,8 +33,14 @@ from .errors import (
     TaskTreeStructureError,
 )
 from .foon.model import TaskTree
-from .foon.tree_json import parse_task_tree_json, serialize_task_tree_json
+from .foon.tree_json import (
+    encode_string,
+    parse_task_tree_json,
+    serialize_task_tree_json,
+    string_array,
+)
 from .prompts import DishSpec, Strategy, render_for_dish
+from .resources import write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -243,8 +250,17 @@ def handle_response(
 
 
 def _write_text(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
+    """Write a dish's output file, creating its directory on first use.
+
+    Trying the write first costs no ``mkdir`` per file. These files are
+    written in place: a temp file and a rename per dish would cost more
+    than the write itself.
+    """
+    try:
+        path.write_text(content, encoding="utf-8")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content, encoding="utf-8")
 
 
 def _resolve_stems(manifest: InputManifest) -> list[str]:
@@ -322,7 +338,7 @@ def run_generation(
         records = [process(i) for i in range(len(dishes))]
 
     report = RunReport(strategy, tuple(records), started, _utc_now())
-    _write_text(out_dir / REPORT_FILENAME, report_to_json(report) + "\n")
+    write_text_atomic(out_dir / REPORT_FILENAME, report_to_json(report) + "\n")
     log.info(
         "run complete: total=%d json_ok=%d text_fallback=%d",
         report.total,
@@ -338,32 +354,42 @@ def _utc_now() -> str:
 
 def report_to_json(report: RunReport) -> str:
     """Deterministic report rendering; byte-identical across reruns
-    except for the two timestamp fields."""
-    payload = {
-        "strategy": report.strategy.value,
-        "total": report.total,
-        "json_ok": report.json_ok,
-        "text_fallback": report.text_fallback,
-        "started": report.started,
-        "finished": report.finished,
-        "records": [
-            {
-                "dish": {
-                    "category": r.dish.category,
-                    "name": r.dish.name,
-                    "ingredients": list(r.dish.ingredients),
-                    "tools": list(r.dish.tools),
-                },
-                "strategy": r.strategy.value,
-                "outcome": r.outcome.value,
-                "fallback_reason": r.fallback_reason.value if r.fallback_reason else None,
-                "output_path": r.output_path,
-                "raw_text": r.raw_text,
-            }
-            for r in report.records
-        ],
-    }
-    return json.dumps(payload, indent=2, ensure_ascii=False)
+    except for the two timestamp fields.
+
+    Written directly, as task trees are: the text is byte-identical to
+    ``json.dumps(indent=2, ensure_ascii=False)`` of the report as a dict
+    in the key order below, at a fraction of the pure-Python encoder's
+    cost.
+    """
+    records = "[]"
+    if report.records:
+        records = "[\n    " + ",\n    ".join(map(_record_json, report.records)) + "\n  ]"
+    return (
+        f'{{\n  "strategy": {encode_string(report.strategy.value)},\n'
+        f'  "total": {report.total},\n'
+        f'  "json_ok": {report.json_ok},\n'
+        f'  "text_fallback": {report.text_fallback},\n'
+        f'  "started": {encode_string(report.started)},\n'
+        f'  "finished": {encode_string(report.finished)},\n'
+        f'  "records": {records}\n}}'
+    )
+
+
+def _record_json(record: OutputRecord) -> str:
+    dish = record.dish
+    reason = record.fallback_reason
+    return (
+        f'{{\n      "dish": {{\n'
+        f'        "category": {encode_string(dish.category)},\n'
+        f'        "name": {encode_string(dish.name)},\n'
+        f'        "ingredients": {string_array(dish.ingredients, "        ")},\n'
+        f'        "tools": {string_array(dish.tools, "        ")}\n      }},\n'
+        f'      "strategy": {encode_string(record.strategy.value)},\n'
+        f'      "outcome": {encode_string(record.outcome.value)},\n'
+        f'      "fallback_reason": {encode_string(reason.value) if reason else "null"},\n'
+        f'      "output_path": {encode_string(record.output_path)},\n'
+        f'      "raw_text": {encode_string(record.raw_text)}\n    }}'
+    )
 
 
 def load_run_report(path: str | Path) -> RunReport:
@@ -373,7 +399,10 @@ def load_run_report(path: str | Path) -> RunReport:
     (resolved relative to the report's directory) so the report can be
     scored. Parsing validates the tree once, and scoring reuses that
     result. A file that is not JSON, or lacks a field, or holds one of
-    the wrong type raises :class:`ManifestError`.
+    the wrong type raises :class:`ManifestError`, as does an
+    ``output_path`` that is absolute or has a ``..`` part: a report names
+    files inside its own directory only. The check reads the path's
+    parts and touches no file.
     """
     path = Path(path)
     try:
@@ -381,7 +410,9 @@ def load_run_report(path: str | Path) -> RunReport:
     except (ValueError, RecursionError) as exc:
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        records = tuple(_load_record(entry, path.parent) for entry in raw["records"])
+        records = tuple(
+            _load_record(entry, path.parent, i) for i, entry in enumerate(raw["records"])
+        )
         report = RunReport(
             Strategy(raw["strategy"]), records, raw.get("started", ""), raw.get("finished", "")
         )
@@ -394,7 +425,16 @@ def load_run_report(path: str | Path) -> RunReport:
     return report
 
 
-def _load_record(entry: dict, out_dir: Path) -> OutputRecord:
+def _load_record(entry: dict, out_dir: Path, index: int) -> OutputRecord:
+    output_path = entry["output_path"]
+    # lexical, either separator counts, and no file is touched per record
+    if os.path.isabs(output_path) or (
+        ".." in output_path and ".." in output_path.replace("\\", "/").split("/")
+    ):
+        raise ManifestError(
+            f"{output_path!r} leaves the report directory {out_dir}",
+            f"/records/{index}/output_path",
+        )
     dish_raw = entry["dish"]
     dish = DishSpec(
         dish_raw["category"],
@@ -405,14 +445,14 @@ def _load_record(entry: dict, out_dir: Path) -> OutputRecord:
     outcome = Outcome(entry["outcome"])
     tree = None
     if outcome is Outcome.JSON_OK:
-        tree = parse_task_tree_json((out_dir / entry["output_path"]).read_text(encoding="utf-8"))
+        tree = parse_task_tree_json((out_dir / output_path).read_text(encoding="utf-8"))
     reason_raw = entry.get("fallback_reason")
     return OutputRecord(
         dish,
         Strategy(entry["strategy"]),
         outcome,
         entry.get("raw_text", ""),
-        entry["output_path"],
+        output_path,
         tree=tree,
         fallback_reason=FallbackReason(reason_raw) if reason_raw else None,
     )

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InvalidNodeError, PromptError, TaskTreeError
-from .foon.model import TaskTree, normalize_token
+from .foon.model import TaskTree, normalize_token, require_unicode
 from .foon.tree_json import parse_task_tree_json, serialize_task_tree_json
 from .resources import read_data_text
 
@@ -76,6 +76,10 @@ class DishSpec:
     tools: tuple[str, ...] = ()
 
     def __post_init__(self):
+        texts = (self.category, self.name, *self.ingredients, *self.tools)
+        if not "".join(texts).isascii():  # one pass over ASCII text, the common case
+            for text in texts:
+                require_unicode(text, "dish text")
         object.__setattr__(self, "category", normalize_token(self.category))
         name = normalize_token(self.name)
         if not name:
@@ -206,6 +210,10 @@ def render_for_dish(
     elif strategy is Strategy.USER_GUIDED:
         if not instructions or not instructions.strip():
             raise PromptError("user-guided prompts need non-empty instructions")
+        try:
+            require_unicode(instructions, "instructions")
+        except InvalidNodeError as exc:
+            raise PromptError(str(exc)) from None
         extra = {"instructions": instructions}
     else:
         extra = {

@@ -6,6 +6,7 @@ pin exact case counts.
 
 from __future__ import annotations
 
+import json
 import random
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, permutations
@@ -304,6 +305,62 @@ def _reference_task_tree_violations(graph: FoonGraph, goal: ObjectNode) -> list[
                 )
             )
     return violations
+
+
+# --- reference serializers ----------------------------------------------
+
+def reference_tree_json(tree: TaskTree) -> str:
+    """The original serializer, kept as an oracle for the direct writer:
+    ``json.dumps`` with ``indent=2`` of the tree as a plain dict."""
+
+    def node(n: ObjectNode) -> dict:
+        obj = {"name": n.name, "states": list(n.states)}
+        if n.ingredients:
+            obj["ingredients"] = list(n.ingredients)
+        return obj
+
+    payload = {
+        "goal": node(tree.goal),
+        "functional_units": [
+            {
+                "inputs": [node(n) for n in unit.inputs],
+                "motion": unit.motion.name,
+                "outputs": [node(n) for n in unit.outputs],
+            }
+            for unit in tree.units
+        ],
+    }
+    return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+def reference_report_json(report) -> str:
+    """The original run-report renderer, kept as an oracle for the direct
+    writer."""
+    payload = {
+        "strategy": report.strategy.value,
+        "total": report.total,
+        "json_ok": report.json_ok,
+        "text_fallback": report.text_fallback,
+        "started": report.started,
+        "finished": report.finished,
+        "records": [
+            {
+                "dish": {
+                    "category": r.dish.category,
+                    "name": r.dish.name,
+                    "ingredients": list(r.dish.ingredients),
+                    "tools": list(r.dish.tools),
+                },
+                "strategy": r.strategy.value,
+                "outcome": r.outcome.value,
+                "fallback_reason": r.fallback_reason.value if r.fallback_reason else None,
+                "output_path": r.output_path,
+                "raw_text": r.raw_text,
+            }
+            for r in report.records
+        ],
+    }
+    return json.dumps(payload, indent=2, ensure_ascii=False)
 
 
 # --- mutation suite -----------------------------------------------------

@@ -8,8 +8,15 @@ import pytest
 from foonforge.cli import main
 from foonforge.client import API_KEY_ENV, API_URL_ENV
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
-from foonforge.pipeline import read_manifest
-from foonforge.prompts import Strategy, load_examples, render_for_dish
+from foonforge.pipeline import (
+    REPORT_FILENAME,
+    Outcome,
+    OutputRecord,
+    RunReport,
+    read_manifest,
+    report_to_json,
+)
+from foonforge.prompts import DishSpec, Strategy, load_examples, render_for_dish
 from foonforge.resources import data_path
 
 from .graphgen import random_task_tree
@@ -412,3 +419,63 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys, command, sample_manifest_
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute"])
+def test_evaluate_rejects_output_paths_outside_the_report_directory(tmp_path, capsys, where):
+    outside = tmp_path / "outside.json"
+    tree = random_task_tree(random.Random(4))
+    outside.write_text(serialize_task_tree_json(tree), encoding="utf-8")
+    dish = DishSpec("pasta", "mac and cheese", ("macaroni",))
+    rel = "../outside.json" if where == "parent" else str(outside)
+    record = OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, "", rel, tree=tree)
+    report = tmp_path / "run" / REPORT_FILENAME
+    report.parent.mkdir()
+    report.write_text(
+        report_to_json(RunReport(Strategy.CONTEXTUAL, (record,), "", "")), encoding="utf-8"
+    )
+    assert main(["evaluate", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: /records/0/output_path: ")
+    assert "leaves the report directory" in err
+
+
+def _generate(tmp_path, manifest, strategy, *extra):
+    return main(
+        [
+            "generate",
+            "--manifest",
+            str(manifest),
+            "--strategy",
+            strategy,
+            "--fixture",
+            str(data_path("fixtures", "replay_contextual_run1.json")),
+            "--out",
+            str(tmp_path / "out"),
+            *extra,
+        ]
+    )
+
+
+@pytest.mark.parametrize("field", ["name", "ingredients", "tools"])
+def test_generate_lone_surrogate_in_manifest_exits_2(tmp_path, capsys, field):
+    dish = {"name": "soup", "ingredients": ["water"], "tools": ["pot"]}
+    dish[field] = "soup \ud800" if field == "name" else ["water", "salt \udfff"]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"categories": [{"name": "s", "dishes": [dish]}]}))
+    assert _generate(tmp_path, manifest, "contextual") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: /categories/0/dishes/0: ")
+    assert "valid Unicode" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_lone_surrogate_in_instructions_exits_1(tmp_path, capsys, sample_manifest_path):
+    # a non-UTF-8 argv byte reaches Python as a lone surrogate: b"\xff" -> "\udcff"
+    code = _generate(
+        tmp_path, sample_manifest_path, "user-guided", "--instructions", "stir \udcff well"
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: instructions must be valid Unicode text")
+    assert not (tmp_path / "out").exists()

@@ -12,19 +12,22 @@ from foonforge.errors import FixtureMissError, ManifestError, PromptError
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
 from foonforge.foon.validation import validate_task_tree
 from foonforge.pipeline import (
+    REPORT_FILENAME,
     FallbackReason,
     Outcome,
     OutputRecord,
+    RunReport,
     load_run_report,
     read_manifest,
     run_generation,
     sanitize_filename,
+    report_to_json,
     strip_code_fence,
     handle_response,
 )
 from foonforge.prompts import DishSpec, Strategy, render_for_dish
 
-from .graphgen import random_task_tree
+from .graphgen import random_task_tree, reference_report_json
 
 
 @pytest.fixture()
@@ -431,3 +434,68 @@ def test_load_run_report_rejects_malformed_reports(tmp_path, content, detail):
     path.write_bytes(content)
     with pytest.raises(ManifestError, match=detail):
         load_run_report(path)
+
+
+def _every_outcome(dish, raw_text: str) -> list[OutputRecord]:
+    tree = random_task_tree(random.Random(7))
+    bare = DishSpec("", "crème brûlée", ("cream", "egg yolk"))  # no category, no tools
+    records = [
+        OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, raw_text, "a/b.json", tree=tree),
+        OutputRecord(bare, Strategy.USER_GUIDED, Outcome.JSON_OK, "{}", "b.json", tree=tree),
+    ]
+    records += [
+        OutputRecord(
+            dish, strategy, Outcome.TEXT_FALLBACK, raw_text, f"c{i}.txt", fallback_reason=reason
+        )
+        for i, (strategy, reason) in enumerate(zip(list(Strategy) * 2, FallbackReason))
+    ]
+    return records
+
+
+@pytest.mark.parametrize("count", [0, 1, 6])
+def test_report_writer_matches_json_dumps(dish, count):
+    records = _every_outcome(dish, 'crème "brûlée" \\ 😀 \x00\u2028\n')[:count]
+    for strategy in Strategy:
+        report = RunReport(strategy, tuple(records), "2024-01-01T00:00:00+00:00", "")
+        assert report_to_json(report) == reference_report_json(report)
+
+
+@given(st.text(alphabet=st.characters(exclude_categories=("Cs",))))
+def test_report_writer_matches_json_dumps_on_any_raw_text(raw_text):
+    dish = DishSpec("pasta", "mac and cheese", ("macaroni",))
+    report = RunReport(Strategy.EXAMPLE_BASED, tuple(_every_outcome(dish, raw_text)), raw_text, "")
+    assert report_to_json(report) == reference_report_json(report)
+
+
+def test_handle_response_creates_a_missing_output_directory(tmp_path, dish):
+    out = tmp_path / "not" / "yet"
+    tree_record = handle_response(_tree_response(random_task_tree(random.Random(2))), dish, out)
+    text_record = handle_response(ModelResponse("prose"), dish, out, rel_base="x/y/prose")
+    assert (out / tree_record.output_path).is_file()
+    assert (out / text_record.output_path).read_text(encoding="utf-8") == "prose"
+
+
+def test_run_without_dishes_still_writes_its_report(tmp_path):
+    manifest = _manifest_from(tmp_path, {"categories": [{"name": "empty", "dishes": []}]})
+    out = tmp_path / "out"
+    report = run_generation(manifest, Strategy.CONTEXTUAL, ReplayClient({}), out)
+    written = (out / REPORT_FILENAME).read_text(encoding="utf-8")
+    assert written == reference_report_json(report) + "\n"
+    assert '"records": []' in written
+
+
+def test_report_is_replaced_atomically(tmp_path, sample_manifest_path, monkeypatch):
+    manifest = read_manifest(sample_manifest_path)
+    fixture = _fixture_for(manifest, Strategy.CONTEXTUAL, ["junk"] * 3)
+    out = tmp_path / "out"
+    run_generation(manifest, Strategy.CONTEXTUAL, ReplayClient(fixture), out)
+    before = (out / REPORT_FILENAME).read_bytes()
+
+    def boom(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("foonforge.resources.os.replace", boom)
+    with pytest.raises(OSError, match="disk full"):
+        run_generation(manifest, Strategy.CONTEXTUAL, ReplayClient({}), out)
+    assert (out / REPORT_FILENAME).read_bytes() == before
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == [REPORT_FILENAME]

@@ -4,16 +4,26 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from foonforge.errors import (
     TaskTreeJsonError,
     TaskTreeSchemaError,
     TaskTreeStructureError,
 )
-from foonforge.foon.model import FoonGraph, ObjectNode, TaskTree, make_unit
+from foonforge.foon.model import (
+    FoonGraph,
+    FunctionalUnit,
+    MotionNode,
+    ObjectNode,
+    TaskTree,
+    make_unit,
+    normalize_token,
+)
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
 
-from .graphgen import random_task_tree
+from .graphgen import random_graph, random_task_tree, reference_tree_json
 
 
 def test_parse_sample_tree(sample_tree_json):
@@ -153,3 +163,47 @@ def test_ingredients_round_trip_via_json():
     pot = ObjectNode("pot", ("full",), ("water", "salt"))
     tree = TaskTree(FoonGraph((make_unit([pot], "boil", [goal]),)), goal)
     assert parse_task_tree_json(serialize_task_tree_json(tree)) == tree
+
+
+def test_writer_matches_json_dumps_on_random_trees():
+    rng = random.Random(2024)
+    trees = [random_task_tree(rng) for _ in range(300)]
+    trees += [TaskTree(random_graph(rng), random_task_tree(rng).goal) for _ in range(100)]
+    for tree in trees:
+        assert serialize_task_tree_json(tree) == reference_tree_json(tree)
+
+
+def test_writer_matches_json_dumps_on_empty_lists():
+    goal = ObjectNode("soup", (), ("water",))
+    for units in [(), (FunctionalUnit((), MotionNode("stir"), ()),)]:
+        tree = TaskTree(FoonGraph(units), goal)
+        assert serialize_task_tree_json(tree) == reference_tree_json(tree)
+
+
+# Quotes, backslashes, control characters, characters JSON may leave
+# unescaped, and text outside the Basic Multilingual Plane; no lone
+# surrogates, tabs, newlines or commas, which nodes reject.
+_TOKEN = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\\x00\x01\x08\x0c\r\x1f\x7f\u2028/é😀𝄞 a'),
+        st.characters(exclude_categories=("Cs",), exclude_characters="\t\n,"),
+    ),
+    min_size=1,
+    max_size=4,
+).filter(normalize_token)
+_TOKENS = st.lists(_TOKEN, max_size=2, unique_by=normalize_token).map(tuple)
+_NODES = st.builds(ObjectNode, _TOKEN, _TOKENS, _TOKENS)
+_UNITS = st.builds(
+    FunctionalUnit,
+    st.lists(_NODES, max_size=2).map(tuple),
+    _TOKEN.map(MotionNode),
+    st.lists(_NODES, max_size=2).map(tuple),
+)
+
+
+@given(_NODES, st.lists(_UNITS, max_size=2))
+def test_writer_matches_json_dumps_on_any_text(goal, units):
+    tree = TaskTree(FoonGraph(tuple(units)), goal)
+    text = serialize_task_tree_json(tree)
+    assert text == reference_tree_json(tree)
+    text.encode("utf-8")

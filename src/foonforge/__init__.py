@@ -28,7 +28,6 @@ from .foon import (
     ValidationReport,
     Violation,
     make_unit,
-    merge_graphs,
     parse_foon_text,
     parse_task_tree_json,
     retrieve_task_tree,
@@ -85,7 +84,6 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "make_unit",
-    "merge_graphs",
     "parse_foon_text",
     "parse_task_tree_json",
     "retrieve_task_tree",

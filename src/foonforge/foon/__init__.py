@@ -8,7 +8,6 @@ from .model import (
     ObjectNode,
     TaskTree,
     make_unit,
-    merge_graphs,
     normalize_token,
 )
 from .retrieval import RetrievalFailure, retrieve_task_tree
@@ -35,7 +34,6 @@ __all__ = [
     "ObjectNode",
     "TaskTree",
     "make_unit",
-    "merge_graphs",
     "normalize_token",
     "RetrievalFailure",
     "retrieve_task_tree",

@@ -8,12 +8,17 @@ identity. The optional ingredients annotation on container objects is
 deliberately excluded from identity.
 
 All types are immutable after construction and safe to share across
-threads.
+threads, so a parser may hand one built node to every mention of it.
+
+Cost: a node's key and a unit's input and output key sets are built
+once, with the node or unit, and stored on it; nodes, motions and units
+use slots. A node's tokens are checked together in one pass, and only a
+node that fails it is checked token by token, which words the error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -47,17 +52,81 @@ def _checked_token(value, what: str) -> str:
     return token
 
 
+def _checked_node(name, states, ingredients) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """A node's normalized name, sorted states and sorted unique ingredients.
+
+    The checks run once over the node's raw text joined together: the
+    join rejects a non-string token, then one scan for tabs and newlines
+    and one ASCII test (an encode only for non-ASCII text) cover every
+    token, since trimming and lowercasing never add such a character.
+    Emptiness, commas and repeated states are checked on the tokens.
+    When any check fails the tokens go through :func:`_checked_token`
+    one by one, which words the exact error; that path also accepts the
+    rare node the joined scan cannot clear, such as a name with a
+    trailing tab.
+    """
+    try:
+        states = tuple(states)
+        ingredients = tuple(ingredients)
+        text = "".join((name, *states, *ingredients))
+    except TypeError:  # a field that is not iterable, or a token that is not a string
+        return _checked_tokens(name, states, ingredients)
+    if "\t" not in text and "\n" not in text and (text.isascii() or _encodes(text)):
+        token = name.strip().lower()
+        found = sorted([s.strip().lower() for s in states]) if states else []
+        contents = sorted({s.strip().lower() for s in ingredients}) if ingredients else []
+        if (
+            token
+            and all(found)
+            and all(contents)
+            and (len(found) < 2 or len(set(found)) == len(found))
+            and not (ingredients and "," in "".join(ingredients))
+        ):
+            return token, tuple(found), tuple(contents)
+    return _checked_tokens(name, states, ingredients)
+
+
+def _encodes(text: str) -> bool:
+    """Whether ``text`` holds no lone surrogate. Test ``isascii`` first:
+    it is O(1), and only non-ASCII text can hold one."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _checked_tokens(name, states, ingredients) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """The per-token path of :func:`_checked_node`: the first bad token
+    raises :class:`InvalidNodeError`."""
+    name = _checked_token(name, "object name")
+    states = tuple(_checked_token(s, "state") for s in states)
+    if len(set(states)) != len(states):
+        raise InvalidNodeError(f"duplicate states on object {name!r}")
+    seen: list[str] = []
+    for raw in ingredients:
+        token = _checked_token(raw, "contained ingredient")
+        if "," in token:
+            raise InvalidNodeError(f"contained ingredient must not contain commas: {token!r}")
+        if token not in seen:
+            seen.append(token)
+    return name, tuple(sorted(states)), tuple(sorted(seen))
+
+
 def require_unicode(text: str, what: str) -> None:
     """Reject text holding a lone surrogate, which no UTF-8 file or hash
     input can carry, with :class:`InvalidNodeError`."""
-    if not text.isascii():  # O(1); only non-ASCII text can hold a lone surrogate
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            raise InvalidNodeError(f"{what} must be valid Unicode text: {text!r}") from None
+    if not (text.isascii() or _encodes(text)):
+        raise InvalidNodeError(f"{what} must be valid Unicode text: {text!r}")
 
 
-@dataclass(frozen=True)
+# The node and unit classes write their own ``__init__``: it sets each
+# field once on the frozen instance, where a generated one and a
+# ``__post_init__`` would set it twice.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class ObjectNode:
     """An ingredient, utensil, or intermediate product.
 
@@ -70,26 +139,15 @@ class ObjectNode:
     name: str
     states: tuple[str, ...] = ()
     ingredients: tuple[str, ...] = ()
+    # node identity: normalized name plus sorted state set, built once
+    key: NodeKey = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", _checked_token(self.name, "object name"))
-        states = tuple(_checked_token(s, "state") for s in self.states)
-        if len(set(states)) != len(states):
-            raise InvalidNodeError(f"duplicate states on object {self.name!r}")
-        object.__setattr__(self, "states", tuple(sorted(states)))
-        seen: list[str] = []
-        for raw in self.ingredients:
-            token = _checked_token(raw, "contained ingredient")
-            if "," in token:
-                raise InvalidNodeError(f"contained ingredient must not contain commas: {token!r}")
-            if token not in seen:
-                seen.append(token)
-        object.__setattr__(self, "ingredients", tuple(sorted(seen)))
-
-    @property
-    def key(self) -> NodeKey:
-        """Node identity: normalized name plus sorted state set."""
-        return (self.name, self.states)
+    def __init__(self, name: str, states: Iterable[str] = (), ingredients: Iterable[str] = ()):
+        name, states, ingredients = _checked_node(name, states, ingredients)
+        _set(self, "name", name)
+        _set(self, "states", states)
+        _set(self, "ingredients", ingredients)
+        _set(self, "key", (name, states))
 
     def describe(self) -> str:
         """Human-readable rendering, e.g. ``macaroni (cooked)``."""
@@ -98,17 +156,17 @@ class ObjectNode:
         return f"{self.name} ({', '.join(self.states)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotionNode:
     """The action verb connecting a unit's inputs to its outputs."""
 
     name: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", _checked_token(self.name, "motion name"))
+    def __init__(self, name: str):
+        _set(self, "name", _checked_token(name, "motion name"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionalUnit:
     """One manipulation action: input objects, one motion, output objects.
 
@@ -121,19 +179,20 @@ class FunctionalUnit:
     inputs: tuple[ObjectNode, ...]
     motion: MotionNode
     outputs: tuple[ObjectNode, ...]
+    # identities on each side, built once with the unit
+    input_keys: frozenset[NodeKey] = field(init=False, repr=False, compare=False)
+    output_keys: frozenset[NodeKey] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-
-    @property
-    def input_keys(self) -> frozenset[NodeKey]:
+    def __init__(
+        self, inputs: Iterable[ObjectNode], motion: MotionNode, outputs: Iterable[ObjectNode]
+    ):
+        inputs, outputs = tuple(inputs), tuple(outputs)
+        _set(self, "inputs", inputs)
+        _set(self, "motion", motion)
+        _set(self, "outputs", outputs)
         # type-confused nodes are skipped so the validator can report them
-        return frozenset(n.key for n in self.inputs if isinstance(n, ObjectNode))
-
-    @property
-    def output_keys(self) -> frozenset[NodeKey]:
-        return frozenset(n.key for n in self.outputs if isinstance(n, ObjectNode))
+        _set(self, "input_keys", frozenset([n.key for n in inputs if isinstance(n, ObjectNode)]))
+        _set(self, "output_keys", frozenset([n.key for n in outputs if isinstance(n, ObjectNode)]))
 
 
 @dataclass(frozen=True)
@@ -210,22 +269,6 @@ class TaskTree:
         """Full-rule validation report, computed once per tree."""
         from .validation import validate_graph  # that module imports this one
         return validate_graph(self.graph, as_task_tree=True, goal=self.goal)
-
-
-def merge_graphs(a: FoonGraph, b: FoonGraph) -> FoonGraph:
-    """Unit-level union of two graphs.
-
-    Exact-duplicate units (equal inputs, motion, and outputs) collapse to
-    a single occurrence; first occurrence wins the position. Node
-    identities merge implicitly because identity is value-based.
-    """
-    units: list[FunctionalUnit] = []
-    seen: set[FunctionalUnit] = set()
-    for unit in (*a.units, *b.units):
-        if unit not in seen:
-            seen.add(unit)
-            units.append(unit)
-    return FoonGraph(tuple(units))
 
 
 def make_unit(

@@ -12,6 +12,13 @@ objects. Units are separated by a line containing exactly ``//``. Blank
 lines are ignored on input and never emitted; the canonical serialized
 form lists ``O``, then ``I``, then ``S`` lines per object, with states in
 sorted order, and ends with a trailing newline.
+
+Cost: parsing is one pass over the lines, and each unit is built when
+its ``//`` line (or the end of the text) closes it. A memo maps each
+object's raw name, states and ingredients, and each motion's raw text,
+to the built node; it lives for one parse and is dropped with it, so an
+object the graph mentions again is one dict lookup, and a new object is
+checked once over all its tokens (see ``ObjectNode``).
 """
 
 from __future__ import annotations
@@ -22,61 +29,43 @@ from .model import FoonGraph, FunctionalUnit, MotionNode, ObjectNode
 _SEPARATOR = "//"
 
 
-class _OpenObject:
-    """Accumulates one object's lines until the next record closes it."""
-
-    def __init__(self, name: str, line: int):
-        self.name = name
-        self.line = line
-        self.states: list[str] = []
-        self.ingredients: list[str] | None = None
-
-    def build(self) -> ObjectNode:
-        try:
-            return ObjectNode(self.name, tuple(self.states), tuple(self.ingredients or ()))
-        except InvalidNodeError as exc:
-            raise FoonSyntaxError(str(exc), line=self.line) from exc
-
-
 def parse_foon_text(source: str) -> FoonGraph:
     """Parse the text format into a graph, preserving unit order.
 
     Raises :class:`FoonSyntaxError` with a line number for malformed
     records, units without inputs or outputs, and duplicate motion lines.
     """
-    chunks: list[list[tuple[int, str]]] = []
-    current: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            continue
+    # raw object and motion text -> built node, for this parse only
+    memo: dict = {}
+    units: list[FunctionalUnit] = []
+    chunk: list[tuple[int, str]] = []
+    for lineno, line in enumerate(source.splitlines(), start=1):
         if line == _SEPARATOR:
-            if current:
-                chunks.append(current)
-                current = []
-            continue
-        current.append((lineno, line))
-    if current:
-        chunks.append(current)
-    if not chunks:
+            if chunk:
+                units.append(_parse_unit(chunk, memo))
+                chunk = []
+        elif line and not line.isspace():
+            chunk.append((lineno, line))
+    if chunk:
+        units.append(_parse_unit(chunk, memo))
+    if not units:
         raise FoonSyntaxError("no functional units found")
-    return FoonGraph(tuple(_parse_unit(chunk) for chunk in chunks))
+    return FoonGraph(tuple(units))
 
 
-def _parse_unit(chunk: list[tuple[int, str]]) -> FunctionalUnit:
+def _parse_unit(chunk: list[tuple[int, str]], memo: dict) -> FunctionalUnit:
     inputs: list[ObjectNode] = []
     outputs: list[ObjectNode] = []
     motion: MotionNode | None = None
     motion_line = 0
-    pending: _OpenObject | None = None
     # objects opened before the motion line are inputs, after it outputs
     section = inputs
-
-    def flush():
-        nonlocal pending
-        if pending is not None:
-            section.append(pending.build())
-            pending = None
+    # the open object: its name, line, states and ingredients, until the
+    # next O or M line, or the end of the unit, closes it
+    name: str | None = None
+    name_line = 0
+    states: list[str] = []
+    ingredients: list[str] | None = None
 
     for lineno, line in chunk:
         tag, sep, value = line.partition("\t")
@@ -84,45 +73,66 @@ def _parse_unit(chunk: list[tuple[int, str]]) -> FunctionalUnit:
             raise FoonSyntaxError(
                 f"expected '<tag>\\t<value>', got {line!r}", line=lineno
             )
-        if tag == "O":
-            flush()
-            pending = _OpenObject(value, lineno)
-        elif tag == "S":
-            if pending is None:
+        if tag == "S":
+            if name is None:
                 raise FoonSyntaxError("state line without a preceding object line", line=lineno)
-            pending.states.append(value)
+            states.append(value)
+        elif tag == "O":
+            if name is not None:
+                section.append(_object_node(memo, name, states, ingredients, name_line))
+            name, name_line, states, ingredients = value, lineno, [], None
         elif tag == "I":
-            if pending is None:
+            if name is None:
                 raise FoonSyntaxError(
                     "ingredients line without a preceding object line", line=lineno
                 )
-            if pending.ingredients is not None:
+            if ingredients is not None:
                 raise FoonSyntaxError("duplicate ingredients line for one object", line=lineno)
-            pending.ingredients = [part for part in value.split(",")]
+            ingredients = value.split(",")
         elif tag == "M":
             if motion is not None:
                 raise FoonSyntaxError("duplicate motion line in unit", line=lineno)
-            flush()
+            if name is not None:
+                section.append(_object_node(memo, name, states, ingredients, name_line))
+                name = None
             section = outputs
-            try:
-                motion = MotionNode(value)
-            except InvalidNodeError as exc:
-                raise FoonSyntaxError(str(exc), line=lineno) from exc
+            # motion keys are strings, object keys tuples: they never collide
+            motion = memo.get(value)
+            if motion is None:
+                try:
+                    motion = memo[value] = MotionNode(value)
+                except InvalidNodeError as exc:
+                    raise FoonSyntaxError(str(exc), line=lineno) from exc
             motion_line = lineno
         else:
             raise FoonSyntaxError(
                 f"unknown record tag {tag!r}, expected O, S, I, or M", line=lineno
             )
-    flush()
+    if name is not None:
+        section.append(_object_node(memo, name, states, ingredients, name_line))
 
-    first_line = chunk[0][0]
     if motion is None:
-        raise FoonSyntaxError("unit has no motion line", line=first_line)
+        raise FoonSyntaxError("unit has no motion line", line=chunk[0][0])
     if not inputs:
         raise FoonSyntaxError("unit has no input objects", line=motion_line)
     if not outputs:
         raise FoonSyntaxError("unit has no output objects", line=motion_line)
     return FunctionalUnit(tuple(inputs), motion, tuple(outputs))
+
+
+def _object_node(
+    memo: dict, name: str, states: list[str], ingredients: list[str] | None, line: int
+) -> ObjectNode:
+    """The built node; a repeat of an earlier object in the same parse is
+    a dict lookup, since that one passed every check."""
+    key = (name, tuple(states), tuple(ingredients or ()))
+    node = memo.get(key)
+    if node is None:
+        try:
+            node = memo[key] = ObjectNode(*key)
+        except InvalidNodeError as exc:
+            raise FoonSyntaxError(str(exc), line=line) from exc
+    return node
 
 
 def serialize_foon_text(graph: FoonGraph) -> str:

@@ -7,15 +7,21 @@ matched programmatically.
 Cost: every check is linear in the number of units and their nodes.
 ``validate_graph`` builds one :class:`UnitIndex` per call; the plain
 rules read each unit's key sets once, the goal rules look the goal up in
-the producer and consumer maps, the cycle check sorts the dependency
-edges (built once) topologically, and connectivity is a backward walk
-from the goal's producers that visits each unit once.
+the producer and consumer maps, the cycle check runs one Kahn pass over
+the in-degrees of the dependency edges (built once), and connectivity is
+a backward walk from the goal's producers that visits each unit once.
+Only a graph the Kahn pass finds cyclic goes on to :mod:`graphlib`,
+which names the cycle; a valid tree never pays for it. Retrieval checks
+each candidate selection with the same :func:`find_cycle`. The key sets
+the index reads are built once per unit, when the unit is built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
+from itertools import chain
 
 from .model import FoonGraph, MotionNode, ObjectNode, TaskTree, UnitIndex
 
@@ -64,7 +70,23 @@ def unit_dependency_edges(index: UnitIndex) -> dict[int, set[int]]:
 
 
 def find_cycle(edges: dict[int, set[int]]) -> list[int] | None:
-    """Return the unit indices of one dependency cycle, or None."""
+    """Return the unit indices of one dependency cycle, or None.
+
+    One Kahn pass over the in-degrees settles the common, acyclic case.
+    Only when it leaves units unsorted does :mod:`graphlib` run, to name
+    the cycle it has always named.
+    """
+    indegree = Counter(chain.from_iterable(edges.values()))
+    ready = [node for node in edges if node not in indegree]
+    done = 0
+    while ready:
+        done += 1
+        for dest in edges.get(ready.pop(), ()):
+            indegree[dest] -= 1
+            if not indegree[dest]:
+                ready.append(dest)
+    if done == len(edges.keys() | indegree.keys()):
+        return None
     sorter: TopologicalSorter = TopologicalSorter()
     for src, dests in edges.items():
         sorter.add(src)
@@ -73,8 +95,7 @@ def find_cycle(edges: dict[int, set[int]]) -> list[int] | None:
     try:
         sorter.prepare()
     except CycleError as exc:
-        cycle = [i for i in exc.args[1] if isinstance(i, int)]
-        return cycle
+        return [i for i in exc.args[1] if isinstance(i, int)]
     return None
 
 

@@ -7,6 +7,13 @@ operationalization of informally named qualities; the rule lists are
 documented here, not claimed from elsewhere. Fallback records score 0 on
 both metrics rather than being excluded, so strategy comparisons pay for
 invalid output.
+
+The structural-validity rule is true for every scored tree: a record is
+``JSON_OK`` only with a tree that passed validation, and
+``load_run_report`` validates every tree again as it reparses it. So
+the rule adds 0.2 to every successful output, and mean accuracy over
+successes is at least 0.2. The score keeps the rule so that figures stay
+comparable across runs.
 """
 
 from __future__ import annotations
@@ -87,14 +94,12 @@ def _accuracy_rules(tree: TaskTree, dish: DishSpec) -> list[bool]:
     structurally_valid = validate_task_tree(tree).ok
 
     # every side product of a non-final step must feed a later step
-    consumed = frozenset(key for unit in graph.units for key in unit.input_keys)
-    no_dangling = True
-    for unit in graph.units:
-        if tree.goal.key in unit.output_keys:
-            continue
-        if not all(key in consumed for key in unit.output_keys):
-            no_dangling = False
-            break
+    consumed = frozenset().union(*(unit.input_keys for unit in graph.units))
+    no_dangling = all(
+        unit.output_keys <= consumed
+        for unit in graph.units
+        if tree.goal.key not in unit.output_keys
+    )
 
     return [goal_matches, motions_present, no_hallucination, structurally_valid, no_dangling]
 

@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import re
+import stat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -400,9 +401,10 @@ def load_run_report(path: str | Path) -> RunReport:
     scored. Parsing validates the tree once, and scoring reuses that
     result. A file that is not JSON, or lacks a field, or holds one of
     the wrong type raises :class:`ManifestError`, as does an
-    ``output_path`` that is absolute or has a ``..`` part: a report names
-    files inside its own directory only. The check reads the path's
-    parts and touches no file.
+    ``output_path`` that leaves the report's directory: one that is
+    absolute or has a ``..`` part (checked on the path's parts), or one
+    that is or passes through a symbolic link (checked as the file is
+    opened, see :class:`_ReportFiles`).
     """
     path = Path(path)
     try:
@@ -410,9 +412,10 @@ def load_run_report(path: str | Path) -> RunReport:
     except (ValueError, RecursionError) as exc:
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        records = tuple(
-            _load_record(entry, path.parent, i) for i, entry in enumerate(raw["records"])
-        )
+        with _ReportFiles(path.parent) as files:
+            records = tuple(
+                _load_record(entry, files, i) for i, entry in enumerate(raw["records"])
+            )
         report = RunReport(
             Strategy(raw["strategy"]), records, raw.get("started", ""), raw.get("finished", "")
         )
@@ -425,14 +428,82 @@ def load_run_report(path: str | Path) -> RunReport:
     return report
 
 
-def _load_record(entry: dict, out_dir: Path, index: int) -> OutputRecord:
+class _ReportFiles:
+    """Reads a report's output files without following a symbolic link.
+
+    Each directory below the report's one is opened once, part by part
+    with ``O_NOFOLLOW``, and each file is opened relative to its
+    directory's descriptor with ``O_NOFOLLOW`` too, so no path is
+    resolved per record. The report's own directory may be reached
+    through a link: only the parts of an ``output_path`` are checked.
+    """
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.dirs: dict[tuple[str, ...], int] = {}
+
+    def __enter__(self) -> _ReportFiles:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for fd in self.dirs.values():
+            os.close(fd)
+
+    def read(self, output_path: str, pointer: str) -> str:
+        parts = [part for part in output_path.split("/") if part not in ("", ".")]
+        if not parts:
+            raise ManifestError(f"{output_path!r} names no file", pointer)
+        *parents, name = parts
+        fd = self._dir(tuple(parents), output_path, pointer)
+        try:
+            file_fd = os.open(name, os.O_RDONLY | os.O_NOFOLLOW, dir_fd=fd)
+        except OSError as exc:
+            raise self._failure(exc, fd, name, output_path, pointer) from exc
+        with open(file_fd, encoding="utf-8") as handle:
+            return handle.read()
+
+    def _dir(self, parts: tuple[str, ...], output_path: str, pointer: str) -> int:
+        fd = self.dirs.get(parts)
+        if fd is None:
+            if parts:
+                parent = self._dir(parts[:-1], output_path, pointer)
+                try:
+                    fd = os.open(
+                        parts[-1], os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW, dir_fd=parent
+                    )
+                except OSError as exc:
+                    raise self._failure(exc, parent, parts[-1], output_path, pointer) from exc
+            else:
+                fd = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY)
+            self.dirs[parts] = fd
+        return fd
+
+    def _failure(
+        self, exc: OSError, dir_fd: int, name: str, output_path: str, pointer: str
+    ) -> Exception:
+        """A report error when ``name`` is a symbolic link; otherwise the
+        failed open, named by its full path."""
+        try:
+            link = stat.S_ISLNK(os.stat(name, dir_fd=dir_fd, follow_symlinks=False).st_mode)
+        except OSError:
+            link = False
+        if link:
+            return ManifestError(
+                f"{output_path!r} leaves the report directory {self.root} "
+                "through a symbolic link",
+                pointer,
+            )
+        return OSError(exc.errno, exc.strerror, str(self.root / output_path))
+
+
+def _load_record(entry: dict, files: _ReportFiles, index: int) -> OutputRecord:
     output_path = entry["output_path"]
-    # lexical, either separator counts, and no file is touched per record
+    # lexical, either separator counts; links are refused when the file is read
     if os.path.isabs(output_path) or (
         ".." in output_path and ".." in output_path.replace("\\", "/").split("/")
     ):
         raise ManifestError(
-            f"{output_path!r} leaves the report directory {out_dir}",
+            f"{output_path!r} leaves the report directory {files.root}",
             f"/records/{index}/output_path",
         )
     dish_raw = entry["dish"]
@@ -445,7 +516,7 @@ def _load_record(entry: dict, out_dir: Path, index: int) -> OutputRecord:
     outcome = Outcome(entry["outcome"])
     tree = None
     if outcome is Outcome.JSON_OK:
-        tree = parse_task_tree_json((out_dir / output_path).read_text(encoding="utf-8"))
+        tree = parse_task_tree_json(files.read(output_path, f"/records/{index}/output_path"))
     reason_raw = entry.get("fallback_reason")
     return OutputRecord(
         dish,

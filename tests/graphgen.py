@@ -11,6 +11,13 @@ import random
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, permutations
 
+from foonforge.errors import (
+    FoonSyntaxError,
+    InvalidNodeError,
+    TaskTreeJsonError,
+    TaskTreeSchemaError,
+    TaskTreeStructureError,
+)
 from foonforge.foon.model import (
     FoonGraph,
     FunctionalUnit,
@@ -28,6 +35,7 @@ from foonforge.foon.validation import (
     RULE_NOOP_UNIT,
     ValidationReport,
     Violation,
+    validate_task_tree,
 )
 
 NAMES = [
@@ -231,6 +239,20 @@ def reference_validate_graph(
     return ValidationReport(tuple(violations))
 
 
+def reference_find_cycle(edges: dict[int, set[int]]) -> list[int] | None:
+    """The original cycle finder: graphlib on every call, cycle or not."""
+    sorter: TopologicalSorter = TopologicalSorter()
+    for src, dests in edges.items():
+        sorter.add(src)
+        for dest in dests:
+            sorter.add(dest, src)
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        return [i for i in exc.args[1] if isinstance(i, int)]
+    return None
+
+
 def _reference_edges(graph: FoonGraph) -> dict[int, set[int]]:
     consumers: dict = {}
     for j, unit in enumerate(graph.units):
@@ -265,17 +287,7 @@ def _reference_task_tree_violations(graph: FoonGraph, goal: ObjectNode) -> list[
                 )
             )
 
-    sorter: TopologicalSorter = TopologicalSorter()
-    for src, dests in _reference_edges(graph).items():
-        sorter.add(src)
-        for dest in dests:
-            sorter.add(dest, src)
-    try:
-        sorter.prepare()
-    except CycleError as exc:
-        cycle = [i for i in exc.args[1] if isinstance(i, int)]
-    else:
-        cycle = None
+    cycle = reference_find_cycle(_reference_edges(graph))
     if cycle:
         listed = ", ".join(str(i) for i in sorted(set(cycle)))
         violations.append(
@@ -305,6 +317,215 @@ def _reference_task_tree_violations(graph: FoonGraph, goal: ObjectNode) -> list[
                 )
             )
     return violations
+
+
+# --- reference parsers --------------------------------------------------
+
+def _reference_token(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidNodeError(f"{what} must be a string, got {type(value).__name__}")
+    token = value.strip().lower()
+    if not token:
+        raise InvalidNodeError(f"{what} must not be empty")
+    if "\t" in token or "\n" in token:
+        raise InvalidNodeError(f"{what} must not contain tabs or newlines: {token!r}")
+    if not token.isascii():
+        try:
+            token.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidNodeError(f"{what} must be valid Unicode text: {token!r}") from None
+    return token
+
+
+def _reference_object(name, states, ingredients) -> ObjectNode:
+    """The original node checks: every token on its own, each in turn."""
+    name = _reference_token(name, "object name")
+    states = tuple(_reference_token(s, "state") for s in states)
+    if len(set(states)) != len(states):
+        raise InvalidNodeError(f"duplicate states on object {name!r}")
+    seen: list[str] = []
+    for raw in ingredients:
+        token = _reference_token(raw, "contained ingredient")
+        if "," in token:
+            raise InvalidNodeError(f"contained ingredient must not contain commas: {token!r}")
+        if token not in seen:
+            seen.append(token)
+    return ObjectNode(name, tuple(sorted(states)), tuple(sorted(seen)))
+
+
+def _reference_motion(name) -> MotionNode:
+    return MotionNode(_reference_token(name, "motion name"))
+
+
+def reference_parse_task_tree_json(source: str, *, check_structure: bool = True) -> TaskTree:
+    """The original JSON parser, kept as an oracle for the one-pass one:
+    it builds every node mention anew, checks each token on its own and
+    builds every pointer as it goes."""
+    try:
+        payload = json.loads(source)
+    except ValueError as exc:
+        raise TaskTreeJsonError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise TaskTreeJsonError("not valid JSON: nested too deeply") from exc
+
+    if not isinstance(payload, dict):
+        raise TaskTreeSchemaError(f"expected a JSON object, got {type(payload).__name__}")
+    units_raw = payload.get("functional_units")
+    if units_raw is None:
+        raise TaskTreeSchemaError("missing required field 'functional_units'")
+    if not isinstance(units_raw, list):
+        raise TaskTreeSchemaError("must be an array", "/functional_units")
+    if not units_raw:
+        raise TaskTreeSchemaError("empty task tree", "/functional_units")
+
+    goal_raw = payload.get("goal")
+    if goal_raw is None:
+        raise TaskTreeSchemaError("missing required field 'goal'")
+    goal = _reference_json_node(goal_raw, "/goal")
+
+    units = tuple(
+        _reference_json_unit(unit_raw, f"/functional_units/{i}")
+        for i, unit_raw in enumerate(units_raw)
+    )
+    tree = TaskTree(FoonGraph(units), goal)
+
+    if check_structure:
+        report = validate_task_tree(tree)
+        if not report.ok:
+            first = report.violations[0]
+            raise TaskTreeStructureError(
+                f"invalid task tree: {first.message}"
+                + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else ""),
+                report.violations,
+            )
+    return tree
+
+
+def _reference_json_unit(raw, pointer: str) -> FunctionalUnit:
+    if not isinstance(raw, dict):
+        raise TaskTreeSchemaError("functional unit must be an object", pointer)
+    inputs = _reference_json_nodes(raw.get("inputs"), pointer + "/inputs")
+    outputs = _reference_json_nodes(raw.get("outputs"), pointer + "/outputs")
+    motion_raw = raw.get("motion")
+    if not isinstance(motion_raw, str):
+        raise TaskTreeSchemaError("motion must be a string", pointer + "/motion")
+    try:
+        motion = _reference_motion(motion_raw)
+    except InvalidNodeError as exc:
+        raise TaskTreeSchemaError(str(exc), pointer + "/motion") from exc
+    return FunctionalUnit(inputs, motion, outputs)
+
+
+def _reference_json_nodes(raw, pointer: str) -> tuple[ObjectNode, ...]:
+    if not isinstance(raw, list):
+        raise TaskTreeSchemaError("must be an array of object nodes", pointer)
+    if not raw:
+        raise TaskTreeSchemaError("must not be empty", pointer)
+    return tuple(_reference_json_node(node, f"{pointer}/{i}") for i, node in enumerate(raw))
+
+
+def _reference_json_node(raw, pointer: str) -> ObjectNode:
+    if not isinstance(raw, dict):
+        raise TaskTreeSchemaError("object node must be an object", pointer)
+    name = raw.get("name")
+    if not isinstance(name, str):
+        raise TaskTreeSchemaError("missing or non-string 'name'", pointer)
+    states = raw.get("states", [])
+    if not isinstance(states, list) or any(not isinstance(s, str) for s in states):
+        raise TaskTreeSchemaError("'states' must be an array of strings", pointer)
+    ingredients = raw.get("ingredients", [])
+    if not isinstance(ingredients, list) or any(not isinstance(s, str) for s in ingredients):
+        raise TaskTreeSchemaError("'ingredients' must be an array of strings", pointer)
+    try:
+        return _reference_object(name, tuple(states), tuple(ingredients))
+    except InvalidNodeError as exc:
+        raise TaskTreeSchemaError(str(exc), pointer) from exc
+
+
+def reference_parse_foon_text(source: str) -> FoonGraph:
+    """The original text-format parser, kept as an oracle for the
+    one-pass one: it splits the text into units first, then builds every
+    object mention anew."""
+    chunks: list[list[tuple[int, str]]] = []
+    current: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        line = raw.rstrip("\r")
+        if not line.strip():
+            continue
+        if line == "//":
+            if current:
+                chunks.append(current)
+                current = []
+            continue
+        current.append((lineno, line))
+    if current:
+        chunks.append(current)
+    if not chunks:
+        raise FoonSyntaxError("no functional units found")
+    return FoonGraph(tuple(_reference_text_unit(chunk) for chunk in chunks))
+
+
+def _reference_text_unit(chunk: list[tuple[int, str]]) -> FunctionalUnit:
+    inputs: list[ObjectNode] = []
+    outputs: list[ObjectNode] = []
+    motion = None
+    motion_line = 0
+    pending = None  # [name, line, states, ingredients]
+    section = inputs
+
+    def flush():
+        nonlocal pending
+        if pending is not None:
+            name, line, states, ingredients = pending
+            try:
+                node = _reference_object(name, tuple(states), tuple(ingredients or ()))
+            except InvalidNodeError as exc:
+                raise FoonSyntaxError(str(exc), line=line) from exc
+            section.append(node)
+            pending = None
+
+    for lineno, line in chunk:
+        tag, sep, value = line.partition("\t")
+        if not sep or not value:
+            raise FoonSyntaxError(f"expected '<tag>\\t<value>', got {line!r}", line=lineno)
+        if tag == "O":
+            flush()
+            pending = [value, lineno, [], None]
+        elif tag == "S":
+            if pending is None:
+                raise FoonSyntaxError("state line without a preceding object line", line=lineno)
+            pending[2].append(value)
+        elif tag == "I":
+            if pending is None:
+                raise FoonSyntaxError(
+                    "ingredients line without a preceding object line", line=lineno
+                )
+            if pending[3] is not None:
+                raise FoonSyntaxError("duplicate ingredients line for one object", line=lineno)
+            pending[3] = value.split(",")
+        elif tag == "M":
+            if motion is not None:
+                raise FoonSyntaxError("duplicate motion line in unit", line=lineno)
+            flush()
+            section = outputs
+            try:
+                motion = _reference_motion(value)
+            except InvalidNodeError as exc:
+                raise FoonSyntaxError(str(exc), line=lineno) from exc
+            motion_line = lineno
+        else:
+            raise FoonSyntaxError(
+                f"unknown record tag {tag!r}, expected O, S, I, or M", line=lineno
+            )
+    flush()
+
+    if motion is None:
+        raise FoonSyntaxError("unit has no motion line", line=chunk[0][0])
+    if not inputs:
+        raise FoonSyntaxError("unit has no input objects", line=motion_line)
+    if not outputs:
+        raise FoonSyntaxError("unit has no output objects", line=motion_line)
+    return FunctionalUnit(tuple(inputs), motion, tuple(outputs))
 
 
 # --- reference serializers ----------------------------------------------

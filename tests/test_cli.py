@@ -10,6 +10,7 @@ from foonforge.client import API_KEY_ENV, API_URL_ENV
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
 from foonforge.pipeline import (
     REPORT_FILENAME,
+    FallbackReason,
     Outcome,
     OutputRecord,
     RunReport,
@@ -438,6 +439,80 @@ def test_evaluate_rejects_output_paths_outside_the_report_directory(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: /records/0/output_path: ")
     assert "leaves the report directory" in err
+
+
+@pytest.mark.parametrize("link", ["file", "category"])
+def test_evaluate_refuses_symlinks_out_of_the_report_directory(tmp_path, capsys, link):
+    outside = tmp_path / "outside" / "pasta"
+    outside.mkdir(parents=True)
+    tree = random_task_tree(random.Random(4))
+    (outside / "outside.json").write_text(serialize_task_tree_json(tree), encoding="utf-8")
+    run = tmp_path / "run"
+    if link == "file":
+        (run / "pasta").mkdir(parents=True)
+        (run / "pasta" / "mac_and_cheese.json").symlink_to(outside / "outside.json")
+        rel = "pasta/mac_and_cheese.json"
+    else:
+        run.mkdir()
+        (run / "pasta").symlink_to(outside, target_is_directory=True)
+        rel = "pasta/outside.json"
+    dish = DishSpec("pasta", "mac and cheese", ("macaroni",))
+    good = OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.TEXT_FALLBACK, "x", "pasta/x.txt",
+                        fallback_reason=FallbackReason.SCHEMA)
+    linked = OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, "", rel, tree=tree)
+    report = run / REPORT_FILENAME
+    report.write_text(
+        report_to_json(RunReport(Strategy.CONTEXTUAL, (good, linked), "", "")), encoding="utf-8"
+    )
+    assert main(["evaluate", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: /records/1/output_path: ")
+    assert "through a symbolic link" in err
+
+
+def test_evaluate_reads_a_report_reached_through_a_symlink(tmp_path, capsys):
+    out = tmp_path / "out"
+    tree = random_task_tree(random.Random(4))
+    (out / "pasta").mkdir(parents=True)
+    (out / "pasta" / "dish.json").write_text(serialize_task_tree_json(tree), encoding="utf-8")
+    dish = DishSpec("pasta", "dish", ("macaroni",))
+    record = OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, "", "pasta/dish.json",
+                          tree=tree)
+    (out / REPORT_FILENAME).write_text(
+        report_to_json(RunReport(Strategy.CONTEXTUAL, (record,), "", "")), encoding="utf-8"
+    )
+    (tmp_path / "alias").symlink_to(out, target_is_directory=True)
+    assert main(["evaluate", str(out / REPORT_FILENAME)]) == 0
+    direct = capsys.readouterr().out
+    assert main(["evaluate", str(tmp_path / "alias" / REPORT_FILENAME)]) == 0
+    assert capsys.readouterr().out == direct
+
+
+@pytest.mark.parametrize("output_path", ["", ".", "./"])
+def test_evaluate_rejects_an_output_path_naming_no_file(tmp_path, capsys, output_path):
+    tree = random_task_tree(random.Random(4))
+    dish = DishSpec("pasta", "dish", ("macaroni",))
+    record = OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, "", output_path, tree=tree)
+    report = tmp_path / REPORT_FILENAME
+    report.write_text(
+        report_to_json(RunReport(Strategy.CONTEXTUAL, (record,), "", "")), encoding="utf-8"
+    )
+    assert main(["evaluate", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("error: /records/0/output_path: ")
+
+
+def test_evaluate_names_a_missing_output_file_by_its_path(tmp_path, capsys):
+    tree = random_task_tree(random.Random(4))
+    dish = DishSpec("pasta", "dish", ("macaroni",))
+    record = OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, "", "pasta/gone.json",
+                          tree=tree)
+    report = tmp_path / REPORT_FILENAME
+    report.write_text(
+        report_to_json(RunReport(Strategy.CONTEXTUAL, (record,), "", "")), encoding="utf-8"
+    )
+    assert main(["evaluate", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "pasta" / "gone.json") in err
 
 
 def _generate(tmp_path, manifest, strategy, *extra):

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .client import FixtureMissError, LiveClient, ReplayClient
+from .client import DEFAULT_MAX_IN_FLIGHT, FixtureMissError, LiveClient, ReplayClient
 from .errors import ClientError, FoonForgeError, PromptError, RetrievalError
 from .foon.model import FoonGraph, ObjectNode, TaskTree
 from .foon.retrieval import RetrievalFailure, retrieve_task_tree
@@ -44,6 +44,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
+
+
+def _at_least_one(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -78,7 +84,11 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="abort on a fixture miss instead of recording a fallback",
     )
-    gen.add_argument("--max-in-flight", type=int, default=4)
+    gen.add_argument(
+        "--max-in-flight",
+        type=_at_least_one,
+        help=f"requests open at once, --live only (default {DEFAULT_MAX_IN_FLIGHT})",
+    )
 
     val = sub.add_parser("validate", help="validate a graph or task-tree file")
     val.add_argument("path")
@@ -151,8 +161,14 @@ def main(argv=None) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.fixture and args.max_in_flight is not None:
+        print("error: --max-in-flight applies to --live only", file=sys.stderr)
+        return EXIT_CONFIG
     manifest = read_manifest(args.manifest)
-    backend = LiveClient() if args.live else ReplayClient(args.fixture)
+    if args.live:
+        backend = LiveClient(max_in_flight=args.max_in_flight or DEFAULT_MAX_IN_FLIGHT)
+    else:
+        backend = ReplayClient(args.fixture)
 
     strategy = Strategy(args.strategy)
     examples = ()
@@ -172,7 +188,6 @@ def cmd_generate(args) -> int:
         instructions=args.instructions,
         template=template,
         lenient_json=args.lenient_json,
-        max_in_flight=args.max_in_flight,
         strict_replay=args.strict_replay,
     )
     print(format_text_table(summarize_run(report)))

@@ -9,7 +9,14 @@ The live backend speaks a minimal provider-agnostic protocol: POST a JSON
 body ``{"model", "prompt", "temperature", "max_output_tokens"}`` and read
 ``{"text", "finish_reason"}`` back. Provider specifics stay inside this
 module. Configuration comes from ``FOONFORGE_API_URL`` and
-``FOONFORGE_API_KEY``.
+``FOONFORGE_API_KEY``. The request goes out through :func:`urllib_post`,
+the standard library's HTTP client, which verifies TLS certificates and
+follows no redirect, so the key is only ever sent to the configured URL.
+
+A backend answers a whole batch at once (:meth:`TextGenerator.generate_all`),
+so concurrency lives where the waiting is: the live backend keeps up to
+``max_in_flight`` requests open on a thread pool, and replay, a dict
+lookup, answers serially.
 
 Fixture entries share that payload shape, and :func:`decode_response` is
 the one decoder for both backends: the live backend decodes each answer
@@ -23,10 +30,11 @@ import json
 import os
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import (
     AuthError,
@@ -49,6 +57,7 @@ DEFAULT_MODEL = "gemini-1.0-pro-latest"
 MAX_RETRIES = 3
 BACKOFF_BASE = 1.0
 BACKOFF_FACTOR = 2.0
+DEFAULT_MAX_IN_FLIGHT = 4
 
 
 @dataclass(frozen=True)
@@ -109,9 +118,25 @@ def decode_response(payload, *, backend: Backend, latency: float = 0.0) -> Model
 
 
 class TextGenerator(Protocol):
-    """Anything that can answer a prompt bundle."""
+    """Anything that can answer a batch of prompt bundles."""
 
-    def generate(self, prompt: PromptBundle, params: GenerationParams) -> ModelResponse: ...
+    def generate_all(
+        self, prompts: Sequence[PromptBundle], params: GenerationParams
+    ) -> list[ModelResponse | ClientError]:
+        """One response, or the :class:`ClientError` that stood in for it,
+        per prompt, in prompt order. Any other exception propagates."""
+        ...
+
+
+def _answer(
+    generate: Callable[[PromptBundle, GenerationParams], ModelResponse],
+    prompt: PromptBundle,
+    params: GenerationParams,
+) -> ModelResponse | ClientError:
+    try:
+        return generate(prompt, params)
+    except ClientError as exc:
+        return exc
 
 
 class ReplayClient:
@@ -120,8 +145,8 @@ class ReplayClient:
     The fixture is a JSON map of hex context hash to
     ``{"text": ..., "finish_reason": ...}``. Every entry is decoded once,
     here, and a malformed one raises :class:`MalformedResponseError`.
-    Lookups are pure, so replay is bit-deterministic in any order and
-    under any concurrency.
+    Lookups are pure, so replay is bit-deterministic; a batch is
+    answered serially, since a lookup never waits.
     """
 
     def __init__(self, fixture: str | Path | Mapping[str, dict]):
@@ -141,6 +166,11 @@ class ReplayClient:
         if response is None:
             raise FixtureMissError(prompt.context_hash)
         return response
+
+    def generate_all(
+        self, prompts: Sequence[PromptBundle], params: GenerationParams
+    ) -> list[ModelResponse | ClientError]:
+        return [_answer(self.generate, prompt, params) for prompt in prompts]
 
 
 def load_fixture(path: str | Path) -> dict[str, dict]:
@@ -181,22 +211,83 @@ def record_fixture(
     return entries
 
 
+def _opener():
+    """The opener behind :func:`urllib_post`: HTTP and HTTPS only (an
+    unknown scheme is a ``URLError``), proxies from the environment and
+    the default TLS context, which verifies certificates. It has no
+    redirect handler: a followed redirect would carry the
+    ``Authorization`` header to whatever host it names, so a 3xx comes
+    back as an error status instead."""
+    import urllib.request
+
+    opener = urllib.request.OpenerDirector()
+    for handler in (
+        urllib.request.ProxyHandler(),
+        urllib.request.UnknownHandler(),
+        urllib.request.HTTPHandler(),
+        urllib.request.HTTPSHandler(),
+        urllib.request.HTTPDefaultErrorHandler(),
+        urllib.request.HTTPErrorProcessor(),
+    ):
+        opener.add_handler(handler)
+    return opener
+
+
+def urllib_post(
+    url: str, body: bytes, headers: Mapping[str, str], timeout: float
+) -> tuple[int, bytes]:
+    """POST a JSON body and return the status and body of the answer.
+
+    Every status, a 3xx included, comes back as ``(status, body)``. A
+    timeout raises :class:`RequestTimeoutError`; any other failure to get
+    an answer raises :class:`TransportError`. The HTTP and TLS modules
+    are imported on the first call: they add about 3 MB to a process,
+    which replay never needs.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(
+        url, data=body, headers={**headers, "Content-Type": "application/json"}, method="POST"
+    )
+    try:
+        try:
+            response = _opener().open(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            response = exc
+        with response:
+            return response.status, response.read()
+    except TimeoutError as exc:
+        raise RequestTimeoutError(f"no answer within {timeout}s") from exc
+    except urllib.error.URLError as exc:
+        if isinstance(exc.reason, TimeoutError):
+            raise RequestTimeoutError(f"no answer within {timeout}s") from exc
+        raise TransportError(str(exc.reason)) from exc
+    except (OSError, http.client.HTTPException) as exc:
+        raise TransportError(str(exc) or type(exc).__name__) from exc
+
+
 class LiveClient:
     """HTTP backend with retry on transient failures.
 
     Transient means HTTP 429 or any 5xx: those are retried up to
     ``MAX_RETRIES`` times with exponential backoff (base 1s, factor 2)
-    and full jitter. Other 4xx statuses and timeouts are never retried.
-    The API key must be present before any network call is attempted.
+    and full jitter. Other statuses (a redirect included) and timeouts
+    are never retried. The API key must be present before any network
+    call is attempted. ``post`` is the transport, :func:`urllib_post`
+    unless a caller injects another, and a batch keeps up to
+    ``max_in_flight`` requests open at once.
     """
 
     def __init__(
         self,
         api_url: str | None = None,
         api_key: str | None = None,
-        session=None,
+        post: Callable[[str, bytes, Mapping[str, str], float], tuple[int, bytes]] = urllib_post,
         sleeper: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
+        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
     ):
         self.api_url = api_url or os.environ.get(API_URL_ENV, "")
         self.api_key = api_key or os.environ.get(API_KEY_ENV, "")
@@ -204,44 +295,35 @@ class LiveClient:
             raise AuthError(f"no API key: set {API_KEY_ENV}")
         if not self.api_url:
             raise ClientError(f"no endpoint: set {API_URL_ENV}")
-        self._session = session
+        self._post = post
         self._sleep = sleeper
         self._rng = rng or random.Random()
+        self.max_in_flight = max_in_flight
 
-    def _get_session(self):
-        if self._session is None:
-            import requests
-
-            self._session = requests.Session()
-        return self._session
+    def generate_all(
+        self, prompts: Sequence[PromptBundle], params: GenerationParams
+    ) -> list[ModelResponse | ClientError]:
+        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
+            return list(pool.map(lambda prompt: _answer(self.generate, prompt, params), prompts))
 
     def generate(self, prompt: PromptBundle, params: GenerationParams) -> ModelResponse:
-        body = {
-            "model": params.model_name,
-            "prompt": prompt.text,
-            "temperature": params.temperature,
-            "max_output_tokens": params.max_output_tokens,
-        }
+        body = json.dumps(
+            {
+                "model": params.model_name,
+                "prompt": prompt.text,
+                "temperature": params.temperature,
+                "max_output_tokens": params.max_output_tokens,
+            }
+        ).encode("utf-8")
         headers = {"Authorization": f"Bearer {self.api_key}"}
-        session = self._get_session()
-        import requests
 
         start = time.monotonic()
         last_status = 0
         for attempt in range(MAX_RETRIES + 1):
-            try:
-                response = session.post(
-                    self.api_url, json=body, headers=headers, timeout=params.timeout
-                )
-            except requests.Timeout as exc:
-                raise RequestTimeoutError(f"no answer within {params.timeout}s") from exc
-            except requests.RequestException as exc:
-                raise TransportError(str(exc)) from exc
-
-            status = response.status_code
+            status, raw = self._post(self.api_url, body, headers, params.timeout)
             if status == 200:
                 try:
-                    payload = response.json()
+                    payload = json.loads(raw)
                 except (ValueError, RecursionError) as exc:
                     raise MalformedResponseError("provider payload is not JSON") from exc
                 return decode_response(
@@ -249,17 +331,10 @@ class LiveClient:
                 )
             last_status = status
             if status != 429 and not 500 <= status <= 599:
-                raise ProviderError(status, _safe_text(response))
+                raise ProviderError(status, raw.decode("utf-8", errors="replace")[:200])
             if attempt < MAX_RETRIES:
                 self._sleep(self._rng.uniform(0.0, BACKOFF_BASE * BACKOFF_FACTOR**attempt))
 
         if last_status == 429:
             raise RateLimitedError(f"still rate limited after {MAX_RETRIES} retries")
         raise ProviderError(last_status, f"still failing after {MAX_RETRIES} retries")
-
-
-def _safe_text(response) -> str:
-    try:
-        return response.text[:200]
-    except Exception:
-        return ""

@@ -1,11 +1,18 @@
 """Core data model for object-motion graphs and task trees.
 
-An object node is identified by its ``(name, states)`` pair: two mentions
-with the same normalized name and the same state set are the same node.
-Names and states are normalized to trimmed lowercase at construction and
-states are stored sorted, so dataclass equality coincides with node
-identity. The optional ingredients annotation on container objects is
-deliberately excluded from identity.
+An object node is identified by its ``(name, states)`` pair, stored as
+``ObjectNode.key``: two mentions with the same normalized name and the
+same state set are the same node. Names and states are normalized to
+trimmed lowercase at construction and states are stored sorted. The
+optional ingredients annotation on container objects is not part of the
+key, but dataclass equality and hashing compare it too: two mentions of
+one node with different contents are unequal objects with equal keys,
+and :attr:`FoonGraph.node_index` keeps the first one seen. Graph code
+matches nodes by key.
+
+No token may hold a tab or a line break: any character at which
+``str.splitlines`` breaks a line would split the token's line in the
+text format.
 
 All types are immutable after construction and safe to share across
 threads, so a parser may hand one built node to every mention of it.
@@ -18,6 +25,7 @@ node that fails it is checked token by token, which words the error.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -29,6 +37,10 @@ if TYPE_CHECKING:
 
 # (name, sorted states) -- the identity of an object node.
 NodeKey = tuple[str, tuple[str, ...]]
+
+# a tab, or any character at which str.splitlines breaks a line; each is
+# unprintable, so text that str.isprintable clears needs no scan
+_LINE_BREAK = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def normalize_token(raw: str) -> str:
@@ -46,7 +58,7 @@ def _checked_token(value, what: str) -> str:
     token = normalize_token(value)
     if not token:
         raise InvalidNodeError(f"{what} must not be empty")
-    if "\t" in token or "\n" in token:
+    if not token.isprintable() and _LINE_BREAK.search(token):
         raise InvalidNodeError(f"{what} must not contain tabs or newlines: {token!r}")
     require_unicode(token, what)
     return token
@@ -56,9 +68,10 @@ def _checked_node(name, states, ingredients) -> tuple[str, tuple[str, ...], tupl
     """A node's normalized name, sorted states and sorted unique ingredients.
 
     The checks run once over the node's raw text joined together: the
-    join rejects a non-string token, then one scan for tabs and newlines
-    and one ASCII test (an encode only for non-ASCII text) cover every
-    token, since trimming and lowercasing never add such a character.
+    join rejects a non-string token, then one scan for tabs and line
+    breaks (only of text that is not all printable) and one ASCII test
+    (an encode only for non-ASCII text) cover every token, since
+    trimming and lowercasing never add such a character.
     Emptiness, commas and repeated states are checked on the tokens.
     When any check fails the tokens go through :func:`_checked_token`
     one by one, which words the exact error; that path also accepts the
@@ -71,7 +84,9 @@ def _checked_node(name, states, ingredients) -> tuple[str, tuple[str, ...], tupl
         text = "".join((name, *states, *ingredients))
     except TypeError:  # a field that is not iterable, or a token that is not a string
         return _checked_tokens(name, states, ingredients)
-    if "\t" not in text and "\n" not in text and (text.isascii() or _encodes(text)):
+    if (text.isprintable() or not _LINE_BREAK.search(text)) and (
+        text.isascii() or _encodes(text)
+    ):
         token = name.strip().lower()
         found = sorted([s.strip().lower() for s in states]) if states else []
         contents = sorted({s.strip().lower() for s in ingredients}) if ingredients else []

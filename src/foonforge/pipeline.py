@@ -7,7 +7,7 @@ carrying the failure text, which is recorded as ``model_error`` without
 being parsed. Other responses that parse and validate as task trees are
 written as pretty JSON; everything else is preserved verbatim as a text
 file together with the failure category. Records are reported in
-manifest order even when generation runs concurrently.
+manifest order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import logging
 import os
 import re
 import stat
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -292,16 +291,17 @@ def run_generation(
     instructions: str | None = None,
     template: str | None = None,
     lenient_json: bool = True,
-    max_in_flight: int = 4,
     strict_replay: bool = False,
 ) -> RunReport:
     """Generate one recipe per dish and persist a run report.
 
-    Every prompt is rendered before anything is written, so a
-    :class:`PromptError` leaves nothing on disk. Per-dish backend
-    failures become ``model_error`` records with the error text
-    preserved; only manifest, configuration, and IO problems abort the
-    run. With ``strict_replay`` a fixture miss aborts instead.
+    Every prompt is rendered, and the backend answers the whole batch,
+    before anything is written, so a :class:`PromptError` leaves nothing
+    on disk, and nor does a fixture miss under ``strict_replay``, which
+    raises the first miss in manifest order. Any other backend failure
+    becomes a ``model_error`` record with the error text preserved; only
+    manifest, configuration, and IO problems abort the run. Dishes are
+    then classified and written one by one, in manifest order.
     """
     out_dir = Path(out_dir)
     params = params or GenerationParams()
@@ -316,27 +316,24 @@ def run_generation(
     stems = _resolve_stems(manifest)
 
     started = _utc_now()
+    answers = backend.generate_all(bundles, params)
+    if strict_replay:
+        for answer in answers:
+            if isinstance(answer, FixtureMissError):
+                raise answer
 
-    def process(index: int) -> OutputRecord:
-        dish, bundle, stem = dishes[index], bundles[index], stems[index]
-        try:
-            response = backend.generate(bundle, params)
-        except ClientError as exc:
-            if strict_replay and isinstance(exc, FixtureMissError):
-                raise
-            error = "fixture miss" if isinstance(exc, FixtureMissError) else str(exc)
-            response = ModelResponse(
+    records = []
+    for dish, bundle, stem, answer in zip(dishes, bundles, stems, answers):
+        if isinstance(answer, ClientError):
+            error = "fixture miss" if isinstance(answer, FixtureMissError) else str(answer)
+            answer = ModelResponse(
                 f"model error: {error}\n(prompt hash {bundle.context_hash})", FinishReason.ERROR
             )
-        return handle_response(
-            response, dish, out_dir, strategy=strategy, lenient_json=lenient_json, rel_base=stem
+        records.append(
+            handle_response(
+                answer, dish, out_dir, strategy=strategy, lenient_json=lenient_json, rel_base=stem
+            )
         )
-
-    if max_in_flight > 1 and len(dishes) > 1:
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            records = list(pool.map(process, range(len(dishes))))
-    else:
-        records = [process(i) for i in range(len(dishes))]
 
     report = RunReport(strategy, tuple(records), started, _utc_now())
     write_text_atomic(out_dir / REPORT_FILENAME, report_to_json(report) + "\n")

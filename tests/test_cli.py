@@ -7,6 +7,7 @@ import pytest
 
 from foonforge.cli import main
 from foonforge.client import API_KEY_ENV, API_URL_ENV
+from foonforge.errors import ClientError
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
 from foonforge.pipeline import (
     REPORT_FILENAME,
@@ -159,6 +160,7 @@ def test_generate_strict_replay_miss_exits_3(tmp_path, capsys, sample_manifest_p
     )
     assert code == 3
     assert "fixture miss" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_sample_graph(capsys):
@@ -554,3 +556,41 @@ def test_generate_lone_surrogate_in_instructions_exits_1(tmp_path, capsys, sampl
     err = capsys.readouterr().err
     assert err.startswith("error: instructions must be valid Unicode text")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, fragment",
+    [
+        (["--max-in-flight", "0"], "at least 1, got '0'"),
+        (["--max-in-flight", "-2"], "at least 1, got '-2'"),
+        (["--max-in-flight", "two"], "at least 1, got 'two'"),
+        (["--max-in-flight", "1"], "--live only"),
+        (["--max-in-flight", "4"], "--live only"),
+    ],
+)
+def test_generate_max_in_flight_checked(tmp_path, capsys, sample_manifest_path, extra, fragment):
+    code = _generate(tmp_path, sample_manifest_path, "contextual", *extra)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and fragment in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra, want", [((), 4), (("--max-in-flight", "2"), 2)])
+def test_generate_live_passes_max_in_flight_to_the_live_client(
+    tmp_path, monkeypatch, sample_manifest_path, extra, want
+):
+    built = []
+
+    class Recorder:
+        def __init__(self, **kwargs):
+            built.append(kwargs)
+
+        def generate_all(self, prompts, params):
+            return [ClientError("offline")] * len(prompts)
+
+    monkeypatch.setattr("foonforge.cli.LiveClient", Recorder)
+    argv = ["generate", "--manifest", str(sample_manifest_path), "--strategy", "contextual",
+            "--live", "--out", str(tmp_path / "out"), *extra]
+    assert main(argv) == 0
+    assert built == [{"max_in_flight": want}]

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import http.server
 import json
+import random
+import socket
+import threading
+import time
 
 import pytest
-import requests
 
 from foonforge.client import (
     API_KEY_ENV,
@@ -26,6 +30,7 @@ from foonforge.errors import (
     ProviderError,
     RateLimitedError,
     RequestTimeoutError,
+    TransportError,
 )
 from foonforge.pipeline import FallbackReason, read_manifest, run_generation
 from foonforge.prompts import DishSpec, Strategy, render_for_dish
@@ -163,25 +168,22 @@ def test_record_to_bad_path_raises(tmp_path, bundle):
         record_fixture(bundle, ModelResponse("x"), blocker / "fixture.json")
 
 
-class FakeResponse:
-    def __init__(self, status, payload=None, body=""):
-        self.status_code = status
-        self._payload = payload
-        self.text = body
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+def _ok(text, finish_reason="complete"):
+    return 200, json.dumps({"text": text, "finish_reason": finish_reason}).encode()
 
 
-class FakeSession:
+class FakePost:
+    """A transport answering from a list: each outcome is a ``(status,
+    body)`` pair to return or an exception to raise."""
+
     def __init__(self, outcomes):
         self.outcomes = list(outcomes)
         self.calls = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+    def __call__(self, url, body, headers, timeout):
+        self.calls.append(
+            {"url": url, "json": json.loads(body), "headers": headers, "timeout": timeout}
+        )
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, Exception):
             raise outcome
@@ -196,12 +198,13 @@ class FakeSleeper:
         self.napped.append(seconds)
 
 
-def _live(outcomes, sleeper=None):
+def _live(outcomes, sleeper=None, **kwargs):
     return LiveClient(
         api_url="https://example.invalid/generate",
         api_key="k",
-        session=FakeSession(outcomes),
+        post=FakePost(outcomes),
         sleeper=sleeper or FakeSleeper(),
+        **kwargs,
     )
 
 
@@ -219,13 +222,12 @@ def test_missing_url_is_config_error(monkeypatch):
 
 
 def test_retries_on_429_and_5xx_then_succeeds(bundle):
-    ok = FakeResponse(200, {"text": "stew time", "finish_reason": "complete"})
     sleeper = FakeSleeper()
-    client = _live([FakeResponse(429), FakeResponse(503), ok], sleeper)
+    client = _live([(429, b""), (503, b""), _ok("stew time")], sleeper)
     response = client.generate(bundle, GenerationParams())
     assert response.text == "stew time"
     assert response.backend is Backend.LIVE
-    assert len(client._session.calls) == 3
+    assert len(client._post.calls) == 3
     # full jitter: each nap bounded by base * factor**attempt
     assert len(sleeper.napped) == 2
     assert 0 <= sleeper.napped[0] <= 1.0
@@ -233,10 +235,9 @@ def test_retries_on_429_and_5xx_then_succeeds(bundle):
 
 
 def test_request_body_and_headers(bundle):
-    ok = FakeResponse(200, {"text": "y"})
-    client = _live([ok])
+    client = _live([(200, b'{"text": "y"}')])
     client.generate(bundle, GenerationParams(model_name="m1", temperature=0.7))
-    call = client._session.calls[0]
+    call = client._post.calls[0]
     assert call["json"]["model"] == "m1"
     assert call["json"]["prompt"] == bundle.text
     assert call["json"]["temperature"] == 0.7
@@ -244,42 +245,54 @@ def test_request_body_and_headers(bundle):
 
 
 def test_client_4xx_not_retried(bundle):
-    client = _live([FakeResponse(400, body="bad request")])
+    client = _live([(400, b"bad request")])
     with pytest.raises(ProviderError) as exc_info:
         client.generate(bundle, GenerationParams())
     assert exc_info.value.status == 400
-    assert len(client._session.calls) == 1
+    assert str(exc_info.value) == "provider returned HTTP 400: bad request"
+    assert len(client._post.calls) == 1
+
+
+@pytest.mark.parametrize(
+    "status, body, detail",
+    [(403, b"\xff" + b"x" * 500, ": \ufffd" + "x" * 199), (302, b"", "")],
+    ids=["long-undecodable-body", "redirect"],
+)
+def test_provider_error_keeps_200_characters_of_the_body(bundle, status, body, detail):
+    client = _live([(status, body)])
+    with pytest.raises(ProviderError) as exc_info:
+        client.generate(bundle, GenerationParams())
+    assert str(exc_info.value) == f"provider returned HTTP {status}{detail}"
+    assert len(client._post.calls) == 1
 
 
 def test_rate_limited_after_retry_budget(bundle):
-    client = _live([FakeResponse(429)] * (MAX_RETRIES + 1))
+    client = _live([(429, b"")] * (MAX_RETRIES + 1))
     with pytest.raises(RateLimitedError):
         client.generate(bundle, GenerationParams())
-    assert len(client._session.calls) == MAX_RETRIES + 1
+    assert len(client._post.calls) == MAX_RETRIES + 1
 
 
 def test_timeout_not_retried(bundle):
-    client = _live([requests.Timeout("slow")])
+    client = _live([RequestTimeoutError("slow")])
     with pytest.raises(RequestTimeoutError):
         client.generate(bundle, GenerationParams(timeout=0.5))
-    assert len(client._session.calls) == 1
+    assert len(client._post.calls) == 1
+    assert client._post.calls[0]["timeout"] == 0.5
 
 
 def test_malformed_payloads(bundle):
+    for body in (b"no json", b"\xff", b"[" * 100_000, b'{"answer": "x"}'):
+        with pytest.raises(MalformedResponseError):
+            _live([(200, body)]).generate(bundle, GenerationParams())
     with pytest.raises(MalformedResponseError):
-        _live([FakeResponse(200, payload=None)]).generate(bundle, GenerationParams())
-    with pytest.raises(MalformedResponseError):
-        _live([FakeResponse(200, {"answer": "x"})]).generate(bundle, GenerationParams())
-    with pytest.raises(MalformedResponseError):
-        _live([FakeResponse(200, {"text": "x", "finish_reason": "odd"})]).generate(
-            bundle, GenerationParams()
-        )
+        _live([_ok("x", "odd")]).generate(bundle, GenerationParams())
 
 
 def test_live_lone_surrogate_is_a_model_error_record(tmp_path):
-    payload = {"text": "oops \ud800", "finish_reason": "complete"}
+    surrogate = _ok("oops \ud800")
     with pytest.raises(MalformedResponseError):
-        _live([FakeResponse(200, payload)]).generate(
+        _live([surrogate]).generate(
             render_for_dish(Strategy.CONTEXTUAL, DishSpec("a", "b", ("c",))), GenerationParams()
         )
 
@@ -290,14 +303,9 @@ def test_live_lone_surrogate_is_a_model_error_record(tmp_path):
     ]
     manifest = {"categories": [{"name": "breakfast", "dishes": dishes}]}
     path.write_text(json.dumps(manifest), encoding="utf-8")
-    ok = FakeResponse(200, {"text": "plain words", "finish_reason": "complete"})
-    report = run_generation(
-        read_manifest(path),
-        Strategy.CONTEXTUAL,
-        _live([FakeResponse(200, payload), ok]),
-        tmp_path / "out",
-        max_in_flight=1,
-    )
+    # one request at a time: the fake answers in call order
+    client = _live([surrogate, _ok("plain words")], max_in_flight=1)
+    report = run_generation(read_manifest(path), Strategy.CONTEXTUAL, client, tmp_path / "out")
     first, second = report.records
     assert first.fallback_reason is FallbackReason.MODEL_ERROR
     assert first.raw_text.startswith("model error: ")
@@ -311,3 +319,173 @@ def test_fixture_file_sorted_and_stable(tmp_path, bundle):
     record_fixture(bundle, ModelResponse("a"), path)
     data = json.loads(path.read_text(encoding="utf-8"))
     assert list(data) == sorted(data)
+
+
+def _manifest_of(tmp_path, count):
+    dishes = [{"name": f"dish {i}", "ingredients": [f"item {i}"]} for i in range(count)]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"categories": [{"name": "c", "dishes": dishes}]}))
+    return read_manifest(path)
+
+
+class SlowPost:
+    """Answers each prompt after a delay seeded by the prompt, and counts
+    the requests open at once. Every third dish gets a 400."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+
+    def __call__(self, url, body, headers, timeout):
+        prompt = json.loads(body)["prompt"]
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        time.sleep(random.Random(prompt).uniform(0.005, 0.015))
+        with self.lock:
+            self.in_flight -= 1
+        dish = prompt.split("\nDish: ", 1)[1].split("\n", 1)[0]
+        if int(dish.split()[1]) % 3 == 0:
+            return 400, f"refused: {dish}".encode()
+        return _ok(f"answer to {dish}")
+
+
+def test_live_batch_keeps_manifest_order_at_any_concurrency(tmp_path):
+    manifest = _manifest_of(tmp_path, 12)
+    runs = {}
+    for max_in_flight in (1, 4):
+        post = SlowPost()
+        client = LiveClient(
+            api_url="http://example.invalid", api_key="k", post=post, max_in_flight=max_in_flight
+        )
+        out = tmp_path / f"out{max_in_flight}"
+        report = run_generation(manifest, Strategy.CONTEXTUAL, client, out)
+        runs[max_in_flight] = [
+            (r.dish.name, r.outcome, r.fallback_reason, r.raw_text, r.output_path)
+            for r in report.records
+        ]
+        assert (post.peak == 1) if max_in_flight == 1 else (post.peak > 1)
+    assert runs[1] == runs[4]
+    assert [name for name, *_ in runs[1]] == [d.name for d in manifest.dishes()]
+    for name, _, reason, raw_text, _ in runs[1]:
+        if int(name.split()[1]) % 3 == 0:
+            assert reason is FallbackReason.MODEL_ERROR
+            assert f"refused: {name}" in raw_text
+        else:
+            assert (reason, raw_text) == (FallbackReason.JSON_SYNTAX, f"answer to {name}")
+
+
+# --- the default transport, against a server on the loopback interface -----
+
+class _Server:
+    """An HTTP server on 127.0.0.1 answering POSTs from a script of
+    ``(status, body, extra headers, delay)`` entries, one per request."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.requests = []
+        server = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                server.requests.append((self.command, self.path, dict(self.headers), body))
+                status, reply, headers, delay = server.script.pop(0)
+                time.sleep(delay)
+                try:
+                    self.send_response(status)
+                    for key, value in headers.items():
+                        self.send_header(key, value)
+                    self.send_header("Content-Length", str(len(reply)))
+                    self.end_headers()
+                    self.wfile.write(reply)
+                except OSError:  # the client gave up waiting
+                    pass
+
+            do_GET = do_POST
+
+            def log_message(self, *args):
+                pass
+
+        self.httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.httpd.server_address[1]}"
+        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.httpd.shutdown()
+        self.httpd.server_close()
+
+
+def _loopback(server, sleeper=None):
+    return LiveClient(
+        api_url=f"{server.url}/generate", api_key="secret", sleeper=sleeper or FakeSleeper()
+    )
+
+
+def test_loopback_200(bundle):
+    with _Server([(200, _ok("hot soup")[1], {}, 0)]) as server:
+        response = _loopback(server).generate(bundle, GenerationParams(model_name="m"))
+    assert response.text == "hot soup"
+    assert response.backend is Backend.LIVE
+    [(method, path, headers, body)] = server.requests
+    assert (method, path) == ("POST", "/generate")
+    assert headers["Authorization"] == "Bearer secret"
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(body)["model"] == "m"
+
+
+def test_loopback_503_is_retried(bundle):
+    sleeper = FakeSleeper()
+    with _Server([(503, b"busy", {}, 0), (200, _ok("ok")[1], {}, 0)]) as server:
+        assert _loopback(server, sleeper).generate(bundle, GenerationParams()).text == "ok"
+    assert len(server.requests) == 2
+    assert len(sleeper.napped) == 1
+
+
+def test_loopback_400_is_a_provider_error_with_its_body(bundle):
+    with _Server([(400, b"prompt too long", {}, 0)]) as server:
+        with pytest.raises(ProviderError, match="prompt too long") as exc_info:
+            _loopback(server).generate(bundle, GenerationParams())
+    assert exc_info.value.status == 400
+    assert len(server.requests) == 1
+
+
+def test_loopback_redirect_is_not_followed(bundle):
+    with _Server([]) as elsewhere:
+        moved = (302, b"", {"Location": f"{elsewhere.url}/steal"}, 0)
+        with _Server([moved]) as server:
+            with pytest.raises(ProviderError) as exc_info:
+                _loopback(server).generate(bundle, GenerationParams())
+    assert exc_info.value.status == 302
+    assert len(server.requests) == 1
+    assert elsewhere.requests == []
+
+
+def test_loopback_slow_answer_times_out(bundle):
+    with _Server([(200, _ok("late")[1], {}, 1.0)]) as server:
+        with pytest.raises(RequestTimeoutError):
+            _loopback(server).generate(bundle, GenerationParams(timeout=0.2))
+    assert len(server.requests) == 1
+
+
+def test_loopback_closed_port_is_a_transport_error(bundle):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    client = LiveClient(api_url=f"http://127.0.0.1:{port}/generate", api_key="k")
+    with pytest.raises(TransportError) as exc_info:
+        client.generate(bundle, GenerationParams(timeout=2))
+    assert not isinstance(exc_info.value, RequestTimeoutError)
+
+
+def test_non_http_url_is_a_transport_error(bundle, tmp_path):
+    secret = tmp_path / "secret.txt"
+    secret.write_text("do not send", encoding="utf-8")
+    client = LiveClient(api_url=secret.as_uri(), api_key="k")
+    with pytest.raises(TransportError, match="unknown url type"):
+        client.generate(bundle, GenerationParams())

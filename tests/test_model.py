@@ -34,6 +34,15 @@ def test_state_order_does_not_affect_identity():
         {"name": "   "},
         {"name": "a\tb"},
         {"name": "a\nb"},
+        {"name": "a\rb"},
+        {"name": "a\vb"},
+        {"name": "a\fb"},
+        {"name": "a\x1cb"},
+        {"name": "a\x1db"},
+        {"name": "a\x1eb"},
+        {"name": "a\x85b"},
+        {"name": "a\u2028b"},
+        {"name": "a\u2029b"},
         {"name": "x", "states": ("raw", "raw")},
         {"name": "x", "states": ("Raw", "raw")},
         {"name": "x", "states": ("",)},

@@ -326,6 +326,7 @@ def test_strict_replay_aborts_on_miss(tmp_path, sample_manifest_path):
             tmp_path / "out",
             strict_replay=True,
         )
+    assert not (tmp_path / "out").exists()
 
 
 def test_filename_collisions_get_suffixes(tmp_path):
@@ -379,19 +380,6 @@ def test_replay_runs_deterministic_modulo_timestamps(tmp_path, sample_manifest_p
         if rel.name == "run_report.json":
             continue
         assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()
-
-
-def test_concurrency_level_does_not_change_results(tmp_path, sample_manifest_path):
-    manifest = read_manifest(sample_manifest_path)
-    fixture = _fixture_for(manifest, Strategy.CONTEXTUAL, ["junk"] * 3)
-    serial = run_generation(
-        manifest, Strategy.CONTEXTUAL, ReplayClient(fixture), tmp_path / "serial", max_in_flight=1
-    )
-    threaded = run_generation(
-        manifest, Strategy.CONTEXTUAL, ReplayClient(fixture), tmp_path / "threaded", max_in_flight=8
-    )
-    assert [r.output_path for r in serial.records] == [r.output_path for r in threaded.records]
-    assert [r.outcome for r in serial.records] == [r.outcome for r in threaded.records]
 
 
 def test_report_round_trip_and_tree_loading(tmp_path, sample_manifest_path):

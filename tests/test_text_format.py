@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from foonforge.errors import FoonSyntaxError
-from foonforge.foon.model import ObjectNode
+from foonforge.errors import FoonSyntaxError, TaskTreeSchemaError
+from foonforge.foon.model import ObjectNode, TaskTree
 from foonforge.foon.text_format import parse_foon_text, serialize_foon_text
+from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
 
 from .graphgen import random_graph
 
@@ -91,3 +93,32 @@ def test_round_trip_is_fixed_point_100_cases():
         reparsed = parse_foon_text(once)
         assert reparsed == graph
         assert serialize_foon_text(reparsed) == once
+
+
+# every character at which str.splitlines breaks a line, apart from "\n"
+_LINE_BREAKS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("token", ["egg white", *(f"egg{c}white" for c in _LINE_BREAKS)])
+def test_json_to_foon_to_json_round_trips_whatever_json_accepts(token):
+    for node in (
+        {"name": token},
+        {"name": "egg", "states": [token]},
+        {"name": "bowl", "ingredients": [token]},
+    ):
+        payload = {
+            "goal": {"name": "meal"},
+            "functional_units": [
+                {"inputs": [node], "motion": "cook", "outputs": [{"name": "omelette"}]},
+                {"inputs": [{"name": "omelette"}], "motion": token, "outputs": [{"name": "meal"}]},
+            ],
+        }
+        try:
+            tree = parse_task_tree_json(json.dumps(payload))
+        except TaskTreeSchemaError as exc:
+            assert "must not contain tabs or newlines" in str(exc)
+            continue
+        assert token == "egg white"
+        graph = parse_foon_text(serialize_foon_text(tree.graph))
+        again = serialize_task_tree_json(TaskTree(graph, tree.goal))
+        assert again == serialize_task_tree_json(tree)

@@ -241,6 +241,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.csv and len(args.reports) > 1 and not args.compare:
+        print("error: --csv with several reports needs --compare", file=sys.stderr)
+        return EXIT_CONFIG
     reports = [load_run_report(p) for p in args.reports]
     if args.compare:
         grouped: dict[Strategy, list] = {}
@@ -249,7 +252,6 @@ def cmd_evaluate(args) -> int:
         rows = comparison_rows(compare_strategies(grouped))
         print(format_text_table(rows))
     else:
-        rows = []
         for path, report in zip(args.reports, reports):
             if len(reports) > 1:
                 print(f"# {path}")

@@ -10,7 +10,8 @@ invalid output.
 
 The structural-validity rule is true for every scored tree: a record is
 ``JSON_OK`` only with a tree that passed validation, and
-``load_run_report`` validates every tree again as it reparses it. So
+``load_run_report`` validates every tree again as it reparses it from
+the record's ``raw_text``. So
 the rule adds 0.2 to every successful output, and mean accuracy over
 successes is at least 0.2. The score keeps the rule so that figures stay
 comparable across runs.

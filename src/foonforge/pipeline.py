@@ -12,11 +12,10 @@ manifest order.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
-import os
 import re
-import stat
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -28,6 +27,7 @@ from .errors import (
     ClientError,
     InvalidNodeError,
     ManifestError,
+    TaskTreeError,
     TaskTreeJsonError,
     TaskTreeSchemaError,
     TaskTreeStructureError,
@@ -105,13 +105,13 @@ class RunReport:
     def total(self) -> int:
         return len(self.records)
 
-    @property
+    @functools.cached_property
     def json_ok(self) -> int:
         return sum(1 for r in self.records if r.outcome is Outcome.JSON_OK)
 
     @property
     def text_fallback(self) -> int:
-        return sum(1 for r in self.records if r.outcome is Outcome.TEXT_FALLBACK)
+        return self.total - self.json_ok
 
 
 def read_manifest(path: str | Path) -> InputManifest:
@@ -391,17 +391,16 @@ def _record_json(record: OutputRecord) -> str:
 
 
 def load_run_report(path: str | Path) -> RunReport:
-    """Rebuild a report from ``run_report.json``.
+    """Rebuild a report from ``run_report.json``, reading no other file.
 
-    Each successful record's tree is reparsed from its output file
-    (resolved relative to the report's directory) so the report can be
-    scored. Parsing validates the tree once, and scoring reuses that
-    result. A file that is not JSON, or lacks a field, or holds one of
-    the wrong type raises :class:`ManifestError`, as does an
-    ``output_path`` that leaves the report's directory: one that is
-    absolute or has a ``..`` part (checked on the path's parts), or one
-    that is or passes through a symbolic link (checked as the file is
-    opened, see :class:`_ReportFiles`).
+    Each successful record's tree is rebuilt from its ``raw_text`` by the
+    parse that classified it (:func:`strip_code_fence`, then
+    :func:`parse_task_tree_json`), so output files may be moved or edited
+    without changing a score. Parsing validates the tree once, and
+    scoring reuses that result. A file that is not JSON, or lacks a
+    field, or holds one of the wrong type raises :class:`ManifestError`,
+    as does a successful record whose ``raw_text`` is not a valid task
+    tree.
     """
     path = Path(path)
     try:
@@ -409,10 +408,7 @@ def load_run_report(path: str | Path) -> RunReport:
     except (ValueError, RecursionError) as exc:
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        with _ReportFiles(path.parent) as files:
-            records = tuple(
-                _load_record(entry, files, i) for i, entry in enumerate(raw["records"])
-            )
+        records = tuple(_load_record(entry, i) for i, entry in enumerate(raw["records"]))
         report = RunReport(
             Strategy(raw["strategy"]), records, raw.get("started", ""), raw.get("finished", "")
         )
@@ -425,84 +421,7 @@ def load_run_report(path: str | Path) -> RunReport:
     return report
 
 
-class _ReportFiles:
-    """Reads a report's output files without following a symbolic link.
-
-    Each directory below the report's one is opened once, part by part
-    with ``O_NOFOLLOW``, and each file is opened relative to its
-    directory's descriptor with ``O_NOFOLLOW`` too, so no path is
-    resolved per record. The report's own directory may be reached
-    through a link: only the parts of an ``output_path`` are checked.
-    """
-
-    def __init__(self, root: Path):
-        self.root = root
-        self.dirs: dict[tuple[str, ...], int] = {}
-
-    def __enter__(self) -> _ReportFiles:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for fd in self.dirs.values():
-            os.close(fd)
-
-    def read(self, output_path: str, pointer: str) -> str:
-        parts = [part for part in output_path.split("/") if part not in ("", ".")]
-        if not parts:
-            raise ManifestError(f"{output_path!r} names no file", pointer)
-        *parents, name = parts
-        fd = self._dir(tuple(parents), output_path, pointer)
-        try:
-            file_fd = os.open(name, os.O_RDONLY | os.O_NOFOLLOW, dir_fd=fd)
-        except OSError as exc:
-            raise self._failure(exc, fd, name, output_path, pointer) from exc
-        with open(file_fd, encoding="utf-8") as handle:
-            return handle.read()
-
-    def _dir(self, parts: tuple[str, ...], output_path: str, pointer: str) -> int:
-        fd = self.dirs.get(parts)
-        if fd is None:
-            if parts:
-                parent = self._dir(parts[:-1], output_path, pointer)
-                try:
-                    fd = os.open(
-                        parts[-1], os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW, dir_fd=parent
-                    )
-                except OSError as exc:
-                    raise self._failure(exc, parent, parts[-1], output_path, pointer) from exc
-            else:
-                fd = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY)
-            self.dirs[parts] = fd
-        return fd
-
-    def _failure(
-        self, exc: OSError, dir_fd: int, name: str, output_path: str, pointer: str
-    ) -> Exception:
-        """A report error when ``name`` is a symbolic link; otherwise the
-        failed open, named by its full path."""
-        try:
-            link = stat.S_ISLNK(os.stat(name, dir_fd=dir_fd, follow_symlinks=False).st_mode)
-        except OSError:
-            link = False
-        if link:
-            return ManifestError(
-                f"{output_path!r} leaves the report directory {self.root} "
-                "through a symbolic link",
-                pointer,
-            )
-        return OSError(exc.errno, exc.strerror, str(self.root / output_path))
-
-
-def _load_record(entry: dict, files: _ReportFiles, index: int) -> OutputRecord:
-    output_path = entry["output_path"]
-    # lexical, either separator counts; links are refused when the file is read
-    if os.path.isabs(output_path) or (
-        ".." in output_path and ".." in output_path.replace("\\", "/").split("/")
-    ):
-        raise ManifestError(
-            f"{output_path!r} leaves the report directory {files.root}",
-            f"/records/{index}/output_path",
-        )
+def _load_record(entry: dict, index: int) -> OutputRecord:
     dish_raw = entry["dish"]
     dish = DishSpec(
         dish_raw["category"],
@@ -511,16 +430,22 @@ def _load_record(entry: dict, files: _ReportFiles, index: int) -> OutputRecord:
         tuple(dish_raw.get("tools", ())),
     )
     outcome = Outcome(entry["outcome"])
+    raw_text = entry["raw_text"]
     tree = None
     if outcome is Outcome.JSON_OK:
-        tree = parse_task_tree_json(files.read(output_path, f"/records/{index}/output_path"))
+        try:
+            tree = parse_task_tree_json(strip_code_fence(raw_text))
+        except TaskTreeError as exc:
+            raise ManifestError(
+                f"JSON_OK record is not a task tree: {exc}", f"/records/{index}/raw_text"
+            ) from exc
     reason_raw = entry.get("fallback_reason")
     return OutputRecord(
         dish,
         Strategy(entry["strategy"]),
         outcome,
-        entry.get("raw_text", ""),
-        output_path,
+        raw_text,
+        entry["output_path"],
         tree=tree,
         fallback_reason=FallbackReason(reason_raw) if reason_raw else None,
     )

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidNodeError, PromptError, TaskTreeError
 from .foon.model import TaskTree, normalize_token, require_unicode
@@ -125,11 +125,6 @@ def default_template(strategy: Strategy) -> str:
     return read_data_text("templates", _TEMPLATE_FILES[strategy])
 
 
-def _render_list(items: Iterable[str]) -> str:
-    deduped = sorted({normalize_token(i) for i in items if normalize_token(i)})
-    return ", ".join(deduped) if deduped else "none"
-
-
 def _substitute(template: str, values: dict[str, str]) -> str:
     if template.count("{{schema}}") != 1:
         raise PromptError("template must contain {{schema}} exactly once")
@@ -203,6 +198,9 @@ def render_for_dish(
     another strategy uses are ignored. ``template`` overrides the
     strategy's packaged template.
     """
+    # DishSpec has normalized and deduplicated both lists; ingredients is never empty
+    ingredients = ", ".join(sorted(dish.ingredients))
+    tools = ", ".join(sorted(dish.tools)) or "none"
     if strategy is Strategy.EXAMPLE_BASED:
         if not examples:
             raise PromptError("example-based prompts need at least one example tree")
@@ -217,14 +215,13 @@ def render_for_dish(
         extra = {"instructions": instructions}
     else:
         extra = {
-            "availability": f"Available tools: {_render_list(dish.tools)}\n"
-            f"Available ingredients: {_render_list(dish.ingredients)}"
+            "availability": f"Available tools: {tools}\nAvailable ingredients: {ingredients}"
         }
     values = {
         "dish_name": dish.name,
         "category": dish.category or "uncategorized",
-        "ingredients": _render_list(dish.ingredients),
-        "tools": _render_list(dish.tools),
+        "ingredients": ingredients,
+        "tools": tools,
         "schema": OUTPUT_SCHEMA,
         **extra,
     }

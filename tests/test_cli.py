@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import random
 
@@ -424,97 +425,142 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys, command, sample_manifest_
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("where", ["parent", "absolute"])
-def test_evaluate_rejects_output_paths_outside_the_report_directory(tmp_path, capsys, where):
+def _evaluate(capsys, *args) -> str:
+    assert main(["evaluate", *map(str, args)]) == 0
+    return capsys.readouterr().out
+
+
+def _write_report(path, *records) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        report_to_json(RunReport(Strategy.CONTEXTUAL, records, "", "")), encoding="utf-8"
+    )
+
+
+def _tree_record(dish, tree, raw_text: str, output_path: str) -> OutputRecord:
+    return OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, raw_text, output_path,
+                        tree=tree)
+
+
+def test_evaluate_scores_shipped_runs_without_their_output_files(tmp_path, capsys, shipped_runs):
+    moved = []
+    for i, report in enumerate(shipped_runs):
+        copy = tmp_path / str(i) / REPORT_FILENAME
+        copy.parent.mkdir()
+        copy.write_bytes(report.read_bytes())
+        moved.append(copy)
+    for report, copy in zip(shipped_runs, moved):
+        assert _evaluate(capsys, copy) == _evaluate(capsys, report)
+    assert _evaluate(capsys, "--compare", *moved) == _evaluate(capsys, "--compare", *shipped_runs)
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute", "symlink"])
+def test_evaluate_scores_from_raw_text_wherever_output_path_points(
+    tmp_path, capsys, monkeypatch, where
+):
+    tree = random_task_tree(random.Random(4))
+    raw_text = serialize_task_tree_json(tree)
+    dish = DishSpec("pasta", "dish", ("macaroni",))
+    reference = tmp_path / "reference" / REPORT_FILENAME
+    _write_report(reference, _tree_record(dish, tree, raw_text, "pasta/dish.json"))
+    (reference.parent / "pasta").mkdir()
+    (reference.parent / "pasta" / "dish.json").write_text(raw_text + "\n", encoding="utf-8")
+    expected = _evaluate(capsys, reference)
+
     outside = tmp_path / "outside.json"
-    tree = random_task_tree(random.Random(4))
-    outside.write_text(serialize_task_tree_json(tree), encoding="utf-8")
-    dish = DishSpec("pasta", "mac and cheese", ("macaroni",))
-    rel = "../outside.json" if where == "parent" else str(outside)
-    record = OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, "", rel, tree=tree)
+    outside.write_text("not a task tree", encoding="utf-8")
     report = tmp_path / "run" / REPORT_FILENAME
-    report.parent.mkdir()
-    report.write_text(
-        report_to_json(RunReport(Strategy.CONTEXTUAL, (record,), "", "")), encoding="utf-8"
-    )
-    assert main(["evaluate", str(report)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: /records/0/output_path: ")
-    assert "leaves the report directory" in err
+    rel = {"parent": "../outside.json", "absolute": str(outside), "symlink": "pasta/dish.json"}
+    _write_report(report, _tree_record(dish, tree, raw_text, rel[where]))
+    if where == "symlink":
+        (report.parent / "pasta").mkdir()
+        (report.parent / "pasta" / "dish.json").symlink_to(outside)
 
+    opened = []
+    real_open = io.open
 
-@pytest.mark.parametrize("link", ["file", "category"])
-def test_evaluate_refuses_symlinks_out_of_the_report_directory(tmp_path, capsys, link):
-    outside = tmp_path / "outside" / "pasta"
-    outside.mkdir(parents=True)
-    tree = random_task_tree(random.Random(4))
-    (outside / "outside.json").write_text(serialize_task_tree_json(tree), encoding="utf-8")
-    run = tmp_path / "run"
-    if link == "file":
-        (run / "pasta").mkdir(parents=True)
-        (run / "pasta" / "mac_and_cheese.json").symlink_to(outside / "outside.json")
-        rel = "pasta/mac_and_cheese.json"
-    else:
-        run.mkdir()
-        (run / "pasta").symlink_to(outside, target_is_directory=True)
-        rel = "pasta/outside.json"
-    dish = DishSpec("pasta", "mac and cheese", ("macaroni",))
-    good = OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.TEXT_FALLBACK, "x", "pasta/x.txt",
-                        fallback_reason=FallbackReason.SCHEMA)
-    linked = OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, "", rel, tree=tree)
-    report = run / REPORT_FILENAME
-    report.write_text(
-        report_to_json(RunReport(Strategy.CONTEXTUAL, (good, linked), "", "")), encoding="utf-8"
-    )
-    assert main(["evaluate", str(report)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: /records/1/output_path: ")
-    assert "through a symbolic link" in err
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", spy)
+    assert _evaluate(capsys, report) == expected
+    assert opened == [str(report)]
 
 
 def test_evaluate_reads_a_report_reached_through_a_symlink(tmp_path, capsys):
     out = tmp_path / "out"
     tree = random_task_tree(random.Random(4))
+    raw_text = serialize_task_tree_json(tree)
     (out / "pasta").mkdir(parents=True)
-    (out / "pasta" / "dish.json").write_text(serialize_task_tree_json(tree), encoding="utf-8")
+    (out / "pasta" / "dish.json").write_text(raw_text + "\n", encoding="utf-8")
     dish = DishSpec("pasta", "dish", ("macaroni",))
-    record = OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, "", "pasta/dish.json",
-                          tree=tree)
-    (out / REPORT_FILENAME).write_text(
-        report_to_json(RunReport(Strategy.CONTEXTUAL, (record,), "", "")), encoding="utf-8"
-    )
+    _write_report(out / REPORT_FILENAME, _tree_record(dish, tree, raw_text, "pasta/dish.json"))
     (tmp_path / "alias").symlink_to(out, target_is_directory=True)
-    assert main(["evaluate", str(out / REPORT_FILENAME)]) == 0
-    direct = capsys.readouterr().out
-    assert main(["evaluate", str(tmp_path / "alias" / REPORT_FILENAME)]) == 0
-    assert capsys.readouterr().out == direct
+    direct = _evaluate(capsys, out / REPORT_FILENAME)
+    assert _evaluate(capsys, tmp_path / "alias" / REPORT_FILENAME) == direct
 
 
-@pytest.mark.parametrize("output_path", ["", ".", "./"])
-def test_evaluate_rejects_an_output_path_naming_no_file(tmp_path, capsys, output_path):
+_NOT_A_TREE = {
+    "syntax": "Sure! Here is your recipe: boil and enjoy.",
+    "schema": '{"functional_units": []}',
+    "structure": json.dumps(
+        {
+            "goal": {"name": "phantom"},
+            "functional_units": [
+                {"inputs": [{"name": "a"}], "motion": "mix", "outputs": [{"name": "b"}]}
+            ],
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("error", list(_NOT_A_TREE))
+def test_evaluate_rejects_a_json_ok_record_whose_raw_text_is_no_tree(tmp_path, capsys, error):
     tree = random_task_tree(random.Random(4))
+    raw_text = serialize_task_tree_json(tree)
     dish = DishSpec("pasta", "dish", ("macaroni",))
-    record = OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, "", output_path, tree=tree)
     report = tmp_path / REPORT_FILENAME
-    report.write_text(
-        report_to_json(RunReport(Strategy.CONTEXTUAL, (record,), "", "")), encoding="utf-8"
+    # a valid output file does not stand in for the record's own text
+    (tmp_path / "b.json").write_text(raw_text + "\n", encoding="utf-8")
+    _write_report(
+        report,
+        _tree_record(dish, tree, raw_text, "a.json"),
+        _tree_record(dish, tree, _NOT_A_TREE[error], "b.json"),
     )
     assert main(["evaluate", str(report)]) == 2
-    assert capsys.readouterr().err.startswith("error: /records/0/output_path: ")
+    assert capsys.readouterr().err.startswith("error: /records/1/raw_text: ")
 
 
-def test_evaluate_names_a_missing_output_file_by_its_path(tmp_path, capsys):
+@pytest.mark.parametrize("outcome", list(Outcome))
+def test_evaluate_requires_raw_text(tmp_path, capsys, outcome):
     tree = random_task_tree(random.Random(4))
     dish = DishSpec("pasta", "dish", ("macaroni",))
-    record = OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, "", "pasta/gone.json",
-                          tree=tree)
+    if outcome is Outcome.JSON_OK:
+        record = _tree_record(dish, tree, serialize_task_tree_json(tree), "a.json")
+    else:
+        record = OutputRecord(dish, Strategy.CONTEXTUAL, outcome, "prose", "a.txt",
+                              fallback_reason=FallbackReason.JSON_SYNTAX)
     report = tmp_path / REPORT_FILENAME
-    report.write_text(
-        report_to_json(RunReport(Strategy.CONTEXTUAL, (record,), "", "")), encoding="utf-8"
-    )
+    _write_report(report, record)
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    del payload["records"][0]["raw_text"]
+    report.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["evaluate", str(report)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(tmp_path / "pasta" / "gone.json") in err
+    assert "missing field 'raw_text'" in capsys.readouterr().err
+
+
+def test_evaluate_csv_of_several_reports_needs_compare(tmp_path, capsys, shipped_runs):
+    table = tmp_path / "table.csv"
+    missing = tmp_path / "missing.json"  # the check comes before any report is read
+    assert main(["evaluate", str(missing), str(missing), "--csv", str(table)]) == 1
+    assert capsys.readouterr().err == "error: --csv with several reports needs --compare\n"
+    assert not table.exists()
+    two = [str(report) for report in shipped_runs[:2]]
+    assert main(["evaluate", *two, "--compare", "--csv", str(table)]) == 0
+    lines = table.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "metric,value,notes"
+    assert [line.split(",")[0] for line in lines[1:]] == ["contextual"]
 
 
 def _generate(tmp_path, manifest, strategy, *extra):

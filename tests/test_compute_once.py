@@ -16,7 +16,7 @@ import pytest
 from foonforge import prompts
 from foonforge.cli import main
 from foonforge.foon import tree_json, validation
-from foonforge.pipeline import FallbackReason, load_run_report
+from foonforge.pipeline import FallbackReason, RunReport, load_run_report
 from foonforge.resources import data_path
 
 
@@ -89,3 +89,21 @@ def test_evaluate_reuses_the_validation_of_parsing(run1, counts, capsys):
     assert main(["evaluate", str(run1)]) == 0
     assert "Successful JSON outputs" in capsys.readouterr().out
     assert len(counts["validate"]) == 27  # one per JSON_OK record
+
+
+class _CountedRecords(tuple):
+    """A record tuple that counts the scans made over it."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_report_counts_are_computed_once(run1):
+    loaded = load_run_report(run1)
+    report = RunReport(loaded.strategy, _CountedRecords(loaded.records), "", "")
+    for _ in range(9):
+        assert (report.total, report.json_ok, report.text_fallback) == (34, 27, 7)
+    assert report.records.scans == 1

@@ -399,6 +399,44 @@ def test_report_round_trip_and_tree_loading(tmp_path, sample_manifest_path):
             assert validate_task_tree(record.tree).ok
 
 
+def test_loaded_trees_equal_the_written_output_files(shipped_runs):
+    checked = 0
+    for path in shipped_runs:
+        for record in load_run_report(path).records:
+            if record.outcome is Outcome.JSON_OK:
+                written = (path.parent / record.output_path).read_text(encoding="utf-8")
+                assert record.tree == parse_task_tree_json(written)
+                checked += 1
+    assert checked == sum(load_run_report(path).json_ok for path in shipped_runs) > 0
+
+
+_WRAPPINGS = [
+    lambda text: text,
+    lambda text: json.dumps(json.loads(text)),
+    lambda text: f"```json\n{text}\n```",
+    lambda text: f"\n  ```\n{text}\n```  \n",
+    lambda text: f"  {text}\n",
+]
+
+
+def test_loaded_random_trees_equal_the_written_output_files(tmp_path, acceptance_manifest_path):
+    manifest = read_manifest(acceptance_manifest_path)
+    rng = random.Random(2405)
+    responses = [
+        _WRAPPINGS[i % len(_WRAPPINGS)](serialize_task_tree_json(random_task_tree(rng)))
+        for i, _ in enumerate(manifest.dishes())
+    ]
+    out = tmp_path / "out"
+    fixture = _fixture_for(manifest, Strategy.CONTEXTUAL, responses)
+    run_generation(manifest, Strategy.CONTEXTUAL, ReplayClient(fixture), out)
+    loaded = load_run_report(out / REPORT_FILENAME)
+    assert loaded.json_ok == loaded.total == len(responses)
+    for record, response in zip(loaded.records, responses):
+        assert record.raw_text == response
+        written = (out / record.output_path).read_text(encoding="utf-8")
+        assert record.tree == parse_task_tree_json(written)
+
+
 def test_counting_identity_always_holds(tmp_path, sample_manifest_path):
     manifest = read_manifest(sample_manifest_path)
     fixture = _fixture_for(manifest, Strategy.CONTEXTUAL, ["junk", "junk", "junk"])

@@ -8,14 +8,12 @@ fallback, and score the results.
 """
 
 from .client import (
-    Backend,
     FinishReason,
     GenerationParams,
     LiveClient,
     ModelResponse,
     ReplayClient,
     load_fixture,
-    record_fixture,
 )
 from .errors import FoonForgeError
 from .foon import (
@@ -66,14 +64,12 @@ from .prompts import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Backend",
     "FinishReason",
     "GenerationParams",
     "LiveClient",
     "ModelResponse",
     "ReplayClient",
     "load_fixture",
-    "record_fixture",
     "FoonForgeError",
     "FoonGraph",
     "FunctionalUnit",

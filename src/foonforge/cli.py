@@ -74,12 +74,6 @@ def _build_parser() -> _Parser:
     gen.add_argument("--instructions", help="verbatim user instructions (user-guided only)")
     gen.add_argument("--template", help="prompt template file overriding the packaged one")
     gen.add_argument(
-        "--lenient-json",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="strip one Markdown code fence before JSON parsing",
-    )
-    gen.add_argument(
         "--strict-replay",
         action="store_true",
         help="abort on a fixture miss instead of recording a fallback",
@@ -103,7 +97,7 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="also check acyclicity, goal, and connectivity (foon input needs --goal)",
     )
-    val.add_argument("--goal", help="goal object name for --as-task-tree on foon input")
+    val.add_argument("--goal", help="goal object name, required by --as-task-tree on foon input")
 
     ev = sub.add_parser("evaluate", help="summarize run reports or compare strategies")
     ev.add_argument("reports", nargs="+", help="run_report.json paths")
@@ -187,7 +181,6 @@ def cmd_generate(args) -> int:
         examples=examples,
         instructions=args.instructions,
         template=template,
-        lenient_json=args.lenient_json,
         strict_replay=args.strict_replay,
     )
     print(format_text_table(summarize_run(report)))
@@ -219,10 +212,17 @@ def _resolve_goal(graph: FoonGraph, name: str) -> ObjectNode:
 
 def cmd_validate(args) -> int:
     path = Path(args.path)
-    text = path.read_text(encoding="utf-8")
     fmt = args.format
     if fmt == "auto":
         fmt = "json" if path.suffix.lower() == ".json" else "foon"
+    if args.goal is not None and fmt == "json":
+        print("error: --goal applies to foon input only; a JSON tree names its goal",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    if args.goal is not None and not args.as_task_tree:
+        print("error: --goal needs --as-task-tree", file=sys.stderr)
+        return EXIT_CONFIG
+    text = path.read_text(encoding="utf-8")
 
     if fmt == "json":
         tree = parse_task_tree_json(text, check_structure=False)
@@ -230,13 +230,12 @@ def cmd_validate(args) -> int:
         return EXIT_OK
 
     graph = parse_foon_text(text)
+    goal = None
     if args.as_task_tree:
         if not args.goal:
             raise PromptError("--as-task-tree on a foon file requires --goal")
         goal = _resolve_goal(graph, args.goal)
-        _print_report(validate_graph(graph, as_task_tree=True, goal=goal))
-    else:
-        _print_report(validate_graph(graph))
+    _print_report(validate_graph(graph, goal))
     return EXIT_OK
 
 

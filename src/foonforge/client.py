@@ -21,7 +21,9 @@ lookup, answers serially.
 Fixture entries share that payload shape, and :func:`decode_response` is
 the one decoder for both backends: the live backend decodes each answer
 as it arrives, the replay backend every fixture entry when it is built,
-so a malformed entry fails before any dish is generated.
+so a malformed entry fails before any dish is generated. A response does
+not name its backend: a run has one, chosen by its caller. Fixtures are
+built by ``scripts/build_fixtures.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .errors import (
     TransportError,
 )
 from .prompts import PromptBundle
-from .resources import write_text_atomic
 
 API_KEY_ENV = "FOONFORGE_API_KEY"
 API_URL_ENV = "FOONFORGE_API_URL"
@@ -82,17 +83,11 @@ class FinishReason(str, Enum):
     ERROR = "error"
 
 
-class Backend(str, Enum):
-    LIVE = "live"
-    REPLAY = "replay"
-
-
 @dataclass(frozen=True)
 class ModelResponse:
     text: str
     finish_reason: FinishReason = FinishReason.COMPLETE
     latency: float = 0.0
-    backend: Backend = Backend.REPLAY
 
     def __post_init__(self):
         if self.finish_reason is not FinishReason.ERROR and not self.text:
@@ -100,7 +95,7 @@ class ModelResponse:
         self.text.encode("utf-8")  # outputs are UTF-8 files; a lone surrogate raises here
 
 
-def decode_response(payload, *, backend: Backend, latency: float = 0.0) -> ModelResponse:
+def decode_response(payload, *, latency: float = 0.0) -> ModelResponse:
     """Build a response from a ``{"text", "finish_reason"}`` payload.
 
     ``finish_reason`` defaults to ``complete``. A payload that is not an
@@ -112,7 +107,7 @@ def decode_response(payload, *, backend: Backend, latency: float = 0.0) -> Model
         raise MalformedResponseError("payload lacks a 'text' string")
     try:
         finish = FinishReason(payload.get("finish_reason", "complete"))
-        return ModelResponse(payload["text"], finish, latency, backend)
+        return ModelResponse(payload["text"], finish, latency)
     except ValueError as exc:
         raise MalformedResponseError(str(exc)) from exc
 
@@ -154,7 +149,7 @@ class ReplayClient:
         self._responses: dict[str, ModelResponse] = {}
         for key, entry in entries.items():
             try:
-                self._responses[key] = decode_response(entry, backend=Backend.REPLAY)
+                self._responses[key] = decode_response(entry)
             except MalformedResponseError as exc:
                 raise MalformedResponseError(f"fixture entry {key}: {exc}") from exc
 
@@ -185,30 +180,6 @@ def load_fixture(path: str | Path) -> dict[str, dict]:
         if not isinstance(entry, dict) or "text" not in entry:
             raise ClientError(f"fixture entry {key} must be an object with a 'text' field")
     return raw
-
-
-def record_fixture(
-    prompt: PromptBundle,
-    response: ModelResponse,
-    path: str | Path,
-) -> dict[str, dict]:
-    """Add or overwrite one fixture entry; returns the updated map.
-
-    The file is rewritten through :func:`write_text_atomic`, so a failed
-    write never corrupts an existing fixture.
-    """
-    path = Path(path)
-    entries: dict[str, dict] = {}
-    if path.exists():
-        entries = load_fixture(path)
-    entries[prompt.context_hash] = {
-        "text": response.text,
-        "finish_reason": response.finish_reason.value,
-    }
-    write_text_atomic(
-        path, json.dumps(entries, indent=2, ensure_ascii=False, sort_keys=True)
-    )
-    return entries
 
 
 def _opener():
@@ -326,9 +297,7 @@ class LiveClient:
                     payload = json.loads(raw)
                 except (ValueError, RecursionError) as exc:
                     raise MalformedResponseError("provider payload is not JSON") from exc
-                return decode_response(
-                    payload, backend=Backend.LIVE, latency=time.monotonic() - start
-                )
+                return decode_response(payload, latency=time.monotonic() - start)
             last_status = status
             if status != 429 and not 500 <= status <= 599:
                 raise ProviderError(status, raw.decode("utf-8", errors="replace")[:200])

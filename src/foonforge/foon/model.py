@@ -283,7 +283,7 @@ class TaskTree:
     def validation(self) -> ValidationReport:
         """Full-rule validation report, computed once per tree."""
         from .validation import validate_graph  # that module imports this one
-        return validate_graph(self.graph, as_task_tree=True, goal=self.goal)
+        return validate_graph(self.graph, self.goal)
 
 
 def make_unit(

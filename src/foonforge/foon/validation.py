@@ -99,22 +99,15 @@ def find_cycle(edges: dict[int, set[int]]) -> list[int] | None:
     return None
 
 
-def validate_graph(
-    graph: FoonGraph,
-    *,
-    as_task_tree: bool = False,
-    goal: ObjectNode | None = None,
-) -> ValidationReport:
+def validate_graph(graph: FoonGraph, goal: ObjectNode | None = None) -> ValidationReport:
     """Check every structural rule and report all violations found.
 
     Plain-graph rules: bipartiteness of the derived edge set, unit arity,
     and the no-op rule (a unit must change something, so no identity may
-    appear on both sides). With ``as_task_tree`` the acyclicity, goal, and
-    connectivity rules are checked as well; ``goal`` is then required.
+    appear on both sides). Given a ``goal``, the graph is checked as a
+    task tree for it: the acyclicity, goal, and connectivity rules run
+    as well.
     """
-    if as_task_tree and goal is None:
-        raise ValueError("as_task_tree validation requires a goal")
-
     index = UnitIndex.build(graph)
     violations: list[Violation] = []
 
@@ -148,8 +141,7 @@ def validate_graph(
                 )
             )
 
-    if as_task_tree:
-        assert goal is not None
+    if goal is not None:
         violations.extend(_task_tree_violations(index, goal))
 
     return ValidationReport(tuple(violations))

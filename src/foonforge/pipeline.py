@@ -4,10 +4,12 @@ Each dish yields exactly one :class:`OutputRecord`, and
 :func:`handle_response` is the one place that classifies a response and
 writes its output file. A backend failure becomes an ``error`` response
 carrying the failure text, which is recorded as ``model_error`` without
-being parsed. Other responses that parse and validate as task trees are
-written as pretty JSON; everything else is preserved verbatim as a text
-file together with the failure category. Records are reported in
-manifest order.
+being parsed; a ``truncated`` response is recorded as ``truncated``,
+also unparsed. Other responses have one enclosing code fence stripped;
+those that then parse and validate as task trees are written as pretty
+JSON, and everything else is preserved verbatim as a text file together
+with the failure category. Records are reported in manifest order. The
+run's strategy is stored once, on its :class:`RunReport`.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ class FallbackReason(str, Enum):
     SCHEMA = "schema"
     STRUCTURAL = "structural"
     MODEL_ERROR = "model_error"
+    TRUNCATED = "truncated"
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,6 @@ class OutputRecord:
     """The fate of one generation attempt."""
 
     dish: DishSpec
-    strategy: Strategy
     outcome: Outcome
     raw_text: str
     output_path: str
@@ -201,21 +203,29 @@ def strip_code_fence(text: str) -> str:
     return match.group(1) if match else text
 
 
+def _parse_answer(text: str) -> TaskTree:
+    """The one parse of an answer: strip one enclosing code fence, then
+    parse and validate the task tree. ``generate`` classifies with it and
+    ``evaluate`` rebuilds trees with it, so the two cannot disagree."""
+    return parse_task_tree_json(strip_code_fence(text))
+
+
 def handle_response(
     response: ModelResponse,
     dish: DishSpec,
     out_dir: str | Path,
     *,
-    strategy: Strategy = Strategy.EXAMPLE_BASED,
-    lenient_json: bool = True,
     rel_base: str | None = None,
 ) -> OutputRecord:
     """Persist one model response and classify the outcome.
 
-    An ``error`` response is a ``model_error`` fallback and is not
-    parsed. Parse and validation failures are outcomes, not errors; only
-    real IO problems raise. The tree is validated once, while it is
-    parsed, and its record carries that result on to scoring.
+    An ``error`` response is a ``model_error`` fallback and a
+    ``truncated`` one a ``truncated`` fallback; neither is parsed, since
+    a cut-off answer that happens to parse is still not the whole
+    answer. Other text goes through :func:`_parse_answer`. Parse and
+    validation failures are outcomes, not errors; only real IO problems
+    raise. The tree is validated once, while it is parsed, and its
+    record carries that result on to scoring.
     ``rel_base`` overrides the output location (relative to ``out_dir``,
     no extension) when the caller has already resolved filename
     collisions.
@@ -227,10 +237,11 @@ def handle_response(
     text = response.text
     if response.finish_reason is FinishReason.ERROR:
         reason = FallbackReason.MODEL_ERROR
+    elif response.finish_reason is FinishReason.TRUNCATED:
+        reason = FallbackReason.TRUNCATED
     else:
-        candidate = strip_code_fence(text) if lenient_json else text
         try:
-            tree = parse_task_tree_json(candidate)
+            tree = _parse_answer(text)
         except TaskTreeJsonError:
             reason = FallbackReason.JSON_SYNTAX
         except TaskTreeSchemaError:
@@ -240,13 +251,11 @@ def handle_response(
         else:
             rel_path = f"{rel_base}.json"
             _write_text(out_dir / rel_path, serialize_task_tree_json(tree) + "\n")
-            return OutputRecord(dish, strategy, Outcome.JSON_OK, text, rel_path, tree=tree)
+            return OutputRecord(dish, Outcome.JSON_OK, text, rel_path, tree=tree)
 
     rel_path = f"{rel_base}.txt"
     _write_text(out_dir / rel_path, text)
-    return OutputRecord(
-        dish, strategy, Outcome.TEXT_FALLBACK, text, rel_path, fallback_reason=reason
-    )
+    return OutputRecord(dish, Outcome.TEXT_FALLBACK, text, rel_path, fallback_reason=reason)
 
 
 def _write_text(path: Path, content: str) -> None:
@@ -290,7 +299,6 @@ def run_generation(
     examples: Sequence[TaskTree] = (),
     instructions: str | None = None,
     template: str | None = None,
-    lenient_json: bool = True,
     strict_replay: bool = False,
 ) -> RunReport:
     """Generate one recipe per dish and persist a run report.
@@ -329,11 +337,7 @@ def run_generation(
             answer = ModelResponse(
                 f"model error: {error}\n(prompt hash {bundle.context_hash})", FinishReason.ERROR
             )
-        records.append(
-            handle_response(
-                answer, dish, out_dir, strategy=strategy, lenient_json=lenient_json, rel_base=stem
-            )
-        )
+        records.append(handle_response(answer, dish, out_dir, rel_base=stem))
 
     report = RunReport(strategy, tuple(records), started, _utc_now())
     write_text_atomic(out_dir / REPORT_FILENAME, report_to_json(report) + "\n")
@@ -382,7 +386,6 @@ def _record_json(record: OutputRecord) -> str:
         f'        "name": {encode_string(dish.name)},\n'
         f'        "ingredients": {string_array(dish.ingredients, "        ")},\n'
         f'        "tools": {string_array(dish.tools, "        ")}\n      }},\n'
-        f'      "strategy": {encode_string(record.strategy.value)},\n'
         f'      "outcome": {encode_string(record.outcome.value)},\n'
         f'      "fallback_reason": {encode_string(reason.value) if reason else "null"},\n'
         f'      "output_path": {encode_string(record.output_path)},\n'
@@ -393,14 +396,15 @@ def _record_json(record: OutputRecord) -> str:
 def load_run_report(path: str | Path) -> RunReport:
     """Rebuild a report from ``run_report.json``, reading no other file.
 
-    Each successful record's tree is rebuilt from its ``raw_text`` by the
-    parse that classified it (:func:`strip_code_fence`, then
-    :func:`parse_task_tree_json`), so output files may be moved or edited
-    without changing a score. Parsing validates the tree once, and
-    scoring reuses that result. A file that is not JSON, or lacks a
+    Each successful record's tree is rebuilt from its ``raw_text`` by
+    :func:`_parse_answer`, the parse that classified it, so output files
+    may be moved or edited without changing a score. Parsing validates
+    the tree once, and scoring reuses that result. Each dish is read by
+    the manifest's dish reader. A file that is not JSON, or lacks a
     field, or holds one of the wrong type raises :class:`ManifestError`,
-    as does a successful record whose ``raw_text`` is not a valid task
-    tree.
+    as do counts that disagree with the records and a successful record
+    whose ``raw_text`` is not a valid task tree. A per-record
+    ``strategy``, written by older versions, is ignored.
     """
     path = Path(path)
     try:
@@ -416,33 +420,32 @@ def load_run_report(path: str | Path) -> RunReport:
         raise ManifestError(f"{path} is not a run report: missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
         raise ManifestError(f"{path} is not a run report: {exc}") from exc
-    if report.total != raw.get("total") or report.json_ok != raw.get("json_ok"):
+    if (report.total, report.json_ok, report.text_fallback) != (
+        raw.get("total"),
+        raw.get("json_ok"),
+        raw.get("text_fallback"),
+    ):
         raise ManifestError(f"report counts in {path} are inconsistent with its records")
     return report
 
 
 def _load_record(entry: dict, index: int) -> OutputRecord:
+    pointer = f"/records/{index}"
     dish_raw = entry["dish"]
-    dish = DishSpec(
-        dish_raw["category"],
-        dish_raw["name"],
-        tuple(dish_raw["ingredients"]),
-        tuple(dish_raw.get("tools", ())),
-    )
+    dish = _parse_dish(dish_raw, dish_raw["category"], pointer + "/dish")
     outcome = Outcome(entry["outcome"])
     raw_text = entry["raw_text"]
     tree = None
     if outcome is Outcome.JSON_OK:
         try:
-            tree = parse_task_tree_json(strip_code_fence(raw_text))
+            tree = _parse_answer(raw_text)
         except TaskTreeError as exc:
             raise ManifestError(
-                f"JSON_OK record is not a task tree: {exc}", f"/records/{index}/raw_text"
+                f"JSON_OK record is not a task tree: {exc}", pointer + "/raw_text"
             ) from exc
     reason_raw = entry.get("fallback_reason")
     return OutputRecord(
         dish,
-        Strategy(entry["strategy"]),
         outcome,
         raw_text,
         entry["output_path"],

@@ -196,9 +196,7 @@ def recipe_chain(steps: int, *, alternatives: bool = False):
 
 # --- reference validator ------------------------------------------------
 
-def reference_validate_graph(
-    graph: FoonGraph, *, as_task_tree: bool = False, goal: ObjectNode | None = None
-) -> ValidationReport:
+def reference_validate_graph(graph: FoonGraph, goal: ObjectNode | None = None) -> ValidationReport:
     """The original validator, kept as an oracle for the indexed one.
 
     It rescans every unit for each question and finds connected units by
@@ -234,7 +232,7 @@ def reference_validate_graph(
                     node=node.describe(),
                 )
             )
-    if as_task_tree:
+    if goal is not None:
         violations.extend(_reference_task_tree_violations(graph, goal))
     return ValidationReport(tuple(violations))
 
@@ -572,7 +570,6 @@ def reference_report_json(report) -> str:
                     "ingredients": list(r.dish.ingredients),
                     "tools": list(r.dish.tools),
                 },
-                "strategy": r.strategy.value,
                 "outcome": r.outcome.value,
                 "fallback_reason": r.fallback_reason.value if r.fallback_reason else None,
                 "output_path": r.output_path,

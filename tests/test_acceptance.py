@@ -80,7 +80,7 @@ def test_shipped_run_headline_counts(tmp_path, capsys, monkeypatch, acceptance_m
     assert rate == pytest.approx(27 / 34, abs=1e-12)
 
     # the seven failures must be parse-level, i.e. they fail even with
-    # lenient code-fence repair, not replay misses
+    # code-fence stripping, not replay misses
     reasons = [r.fallback_reason for r in report.records if r.outcome is Outcome.TEXT_FALLBACK]
     assert len(reasons) == 7
     assert FallbackReason.MODEL_ERROR not in reasons
@@ -259,7 +259,6 @@ def test_metric_properties_100_cases():
 
         fallback = OutputRecord(
             dish,
-            Strategy.CONTEXTUAL,
             Outcome.TEXT_FALLBACK,
             "junk",
             "x.txt",

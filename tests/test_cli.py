@@ -184,6 +184,24 @@ def test_validate_as_task_tree_with_goal(capsys):
     assert "valid" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "path, extra, fragment",
+    [
+        ("macaroni.foon", [], "--goal needs --as-task-tree"),
+        ("examples/mac_and_cheese.json", [], "--goal applies to foon input only"),
+        ("examples/mac_and_cheese.json", ["--as-task-tree"], "--goal applies to foon input only"),
+        ("macaroni.foon", ["--format", "json"], "--goal applies to foon input only"),
+    ],
+    ids=["foon-without-as-task-tree", "json", "json-as-task-tree", "format-json"],
+)
+def test_validate_rejects_a_goal_it_would_ignore(capsys, path, extra, fragment):
+    code = main(["validate", str(data_path(*path.split("/"))), "--goal", "nonexistent", *extra])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {fragment}")
+
+
 def test_validate_reports_violations_without_failing(tmp_path, capsys):
     payload = {
         "goal": {"name": "phantom"},
@@ -305,9 +323,7 @@ def test_evaluate_malformed_report_exits_2(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_no_lenient_json_turns_fenced_output_into_fallback(
-    tmp_path, capsys, sample_manifest_path
-):
+def test_generate_always_strips_one_code_fence(tmp_path, capsys, sample_manifest_path):
     manifest = read_manifest(sample_manifest_path)
     examples = load_examples(data_path("examples"))
     rng = random.Random(5)
@@ -328,10 +344,12 @@ def test_no_lenient_json_turns_fenced_output_into_fallback(
         "--fixture",
         str(path),
     ]
-    assert main([*args, "--out", str(tmp_path / "lenient")]) == 0
+    assert main([*args, "--out", str(tmp_path / "out")]) == 0
     assert "json_ok=3" in capsys.readouterr().out
-    assert main([*args, "--out", str(tmp_path / "strict"), "--no-lenient-json"]) == 0
-    assert "text_fallback=3" in capsys.readouterr().out
+    for flag in ("--lenient-json", "--no-lenient-json"):
+        assert main([*args, "--out", str(tmp_path / "flag"), flag]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists()
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -438,8 +456,7 @@ def _write_report(path, *records) -> None:
 
 
 def _tree_record(dish, tree, raw_text: str, output_path: str) -> OutputRecord:
-    return OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, raw_text, output_path,
-                        tree=tree)
+    return OutputRecord(dish, Outcome.JSON_OK, raw_text, output_path, tree=tree)
 
 
 def test_evaluate_scores_shipped_runs_without_their_output_files(tmp_path, capsys, shipped_runs):
@@ -532,6 +549,12 @@ def test_evaluate_rejects_a_json_ok_record_whose_raw_text_is_no_tree(tmp_path, c
     assert capsys.readouterr().err.startswith("error: /records/1/raw_text: ")
 
 
+def _edit_report(path, edit) -> None:
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
 @pytest.mark.parametrize("outcome", list(Outcome))
 def test_evaluate_requires_raw_text(tmp_path, capsys, outcome):
     tree = random_task_tree(random.Random(4))
@@ -539,15 +562,59 @@ def test_evaluate_requires_raw_text(tmp_path, capsys, outcome):
     if outcome is Outcome.JSON_OK:
         record = _tree_record(dish, tree, serialize_task_tree_json(tree), "a.json")
     else:
-        record = OutputRecord(dish, Strategy.CONTEXTUAL, outcome, "prose", "a.txt",
+        record = OutputRecord(dish, outcome, "prose", "a.txt",
                               fallback_reason=FallbackReason.JSON_SYNTAX)
     report = tmp_path / REPORT_FILENAME
     _write_report(report, record)
-    payload = json.loads(report.read_text(encoding="utf-8"))
-    del payload["records"][0]["raw_text"]
-    report.write_text(json.dumps(payload), encoding="utf-8")
+    _edit_report(report, lambda payload: payload["records"][0].pop("raw_text"))
     assert main(["evaluate", str(report)]) == 2
     assert "missing field 'raw_text'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["ingredients", "tools"])
+def test_evaluate_rejects_a_dish_list_given_as_a_string(tmp_path, capsys, field):
+    tree = random_task_tree(random.Random(4))
+    dish = DishSpec("pasta", "dish", ("macaroni",), ("pot",))
+    report = tmp_path / REPORT_FILENAME
+    _write_report(report, _tree_record(dish, tree, serialize_task_tree_json(tree), "a.json"))
+    _evaluate(capsys, report)
+    _edit_report(report, lambda payload: payload["records"][0]["dish"].update({field: "salt"}))
+    assert main(["evaluate", str(report)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: /records/0/dish/{field}: ")
+
+
+@pytest.mark.parametrize("field", ["total", "json_ok", "text_fallback"])
+def test_evaluate_rejects_counts_that_disagree_with_the_records(tmp_path, capsys, field):
+    tree = random_task_tree(random.Random(4))
+    dish = DishSpec("pasta", "dish", ("macaroni",))
+    report = tmp_path / REPORT_FILENAME
+    _write_report(
+        report,
+        _tree_record(dish, tree, serialize_task_tree_json(tree), "a.json"),
+        OutputRecord(dish, Outcome.TEXT_FALLBACK, "prose", "b.txt",
+                     fallback_reason=FallbackReason.JSON_SYNTAX),
+    )
+    _evaluate(capsys, report)
+    _edit_report(report, lambda payload: payload.update({field: payload[field] + 1}))
+    assert main(["evaluate", str(report)]) == 2
+    assert "inconsistent with its records" in capsys.readouterr().err
+
+
+def test_evaluate_reads_reports_that_still_carry_a_strategy_per_record(
+    tmp_path, capsys, shipped_runs
+):
+    older = []
+    for i, path in enumerate(shipped_runs):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert all("strategy" not in record for record in payload["records"])
+        for record in payload["records"]:
+            record["strategy"] = payload["strategy"]
+        copy = tmp_path / str(i) / REPORT_FILENAME
+        copy.parent.mkdir()
+        copy.write_text(json.dumps(payload, indent=2, ensure_ascii=False), encoding="utf-8")
+        older.append(copy)
+        assert _evaluate(capsys, copy) == _evaluate(capsys, path)
+    assert _evaluate(capsys, "--compare", *older) == _evaluate(capsys, "--compare", *shipped_runs)
 
 
 def test_evaluate_csv_of_several_reports_needs_compare(tmp_path, capsys, shipped_runs):

@@ -13,14 +13,12 @@ from foonforge.client import (
     API_KEY_ENV,
     API_URL_ENV,
     MAX_RETRIES,
-    Backend,
     FinishReason,
     GenerationParams,
     LiveClient,
     ModelResponse,
     ReplayClient,
     load_fixture,
-    record_fixture,
 )
 from foonforge.errors import (
     AuthError,
@@ -66,7 +64,6 @@ def test_replay_hit_and_miss(bundle):
     client = ReplayClient({bundle.context_hash: {"text": "canned", "finish_reason": "complete"}})
     response = client.generate(bundle, GenerationParams())
     assert response.text == "canned"
-    assert response.backend is Backend.REPLAY
 
     empty = ReplayClient({})
     with pytest.raises(FixtureMissError) as exc_info:
@@ -131,43 +128,6 @@ def test_model_response_rejects_text_that_is_not_utf8():
         ModelResponse("\udfff", FinishReason.ERROR)
 
 
-def test_record_then_replay_round_trips(tmp_path, bundle):
-    path = tmp_path / "fixture.json"
-    record_fixture(bundle, ModelResponse("hello there"), path)
-    client = ReplayClient(path)
-    assert client.generate(bundle, GenerationParams()).text == "hello there"
-
-
-def test_record_overwrites_same_hash(tmp_path, bundle):
-    path = tmp_path / "fixture.json"
-    record_fixture(bundle, ModelResponse("first"), path)
-    entries = record_fixture(bundle, ModelResponse("second"), path)
-    assert len(entries) == 1
-    assert load_fixture(path)[bundle.context_hash]["text"] == "second"
-
-
-def test_record_failure_leaves_file_intact(tmp_path, bundle, monkeypatch):
-    path = tmp_path / "fixture.json"
-    record_fixture(bundle, ModelResponse("original"), path)
-    before = path.read_text(encoding="utf-8")
-
-    def boom(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr("foonforge.client.os.replace", boom)
-    with pytest.raises(OSError):
-        record_fixture(bundle, ModelResponse("changed"), path)
-    assert path.read_text(encoding="utf-8") == before
-    assert list(tmp_path.glob("*.tmp")) == []
-
-
-def test_record_to_bad_path_raises(tmp_path, bundle):
-    blocker = tmp_path / "file.txt"
-    blocker.write_text("x", encoding="utf-8")
-    with pytest.raises(OSError):
-        record_fixture(bundle, ModelResponse("x"), blocker / "fixture.json")
-
-
 def _ok(text, finish_reason="complete"):
     return 200, json.dumps({"text": text, "finish_reason": finish_reason}).encode()
 
@@ -226,7 +186,6 @@ def test_retries_on_429_and_5xx_then_succeeds(bundle):
     client = _live([(429, b""), (503, b""), _ok("stew time")], sleeper)
     response = client.generate(bundle, GenerationParams())
     assert response.text == "stew time"
-    assert response.backend is Backend.LIVE
     assert len(client._post.calls) == 3
     # full jitter: each nap bounded by base * factor**attempt
     assert len(sleeper.napped) == 2
@@ -312,13 +271,6 @@ def test_live_lone_surrogate_is_a_model_error_record(tmp_path):
     assert "surrogates not allowed" in first.raw_text
     assert (tmp_path / "out" / first.output_path).read_text(encoding="utf-8") == first.raw_text
     assert second.fallback_reason is FallbackReason.JSON_SYNTAX
-
-
-def test_fixture_file_sorted_and_stable(tmp_path, bundle):
-    path = tmp_path / "fixture.json"
-    record_fixture(bundle, ModelResponse("a"), path)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    assert list(data) == sorted(data)
 
 
 def _manifest_of(tmp_path, count):
@@ -431,7 +383,6 @@ def test_loopback_200(bundle):
     with _Server([(200, _ok("hot soup")[1], {}, 0)]) as server:
         response = _loopback(server).generate(bundle, GenerationParams(model_name="m"))
     assert response.text == "hot soup"
-    assert response.backend is Backend.LIVE
     [(method, path, headers, body)] = server.requests
     assert (method, path) == ("POST", "/generate")
     assert headers["Authorization"] == "Bearer secret"

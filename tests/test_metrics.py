@@ -128,7 +128,6 @@ def test_container_ingredients_count_as_coverage():
 def test_fallback_records_score_zero(dish):
     record = OutputRecord(
         dish,
-        Strategy.CONTEXTUAL,
         Outcome.TEXT_FALLBACK,
         "junk",
         "x.txt",
@@ -142,14 +141,13 @@ def _report(records) -> RunReport:
 
 
 def _ok_record(dish, tree) -> OutputRecord:
-    return OutputRecord(dish, Strategy.EXAMPLE_BASED, Outcome.JSON_OK, "raw", "x.json", tree=tree)
+    return OutputRecord(dish, Outcome.JSON_OK, "raw", "x.json", tree=tree)
 
 
 def test_summarize_counts_and_rate(dish):
     ok = _ok_record(dish, perfect_tree(dish))
     bad = OutputRecord(
         dish,
-        Strategy.EXAMPLE_BASED,
         Outcome.TEXT_FALLBACK,
         "junk",
         "x.txt",
@@ -226,7 +224,6 @@ def _run_with_accuracy(dish, target_ok: int, total: int) -> RunReport:
     bad = [
         OutputRecord(
             dish,
-            Strategy.EXAMPLE_BASED,
             Outcome.TEXT_FALLBACK,
             "junk",
             "x.txt",

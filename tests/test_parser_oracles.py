@@ -341,8 +341,8 @@ def test_cycle_mutants_name_the_same_cycle():
             units.append(type(rework)(rework.outputs, rework.motion, rework.inputs))
         rng.shuffle(units)
         graph = FoonGraph(tuple(units))
-        got = validate_graph(graph, as_task_tree=True, goal=mutant.goal)
-        want = reference_validate_graph(graph, as_task_tree=True, goal=mutant.goal)
+        got = validate_graph(graph, goal=mutant.goal)
+        want = reference_validate_graph(graph, goal=mutant.goal)
         cycle = [(v.message, v.unit_index) for v in got.violations if v.rule == RULE_CYCLE]
         assert len(cycle) == 1
         assert cycle == [(v.message, v.unit_index) for v in want.violations if v.rule == RULE_CYCLE]

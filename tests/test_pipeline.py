@@ -133,14 +133,15 @@ def test_handle_response_valid_tree(tmp_path, dish):
     assert parse_task_tree_json(written) == tree
 
 
-def test_handle_response_fenced_json_lenient_vs_strict(tmp_path, dish):
+def test_handle_response_strips_one_code_fence(tmp_path, dish):
     tree = random_task_tree(random.Random(0))
-    fenced = ModelResponse(f"```json\n{serialize_task_tree_json(tree)}\n```")
-    ok = handle_response(fenced, dish, tmp_path / "lenient")
+    fenced = f"```json\n{serialize_task_tree_json(tree)}\n```"
+    ok = handle_response(ModelResponse(fenced), dish, tmp_path / "once")
     assert ok.outcome is Outcome.JSON_OK
-    strict = handle_response(fenced, dish, tmp_path / "strict", lenient_json=False)
-    assert strict.outcome is Outcome.TEXT_FALLBACK
-    assert strict.fallback_reason is FallbackReason.JSON_SYNTAX
+    assert ok.tree == tree
+    twice = handle_response(ModelResponse(f"```\n{fenced}\n```"), dish, tmp_path / "twice")
+    assert twice.outcome is Outcome.TEXT_FALLBACK
+    assert twice.fallback_reason is FallbackReason.JSON_SYNTAX
 
 
 @pytest.mark.parametrize(
@@ -192,6 +193,7 @@ def test_error_response_is_a_model_error_and_is_not_parsed(tmp_path, dish, text)
         assert (tmp_path / record.output_path).read_text(encoding="utf-8") == candidate
 
 
+_VALID_TREE = serialize_task_tree_json(random_task_tree(random.Random(5)))
 _SURROGATE_NAME_TREE = json.dumps(
     {
         "goal": {"name": "x\ud800"},
@@ -211,21 +213,23 @@ _SURROGATE_NAME_TREE = json.dumps(
         st.sampled_from(['{"goal": {}, "functional_units": [{}]}', "```json\n[]\n```"]),
     ),
     finish=st.sampled_from(FinishReason),
-    lenient=st.booleans(),
 )
-@example(text="1" * 5000, finish=FinishReason.COMPLETE, lenient=True)
-@example(text=_SURROGATE_NAME_TREE, finish=FinishReason.COMPLETE, lenient=True)
-@example(text="[" * 100_000, finish=FinishReason.TRUNCATED, lenient=False)
-def test_handle_response_classifies_any_response(tmp_path, dish, text, finish, lenient):
+@example(text="1" * 5000, finish=FinishReason.COMPLETE)
+@example(text=_SURROGATE_NAME_TREE, finish=FinishReason.COMPLETE)
+@example(text="[" * 100_000, finish=FinishReason.COMPLETE)
+@example(text="[" * 100_000, finish=FinishReason.TRUNCATED)
+@example(text=_VALID_TREE, finish=FinishReason.TRUNCATED)
+@example(text=f"```json\n{_VALID_TREE}\n```", finish=FinishReason.TRUNCATED)
+def test_handle_response_classifies_any_response(tmp_path, dish, text, finish):
     assume(text or finish is FinishReason.ERROR)
     response = ModelResponse(text, finish)
-    record = handle_response(response, dish, tmp_path, lenient_json=lenient)
+    record = handle_response(response, dish, tmp_path)
     assert isinstance(record, OutputRecord)
     assert record.raw_text == text
-    if finish is FinishReason.ERROR:
-        assert record.fallback_reason is FallbackReason.MODEL_ERROR
-    else:
-        assert record.fallback_reason is not FallbackReason.MODEL_ERROR
+    assert (record.fallback_reason is FallbackReason.MODEL_ERROR) == (finish is FinishReason.ERROR)
+    assert (record.fallback_reason is FallbackReason.TRUNCATED) == (
+        finish is FinishReason.TRUNCATED
+    )
     if record.outcome is Outcome.TEXT_FALLBACK:
         assert (tmp_path / record.output_path).read_bytes().decode("utf-8") == text
 
@@ -249,9 +253,9 @@ def test_deeply_nested_response_does_not_abort_the_batch(tmp_path, sample_manife
 
 def test_output_record_consistency_enforced(dish):
     with pytest.raises(ValueError):
-        OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, "", "x.json")
+        OutputRecord(dish, Outcome.JSON_OK, "", "x.json")
     with pytest.raises(ValueError):
-        OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.TEXT_FALLBACK, "", "x.txt")
+        OutputRecord(dish, Outcome.TEXT_FALLBACK, "", "x.txt")
 
 
 def _manifest_from(tmp_path, payload):
@@ -437,6 +441,21 @@ def test_loaded_random_trees_equal_the_written_output_files(tmp_path, acceptance
         assert record.tree == parse_task_tree_json(written)
 
 
+def test_truncated_answers_are_fallbacks_that_evaluate_reads_back(tmp_path, sample_manifest_path):
+    manifest = read_manifest(sample_manifest_path)
+    tree_text = serialize_task_tree_json(random_task_tree(random.Random(6)))
+    fixture = _fixture_for(manifest, Strategy.CONTEXTUAL, [tree_text] * 3)
+    first = next(iter(fixture))
+    fixture[first] = {**fixture[first], "finish_reason": "truncated"}
+    out = tmp_path / "out"
+    report = run_generation(manifest, Strategy.CONTEXTUAL, ReplayClient(fixture), out)
+    reasons = [r.fallback_reason for r in report.records]
+    assert reasons == [FallbackReason.TRUNCATED, None, None]
+    assert (out / report.records[0].output_path).read_text(encoding="utf-8") == tree_text
+    assert '"fallback_reason": "truncated"' in (out / REPORT_FILENAME).read_text(encoding="utf-8")
+    assert load_run_report(out / REPORT_FILENAME).records == report.records
+
+
 def test_counting_identity_always_holds(tmp_path, sample_manifest_path):
     manifest = read_manifest(sample_manifest_path)
     fixture = _fixture_for(manifest, Strategy.CONTEXTUAL, ["junk", "junk", "junk"])
@@ -466,14 +485,12 @@ def _every_outcome(dish, raw_text: str) -> list[OutputRecord]:
     tree = random_task_tree(random.Random(7))
     bare = DishSpec("", "crème brûlée", ("cream", "egg yolk"))  # no category, no tools
     records = [
-        OutputRecord(dish, Strategy.CONTEXTUAL, Outcome.JSON_OK, raw_text, "a/b.json", tree=tree),
-        OutputRecord(bare, Strategy.USER_GUIDED, Outcome.JSON_OK, "{}", "b.json", tree=tree),
+        OutputRecord(dish, Outcome.JSON_OK, raw_text, "a/b.json", tree=tree),
+        OutputRecord(bare, Outcome.JSON_OK, "{}", "b.json", tree=tree),
     ]
     records += [
-        OutputRecord(
-            dish, strategy, Outcome.TEXT_FALLBACK, raw_text, f"c{i}.txt", fallback_reason=reason
-        )
-        for i, (strategy, reason) in enumerate(zip(list(Strategy) * 2, FallbackReason))
+        OutputRecord(dish, Outcome.TEXT_FALLBACK, raw_text, f"c{i}.txt", fallback_reason=reason)
+        for i, reason in enumerate(FallbackReason)
     ]
     return records
 

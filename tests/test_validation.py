@@ -39,7 +39,7 @@ def test_sample_graph_is_valid(sample_graph_text):
 
 def test_sample_as_task_tree_is_valid(sample_graph_text):
     graph = parse_foon_text(sample_graph_text)
-    report = validate_graph(graph, as_task_tree=True, goal=ObjectNode("mac and cheese"))
+    report = validate_graph(graph, goal=ObjectNode("mac and cheese"))
     assert report.ok
 
 
@@ -53,7 +53,7 @@ def test_two_unit_cycle_flagged():
             make_unit([b], "serve", [goal]),
         )
     )
-    report = validate_graph(graph, as_task_tree=True, goal=goal)
+    report = validate_graph(graph, goal=goal)
     assert RULE_CYCLE in report.rules
     # as a plain graph the cycle rule does not apply
     assert validate_graph(graph).ok
@@ -76,7 +76,7 @@ def test_empty_unit_flagged():
 def test_goal_rules():
     leaf, out = ObjectNode("egg"), ObjectNode("omelette")
     graph = FoonGraph((make_unit([leaf], "fry", [out]),))
-    not_produced = validate_graph(graph, as_task_tree=True, goal=ObjectNode("pancake"))
+    not_produced = validate_graph(graph, goal=ObjectNode("pancake"))
     assert RULE_GOAL in not_produced.rules
 
     consumed = validate_graph(
@@ -86,7 +86,6 @@ def test_goal_rules():
                 make_unit([out], "eat", [ObjectNode("crumbs")]),
             )
         ),
-        as_task_tree=True,
         goal=out,
     )
     assert RULE_GOAL in consumed.rules
@@ -100,7 +99,7 @@ def test_disconnected_unit_flagged():
             make_unit([ObjectNode("rock")], "polish", [ObjectNode("shiny rock")]),
         )
     )
-    report = validate_graph(graph, as_task_tree=True, goal=goal)
+    report = validate_graph(graph, goal=goal)
     assert RULE_DISCONNECTED in report.rules
     assert report.violations[-1].unit_index == 1
 
@@ -123,7 +122,7 @@ def test_report_lists_every_violated_rule():
             make_unit([spoon], "wave", [spoon]),
         )
     )
-    report = validate_graph(graph, as_task_tree=True, goal=goal)
+    report = validate_graph(graph, goal=goal)
     assert {RULE_EMPTY_UNIT, RULE_NOOP_UNIT, RULE_GOAL, RULE_DISCONNECTED} <= report.rules
 
 
@@ -144,12 +143,7 @@ def test_mutators_each_trip_their_rule():
 
 
 def _assert_matches_reference(graph, goal=None):
-    if goal is None:
-        assert validate_graph(graph) == reference_validate_graph(graph)
-    else:
-        assert validate_graph(graph, as_task_tree=True, goal=goal) == reference_validate_graph(
-            graph, as_task_tree=True, goal=goal
-        )
+    assert validate_graph(graph, goal) == reference_validate_graph(graph, goal)
 
 
 def test_matches_reference_validator_on_random_trees_and_mutants():
@@ -183,6 +177,6 @@ def test_matches_reference_validator_on_long_chains():
         _assert_matches_reference(tree.graph, tree.goal)
         for mutate in MUTATORS:
             mutant, expected = mutate(chain_tree(400, goal_first=goal_first))
-            report = validate_graph(mutant.graph, as_task_tree=True, goal=mutant.goal)
+            report = validate_graph(mutant.graph, goal=mutant.goal)
             assert expected in report.rules
             _assert_matches_reference(mutant.graph, mutant.goal)

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .client import DEFAULT_MAX_IN_FLIGHT, FixtureMissError, LiveClient, ReplayClient
-from .errors import ClientError, FoonForgeError, PromptError, RetrievalError
+from .errors import ClientError, FoonForgeError, PromptError, RetrievalError, TaskTreeStructureError
 from .foon.model import FoonGraph, ObjectNode, TaskTree
 from .foon.retrieval import RetrievalFailure, retrieve_task_tree
 from .foon.text_format import parse_foon_text, serialize_foon_text
@@ -225,8 +225,11 @@ def cmd_validate(args) -> int:
     text = path.read_text(encoding="utf-8")
 
     if fmt == "json":
-        tree = parse_task_tree_json(text, check_structure=False)
-        _print_report(validate_task_tree(tree))
+        try:
+            report = parse_task_tree_json(text).validation
+        except TaskTreeStructureError as exc:
+            report = ValidationReport(exc.violations)
+        _print_report(report)
         return EXIT_OK
 
     graph = parse_foon_text(text)

@@ -53,13 +53,13 @@ from .model import FoonGraph, FunctionalUnit, MotionNode, ObjectNode, TaskTree
 from .validation import validate_task_tree
 
 
-def parse_task_tree_json(source: str, *, check_structure: bool = True) -> TaskTree:
+def parse_task_tree_json(source: str) -> TaskTree:
     """Parse and fully validate a task tree.
 
     The report stays cached on the tree for scoring and the CLI to reuse.
-    With ``check_structure=False`` the graph-level rules are skipped so a
-    malformed tree can still be materialized for inspection; the schema is
-    always enforced.
+    A tree that breaks a structural rule raises
+    :class:`TaskTreeStructureError` carrying that report's violations,
+    which is how ``validate`` prints them.
     """
     try:
         payload = json.loads(source)
@@ -100,15 +100,14 @@ def parse_task_tree_json(source: str, *, check_structure: bool = True) -> TaskTr
         ) from exc.__cause__
     tree = TaskTree(FoonGraph(tuple(units)), goal)
 
-    if check_structure:
-        report = validate_task_tree(tree)
-        if not report.ok:
-            first = report.violations[0]
-            raise TaskTreeStructureError(
-                f"invalid task tree: {first.message}"
-                + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else ""),
-                report.violations,
-            )
+    report = validate_task_tree(tree)
+    if not report.ok:
+        first = report.violations[0]
+        raise TaskTreeStructureError(
+            f"invalid task tree: {first.message}"
+            + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else ""),
+            report.violations,
+        )
     return tree
 
 

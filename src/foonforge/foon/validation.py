@@ -38,7 +38,6 @@ class Violation:
     rule: str
     message: str
     unit_index: int | None = None
-    node: str | None = None
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ def validate_graph(graph: FoonGraph, goal: ObjectNode | None = None) -> Validati
                     RULE_NOOP_UNIT,
                     f"unit {i} leaves {node.describe()!r} unchanged",
                     unit_index=i,
-                    node=node.describe(),
                 )
             )
 
@@ -156,7 +154,6 @@ def _task_tree_violations(index: UnitIndex, goal: ObjectNode) -> list[Violation]
             Violation(
                 RULE_GOAL,
                 f"goal {goal.describe()!r} is not produced by any unit",
-                node=goal.describe(),
             )
         )
     for i in sorted(index.consumers.get(goal.key, ())):
@@ -165,7 +162,6 @@ def _task_tree_violations(index: UnitIndex, goal: ObjectNode) -> list[Violation]
                 RULE_GOAL,
                 f"goal {goal.describe()!r} is consumed by unit {i}",
                 unit_index=i,
-                node=goal.describe(),
             )
         )
 

@@ -8,11 +8,11 @@ documented here, not claimed from elsewhere. Fallback records score 0 on
 both metrics rather than being excluded, so strategy comparisons pay for
 invalid output.
 
-The structural-validity rule is true for every scored tree: a record is
-``JSON_OK`` only with a tree that passed validation, and
-``load_run_report`` validates every tree again as it reparses it from
-the record's ``raw_text``. So
-the rule adds 0.2 to every successful output, and mean accuracy over
+The structural-validity rule is true for every scored tree: only a
+record that holds a tree is scored, and a record holds a tree only when
+its parse, which validates, succeeded; ``load_run_report`` reparses
+every tree from the record's ``raw_text`` by that same parse. So the
+rule adds 0.2 to every successful output, and mean accuracy over
 successes is at least 0.2. The score keeps the rule so that figures stay
 comparable across runs.
 """
@@ -142,7 +142,7 @@ def score_completeness(tree: TaskTree, dish: DishSpec) -> float:
 
 def score_record(record: OutputRecord) -> MetricScores:
     """Scores for one record; fallbacks score 0 on both metrics."""
-    if record.outcome is not Outcome.JSON_OK or record.tree is None:
+    if record.tree is None:
         return MetricScores(0.0, 0.0)
     return MetricScores(
         score_accuracy(record.tree, record.dish),

@@ -78,22 +78,22 @@ class InputManifest:
 
 @dataclass(frozen=True)
 class OutputRecord:
-    """The fate of one generation attempt."""
+    """The fate of one generation attempt: a validated tree, or the
+    reason there is none. Its :attr:`outcome` follows from which."""
 
     dish: DishSpec
-    outcome: Outcome
     raw_text: str
     output_path: str
     tree: TaskTree | None = None
     fallback_reason: FallbackReason | None = None
 
     def __post_init__(self):
-        if self.outcome is Outcome.JSON_OK:
-            if self.tree is None or self.fallback_reason is not None:
-                raise ValueError("JSON_OK records carry a tree and no fallback reason")
-        else:
-            if self.fallback_reason is None or self.tree is not None:
-                raise ValueError("TEXT_FALLBACK records carry a fallback reason and no tree")
+        if (self.tree is None) == (self.fallback_reason is None):
+            raise ValueError("a record carries either a tree or a fallback reason")
+
+    @property
+    def outcome(self) -> Outcome:
+        return Outcome.TEXT_FALLBACK if self.tree is None else Outcome.JSON_OK
 
 
 @dataclass(frozen=True)
@@ -251,11 +251,11 @@ def handle_response(
         else:
             rel_path = f"{rel_base}.json"
             _write_text(out_dir / rel_path, serialize_task_tree_json(tree) + "\n")
-            return OutputRecord(dish, Outcome.JSON_OK, text, rel_path, tree=tree)
+            return OutputRecord(dish, text, rel_path, tree=tree)
 
     rel_path = f"{rel_base}.txt"
     _write_text(out_dir / rel_path, text)
-    return OutputRecord(dish, Outcome.TEXT_FALLBACK, text, rel_path, fallback_reason=reason)
+    return OutputRecord(dish, text, rel_path, fallback_reason=reason)
 
 
 def _write_text(path: Path, content: str) -> None:
@@ -402,7 +402,8 @@ def load_run_report(path: str | Path) -> RunReport:
     the tree once, and scoring reuses that result. Each dish is read by
     the manifest's dish reader. A file that is not JSON, or lacks a
     field, or holds one of the wrong type raises :class:`ManifestError`,
-    as do counts that disagree with the records and a successful record
+    as do counts that disagree with the records, a stored ``outcome``
+    that disagrees with its ``fallback_reason``, and a successful record
     whose ``raw_text`` is not a valid task tree. A per-record
     ``strategy``, written by older versions, is ignored.
     """
@@ -432,8 +433,14 @@ def load_run_report(path: str | Path) -> RunReport:
 def _load_record(entry: dict, index: int) -> OutputRecord:
     pointer = f"/records/{index}"
     dish_raw = entry["dish"]
-    dish = _parse_dish(dish_raw, dish_raw["category"], pointer + "/dish")
-    outcome = Outcome(entry["outcome"])
+    category = dish_raw["category"]
+    if not isinstance(category, str):
+        raise ManifestError("category must be a string", pointer + "/dish/category")
+    dish = _parse_dish(dish_raw, category, pointer + "/dish")
+    try:
+        outcome = Outcome(entry["outcome"])
+    except ValueError as exc:
+        raise ManifestError(str(exc), pointer + "/outcome") from exc
     raw_text = entry["raw_text"]
     tree = None
     if outcome is Outcome.JSON_OK:
@@ -444,11 +451,6 @@ def _load_record(entry: dict, index: int) -> OutputRecord:
                 f"JSON_OK record is not a task tree: {exc}", pointer + "/raw_text"
             ) from exc
     reason_raw = entry.get("fallback_reason")
-    return OutputRecord(
-        dish,
-        outcome,
-        raw_text,
-        entry["output_path"],
-        tree=tree,
-        fallback_reason=FallbackReason(reason_raw) if reason_raw else None,
-    )
+    # a reason on a JSON_OK record, or none on a fallback, fails the record's own check
+    reason = FallbackReason(reason_raw) if reason_raw else None
+    return OutputRecord(dish, raw_text, entry["output_path"], tree, reason)

@@ -101,17 +101,15 @@ class DishSpec:
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """A rendered prompt plus the stable hash replay fixtures key on."""
+    """A rendered prompt plus the stable hash replay fixtures key on,
+    always computed from the strategy and the text."""
 
     strategy: Strategy
     text: str
-    context_hash: str = field(default="")
+    context_hash: str = field(init=False)
 
     def __post_init__(self):
-        if not self.text:
-            raise PromptError("rendered prompt must not be empty")
-        if not self.context_hash:
-            object.__setattr__(self, "context_hash", context_hash(self.strategy, self.text))
+        object.__setattr__(self, "context_hash", context_hash(self.strategy, self.text))
 
 
 def context_hash(strategy: Strategy, text: str) -> str:

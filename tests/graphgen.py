@@ -229,7 +229,6 @@ def reference_validate_graph(graph: FoonGraph, goal: ObjectNode | None = None) -
                     RULE_NOOP_UNIT,
                     f"unit {i} leaves {node.describe()!r} unchanged",
                     unit_index=i,
-                    node=node.describe(),
                 )
             )
     if goal is not None:
@@ -271,7 +270,6 @@ def _reference_task_tree_violations(graph: FoonGraph, goal: ObjectNode) -> list[
             Violation(
                 RULE_GOAL,
                 f"goal {goal.describe()!r} is not produced by any unit",
-                node=goal.describe(),
             )
         )
     for i, unit in enumerate(graph.units):
@@ -281,7 +279,6 @@ def _reference_task_tree_violations(graph: FoonGraph, goal: ObjectNode) -> list[
                     RULE_GOAL,
                     f"goal {goal.describe()!r} is consumed by unit {i}",
                     unit_index=i,
-                    node=goal.describe(),
                 )
             )
 
@@ -355,7 +352,7 @@ def _reference_motion(name) -> MotionNode:
     return MotionNode(_reference_token(name, "motion name"))
 
 
-def reference_parse_task_tree_json(source: str, *, check_structure: bool = True) -> TaskTree:
+def reference_parse_task_tree_json(source: str) -> TaskTree:
     """The original JSON parser, kept as an oracle for the one-pass one:
     it builds every node mention anew, checks each token on its own and
     builds every pointer as it goes."""
@@ -387,15 +384,14 @@ def reference_parse_task_tree_json(source: str, *, check_structure: bool = True)
     )
     tree = TaskTree(FoonGraph(units), goal)
 
-    if check_structure:
-        report = validate_task_tree(tree)
-        if not report.ok:
-            first = report.violations[0]
-            raise TaskTreeStructureError(
-                f"invalid task tree: {first.message}"
-                + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else ""),
-                report.violations,
-            )
+    report = validate_task_tree(tree)
+    if not report.ok:
+        first = report.violations[0]
+        raise TaskTreeStructureError(
+            f"invalid task tree: {first.message}"
+            + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else ""),
+            report.violations,
+        )
     return tree
 
 

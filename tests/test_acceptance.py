@@ -259,7 +259,6 @@ def test_metric_properties_100_cases():
 
         fallback = OutputRecord(
             dish,
-            Outcome.TEXT_FALLBACK,
             "junk",
             "x.txt",
             fallback_reason=FallbackReason.JSON_SYNTAX,

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from foonforge.cli import main
+from foonforge.cli import _print_report, main
 from foonforge.client import API_KEY_ENV, API_URL_ENV
 from foonforge.errors import ClientError
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
+from foonforge.foon.validation import validate_graph
 from foonforge.pipeline import (
     REPORT_FILENAME,
     FallbackReason,
@@ -22,7 +23,7 @@ from foonforge.pipeline import (
 from foonforge.prompts import DishSpec, Strategy, load_examples, render_for_dish
 from foonforge.resources import data_path
 
-from .graphgen import random_task_tree
+from .graphgen import MUTATORS, random_task_tree
 
 
 @pytest.fixture()
@@ -216,6 +217,26 @@ def test_validate_reports_violations_without_failing(tmp_path, capsys):
     assert code == 0
     assert "invalid" in out
     assert "goal" in out
+
+
+@pytest.mark.parametrize(
+    "mutate", [None, *MUTATORS], ids=lambda m: m.__name__ if m else "unmutated"
+)
+def test_validate_prints_a_json_tree_report_byte_for_byte(tmp_path, capsys, mutate):
+    for seed in range(6):
+        tree = random_task_tree(random.Random(seed))
+        if mutate is not None:
+            tree, _ = mutate(tree)
+        path = tmp_path / f"{seed}.json"
+        path.write_text(serialize_task_tree_json(tree), encoding="utf-8")
+        code = main(["validate", str(path)])
+        out = capsys.readouterr().out
+        if any(not unit.inputs or not unit.outputs for unit in tree.units):
+            # task-tree JSON has no empty units: the schema stops the parse first
+            assert (code, out) == (2, "")
+            continue
+        _print_report(validate_graph(tree.graph, tree.goal))
+        assert (code, out) == (0, capsys.readouterr().out)
 
 
 def test_convert_round_trip(tmp_path, capsys):
@@ -456,7 +477,7 @@ def _write_report(path, *records) -> None:
 
 
 def _tree_record(dish, tree, raw_text: str, output_path: str) -> OutputRecord:
-    return OutputRecord(dish, Outcome.JSON_OK, raw_text, output_path, tree=tree)
+    return OutputRecord(dish, raw_text, output_path, tree=tree)
 
 
 def test_evaluate_scores_shipped_runs_without_their_output_files(tmp_path, capsys, shipped_runs):
@@ -562,13 +583,39 @@ def test_evaluate_requires_raw_text(tmp_path, capsys, outcome):
     if outcome is Outcome.JSON_OK:
         record = _tree_record(dish, tree, serialize_task_tree_json(tree), "a.json")
     else:
-        record = OutputRecord(dish, outcome, "prose", "a.txt",
-                              fallback_reason=FallbackReason.JSON_SYNTAX)
+        record = OutputRecord(dish, "prose", "a.txt", fallback_reason=FallbackReason.JSON_SYNTAX)
     report = tmp_path / REPORT_FILENAME
     _write_report(report, record)
     _edit_report(report, lambda payload: payload["records"][0].pop("raw_text"))
     assert main(["evaluate", str(report)]) == 2
     assert "missing field 'raw_text'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "index, changes, detail",
+    [
+        (1, {"dish": {"category": 5, "name": "dish", "ingredients": ["macaroni"]}},
+         "/records/1/dish/category: "),
+        (1, {"outcome": "MAYBE"}, "/records/1/outcome: "),
+        (0, {"fallback_reason": "schema"}, "either a tree or a fallback reason"),
+        (1, {"fallback_reason": None}, "either a tree or a fallback reason"),
+    ],
+    ids=["category-not-a-string", "unknown-outcome", "json-ok-with-reason",
+         "fallback-without-reason"],
+)
+def test_evaluate_rejects_a_bad_record_field(tmp_path, capsys, index, changes, detail):
+    tree = random_task_tree(random.Random(4))
+    dish = DishSpec("pasta", "dish", ("macaroni",))
+    report = tmp_path / REPORT_FILENAME
+    _write_report(
+        report,
+        _tree_record(dish, tree, serialize_task_tree_json(tree), "a.json"),
+        OutputRecord(dish, "prose", "b.txt", fallback_reason=FallbackReason.JSON_SYNTAX),
+    )
+    _evaluate(capsys, report)
+    _edit_report(report, lambda payload: payload["records"][index].update(changes))
+    assert main(["evaluate", str(report)]) == 2
+    assert detail in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["ingredients", "tools"])
@@ -591,8 +638,7 @@ def test_evaluate_rejects_counts_that_disagree_with_the_records(tmp_path, capsys
     _write_report(
         report,
         _tree_record(dish, tree, serialize_task_tree_json(tree), "a.json"),
-        OutputRecord(dish, Outcome.TEXT_FALLBACK, "prose", "b.txt",
-                     fallback_reason=FallbackReason.JSON_SYNTAX),
+        OutputRecord(dish, "prose", "b.txt", fallback_reason=FallbackReason.JSON_SYNTAX),
     )
     _evaluate(capsys, report)
     _edit_report(report, lambda payload: payload.update({field: payload[field] + 1}))

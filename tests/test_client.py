@@ -76,9 +76,6 @@ def test_load_fixture_validates(tmp_path):
     path.write_text("[]", encoding="utf-8")
     with pytest.raises(ClientError):
         load_fixture(path)
-    path.write_text('{"abc": {"nope": 1}}', encoding="utf-8")
-    with pytest.raises(ClientError):
-        load_fixture(path)
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from foonforge.metrics import (
     score_record,
     summarize_run,
 )
-from foonforge.pipeline import FallbackReason, Outcome, OutputRecord, RunReport
+from foonforge.pipeline import FallbackReason, OutputRecord, RunReport
 from foonforge.prompts import DishSpec, Strategy
 
 
@@ -128,7 +128,6 @@ def test_container_ingredients_count_as_coverage():
 def test_fallback_records_score_zero(dish):
     record = OutputRecord(
         dish,
-        Outcome.TEXT_FALLBACK,
         "junk",
         "x.txt",
         fallback_reason=FallbackReason.JSON_SYNTAX,
@@ -141,14 +140,13 @@ def _report(records) -> RunReport:
 
 
 def _ok_record(dish, tree) -> OutputRecord:
-    return OutputRecord(dish, Outcome.JSON_OK, "raw", "x.json", tree=tree)
+    return OutputRecord(dish, "raw", "x.json", tree=tree)
 
 
 def test_summarize_counts_and_rate(dish):
     ok = _ok_record(dish, perfect_tree(dish))
     bad = OutputRecord(
         dish,
-        Outcome.TEXT_FALLBACK,
         "junk",
         "x.txt",
         fallback_reason=FallbackReason.SCHEMA,
@@ -224,7 +222,6 @@ def _run_with_accuracy(dish, target_ok: int, total: int) -> RunReport:
     bad = [
         OutputRecord(
             dish,
-            Outcome.TEXT_FALLBACK,
             "junk",
             "x.txt",
             fallback_reason=FallbackReason.JSON_SYNTAX,

@@ -33,9 +33,9 @@ from .graphgen import (
 )
 
 
-def _outcome(parse, source, **kwargs):
+def _outcome(parse, source):
     try:
-        return parse(source, **kwargs)
+        return parse(source)
     except FoonForgeError as exc:
         return (
             type(exc),
@@ -54,9 +54,9 @@ def _nodes(result):
     return nodes
 
 
-def _assert_same(parse, reference, source, **kwargs):
-    got = _outcome(parse, source, **kwargs)
-    want = _outcome(reference, source, **kwargs)
+def _assert_same(parse, reference, source):
+    got = _outcome(parse, source)
+    want = _outcome(reference, source)
     if isinstance(want, tuple):
         assert got == want, source
         return
@@ -68,13 +68,7 @@ def _assert_same(parse, reference, source, **kwargs):
 
 
 def _assert_same_json(source):
-    for check_structure in (True, False):
-        _assert_same(
-            parse_task_tree_json,
-            reference_parse_task_tree_json,
-            source,
-            check_structure=check_structure,
-        )
+    _assert_same(parse_task_tree_json, reference_parse_task_tree_json, source)
 
 
 def _assert_same_text(source):

@@ -252,10 +252,14 @@ def test_deeply_nested_response_does_not_abort_the_batch(tmp_path, sample_manife
 
 
 def test_output_record_consistency_enforced(dish):
+    tree = random_task_tree(random.Random(2))
+    assert OutputRecord(dish, "", "x.json", tree=tree).outcome is Outcome.JSON_OK
+    reason = FallbackReason.SCHEMA
+    assert OutputRecord(dish, "", "x.txt", fallback_reason=reason).outcome is Outcome.TEXT_FALLBACK
     with pytest.raises(ValueError):
-        OutputRecord(dish, Outcome.JSON_OK, "", "x.json")
+        OutputRecord(dish, "", "x.json")
     with pytest.raises(ValueError):
-        OutputRecord(dish, Outcome.TEXT_FALLBACK, "", "x.txt")
+        OutputRecord(dish, "", "x.json", tree=tree, fallback_reason=reason)
 
 
 def _manifest_from(tmp_path, payload):
@@ -485,11 +489,11 @@ def _every_outcome(dish, raw_text: str) -> list[OutputRecord]:
     tree = random_task_tree(random.Random(7))
     bare = DishSpec("", "crème brûlée", ("cream", "egg yolk"))  # no category, no tools
     records = [
-        OutputRecord(dish, Outcome.JSON_OK, raw_text, "a/b.json", tree=tree),
-        OutputRecord(bare, Outcome.JSON_OK, "{}", "b.json", tree=tree),
+        OutputRecord(dish, raw_text, "a/b.json", tree=tree),
+        OutputRecord(bare, "{}", "b.json", tree=tree),
     ]
     records += [
-        OutputRecord(dish, Outcome.TEXT_FALLBACK, raw_text, f"c{i}.txt", fallback_reason=reason)
+        OutputRecord(dish, raw_text, f"c{i}.txt", fallback_reason=reason)
         for i, reason in enumerate(FallbackReason)
     ]
     return records

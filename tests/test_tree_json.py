@@ -115,9 +115,6 @@ def test_structural_error_distinct_from_schema():
     source = _cycle_tree_json()
     with pytest.raises(TaskTreeStructureError, match="cycle"):
         parse_task_tree_json(source)
-    # the same source still materializes when structure checks are off
-    tree = parse_task_tree_json(source, check_structure=False)
-    assert len(tree.units) == 3
 
 
 def test_goal_not_produced_is_structural():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -50,6 +51,7 @@ REPORT_FILENAME = "run_report.json"
 
 _FENCE = re.compile(r"\A```[^\n]*\n(.*)\n```\s*\Z", re.DOTALL)
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
 class Outcome(str, Enum):
@@ -230,7 +232,7 @@ def handle_response(
     no extension) when the caller has already resolved filename
     collisions.
     """
-    out_dir = Path(out_dir)
+    out_dir = os.fspath(out_dir) or "."
     if rel_base is None:
         rel_base = _output_stem(dish)
 
@@ -250,26 +252,44 @@ def handle_response(
             reason = FallbackReason.STRUCTURAL
         else:
             rel_path = f"{rel_base}.json"
-            _write_text(out_dir / rel_path, serialize_task_tree_json(tree) + "\n")
+            _write_text(f"{out_dir}/{rel_path}", serialize_task_tree_json(tree) + "\n")
             return OutputRecord(dish, text, rel_path, tree=tree)
 
     rel_path = f"{rel_base}.txt"
-    _write_text(out_dir / rel_path, text)
+    _write_text(f"{out_dir}/{rel_path}", text)
     return OutputRecord(dish, text, rel_path, fallback_reason=reason)
 
 
-def _write_text(path: Path, content: str) -> None:
-    """Write a dish's output file, creating its directory on first use.
+def _write_text(path: str, content: str) -> None:
+    """Write a dish's output file as UTF-8, creating its directory on
+    first use.
 
     Trying the write first costs no ``mkdir`` per file. These files are
     written in place: a temp file and a rename per dish would cost more
-    than the write itself.
+    than the write itself. The text is encoded once and its bytes go
+    straight to the descriptor, in a loop that resumes a short write;
+    a new file gets mode ``0o666`` less the umask, as ``open`` gives.
+
+    Cost: rewriting the 2,000 emptied files of a ``manifest-2k``
+    generate (2.66 MB) measured 110 ms of CPU through
+    ``Path.write_text`` before and 53 ms this way after (medians of 21
+    interleaved rounds, one CPU of a shared 2-vCPU VM). Opening each
+    category directory once and writing with ``dir_fd=`` measured the
+    same 53 ms, so no directory handle is kept.
     """
+    data = content.encode("utf-8")
     try:
-        path.write_text(content, encoding="utf-8")
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
     except FileNotFoundError:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content, encoding="utf-8")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            written = os.write(fd, view)
+            view = view[written:]
+    finally:
+        os.close(fd)
 
 
 def _resolve_stems(manifest: InputManifest) -> list[str]:
@@ -404,7 +424,9 @@ def load_run_report(path: str | Path) -> RunReport:
     field, or holds one of the wrong type raises :class:`ManifestError`,
     as do counts that disagree with the records, a stored ``outcome``
     that disagrees with its ``fallback_reason``, and a successful record
-    whose ``raw_text`` is not a valid task tree. A per-record
+    whose ``raw_text`` is not a valid task tree. A record that is not an
+    object, or a record field of the wrong type or value, is named by
+    its pointer, such as ``/records/3/output_path``. A per-record
     ``strategy``, written by older versions, is ignored.
     """
     path = Path(path)
@@ -413,7 +435,10 @@ def load_run_report(path: str | Path) -> RunReport:
     except (ValueError, RecursionError) as exc:
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        records = tuple(_load_record(entry, i) for i, entry in enumerate(raw["records"]))
+        entries = raw["records"]
+        if not isinstance(entries, list):
+            raise TypeError("records must be an array")
+        records = tuple(_load_record(entry, i) for i, entry in enumerate(entries))
         report = RunReport(
             Strategy(raw["strategy"]), records, raw.get("started", ""), raw.get("finished", "")
         )
@@ -430,18 +455,18 @@ def load_run_report(path: str | Path) -> RunReport:
     return report
 
 
-def _load_record(entry: dict, index: int) -> OutputRecord:
+def _load_record(entry, index: int) -> OutputRecord:
     pointer = f"/records/{index}"
+    if not isinstance(entry, dict):
+        raise ManifestError("record must be an object", pointer)
     dish_raw = entry["dish"]
-    category = dish_raw["category"]
-    if not isinstance(category, str):
-        raise ManifestError("category must be a string", pointer + "/dish/category")
+    category = _string_field(dish_raw, "category", pointer + "/dish")
     dish = _parse_dish(dish_raw, category, pointer + "/dish")
     try:
         outcome = Outcome(entry["outcome"])
     except ValueError as exc:
         raise ManifestError(str(exc), pointer + "/outcome") from exc
-    raw_text = entry["raw_text"]
+    raw_text = _string_field(entry, "raw_text", pointer)
     tree = None
     if outcome is Outcome.JSON_OK:
         try:
@@ -451,6 +476,17 @@ def _load_record(entry: dict, index: int) -> OutputRecord:
                 f"JSON_OK record is not a task tree: {exc}", pointer + "/raw_text"
             ) from exc
     reason_raw = entry.get("fallback_reason")
+    try:
+        reason = None if reason_raw is None else FallbackReason(reason_raw)
+    except ValueError as exc:
+        raise ManifestError(str(exc), pointer + "/fallback_reason") from exc
+    output_path = _string_field(entry, "output_path", pointer)
     # a reason on a JSON_OK record, or none on a fallback, fails the record's own check
-    reason = FallbackReason(reason_raw) if reason_raw else None
-    return OutputRecord(dish, raw_text, entry["output_path"], tree, reason)
+    return OutputRecord(dish, raw_text, output_path, tree, reason)
+
+
+def _string_field(entry: dict, name: str, pointer: str) -> str:
+    value = entry[name]
+    if not isinstance(value, str):
+        raise ManifestError(f"{name} must be a string", f"{pointer}/{name}")
+    return value

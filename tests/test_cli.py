@@ -599,9 +599,19 @@ def test_evaluate_requires_raw_text(tmp_path, capsys, outcome):
         (1, {"outcome": "MAYBE"}, "/records/1/outcome: "),
         (0, {"fallback_reason": "schema"}, "either a tree or a fallback reason"),
         (1, {"fallback_reason": None}, "either a tree or a fallback reason"),
+        (0, {"output_path": 5}, "error: /records/0/output_path: "),
+        (1, {"output_path": None}, "error: /records/1/output_path: "),
+        (1, {"raw_text": [1, 2]}, "error: /records/1/raw_text: "),
+        (0, {"raw_text": 5}, "error: /records/0/raw_text: "),
+        (1, {"fallback_reason": "bogus"}, "error: /records/1/fallback_reason: "),
+        (1, {"fallback_reason": 0}, "error: /records/1/fallback_reason: "),
+        (0, {"fallback_reason": ""}, "error: /records/0/fallback_reason: "),
+        (1, 5, "error: /records/1: "),
     ],
     ids=["category-not-a-string", "unknown-outcome", "json-ok-with-reason",
-         "fallback-without-reason"],
+         "fallback-without-reason", "output-path-int", "output-path-null",
+         "fallback-raw-text-list", "json-ok-raw-text-int", "unknown-reason", "reason-zero",
+         "reason-empty", "record-not-an-object"],
 )
 def test_evaluate_rejects_a_bad_record_field(tmp_path, capsys, index, changes, detail):
     tree = random_task_tree(random.Random(4))
@@ -613,7 +623,12 @@ def test_evaluate_rejects_a_bad_record_field(tmp_path, capsys, index, changes, d
         OutputRecord(dish, "prose", "b.txt", fallback_reason=FallbackReason.JSON_SYNTAX),
     )
     _evaluate(capsys, report)
-    _edit_report(report, lambda payload: payload["records"][index].update(changes))
+
+    def edit(payload):
+        records = payload["records"]
+        records[index] = {**records[index], **changes} if isinstance(changes, dict) else changes
+
+    _edit_report(report, edit)
     assert main(["evaluate", str(report)]) == 2
     assert detail in capsys.readouterr().err
 

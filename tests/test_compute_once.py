@@ -2,14 +2,17 @@
 
 A tree is validated when it is parsed and never again; a prompt's
 template is read once and its example block serialized once per set of
-examples. The counts are taken on the shipped example-based run1 (34
+examples; an output directory is made once, and an output file opened
+once. The counts are taken on the shipped example-based run1 (34
 dishes, 27 JSON outputs) by wrapping the counted function wherever the
 package holds a reference to it.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+from collections import Counter
 
 import pytest
 
@@ -107,3 +110,52 @@ def test_report_counts_are_computed_once(run1):
     for _ in range(9):
         assert (report.total, report.json_ok, report.text_fallback) == (34, 27, 7)
     assert report.records.scans == 1
+
+
+def test_output_directories_are_made_once_and_files_opened_once(run1, monkeypatch, capsys):
+    report = load_run_report(run1)
+    categories = {record.output_path.split("/")[0] for record in report.records}
+    assert len(report.records) == 34 and len(categories) == 5
+    fresh = run1.parent.parent / "fresh"
+    made: list = []
+    opened: list = []
+    real_makedirs, real_open = os.makedirs, os.open
+    depth = [0]
+
+    def makedirs(name, *args, **kwargs):
+        # os.makedirs makes a missing parent by calling itself: count the outer call
+        if depth[0] == 0:
+            made.append(os.fspath(name))
+        depth[0] += 1
+        try:
+            return real_makedirs(name, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def open_(path, *args, **kwargs):
+        fd = real_open(path, *args, **kwargs)
+        opened.append(os.fspath(path))
+        return fd
+
+    monkeypatch.setattr(os, "makedirs", makedirs)
+    monkeypatch.setattr(os, "open", open_)
+    outputs = Counter(f"{fresh}/{record.output_path}" for record in report.records)
+    assert outputs.total() == len(outputs) == 34
+    argv = [
+        "generate",
+        "--manifest",
+        str(data_path("manifest_34.json")),
+        "--strategy",
+        "example-based",
+        "--fixture",
+        str(data_path("fixtures", "replay_example_based_run1.json")),
+        "--out",
+        str(fresh),
+    ]
+    for rerun in (False, True):
+        made.clear()
+        opened.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert sorted(made) == ([] if rerun else sorted(f"{fresh}/{c}" for c in categories))
+        assert Counter(path for path in opened if path in outputs) == outputs

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from foonforge.cli import main
 from foonforge.client import FinishReason, ModelResponse, ReplayClient
 from foonforge.errors import FixtureMissError, ManifestError, PromptError
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
@@ -26,6 +29,7 @@ from foonforge.pipeline import (
     handle_response,
 )
 from foonforge.prompts import DishSpec, Strategy, render_for_dish
+from foonforge.resources import data_path
 
 from .graphgen import random_task_tree, reference_report_json
 
@@ -520,6 +524,70 @@ def test_handle_response_creates_a_missing_output_directory(tmp_path, dish):
     text_record = handle_response(ModelResponse("prose"), dish, out, rel_base="x/y/prose")
     assert (out / tree_record.output_path).is_file()
     assert (out / text_record.output_path).read_text(encoding="utf-8") == "prose"
+
+
+def test_handle_response_truncates_a_longer_existing_file(tmp_path, dish):
+    handle_response(ModelResponse("a long first answer " * 50), dish, tmp_path)
+    record = handle_response(ModelResponse("short"), dish, tmp_path)
+    assert (tmp_path / record.output_path).read_bytes() == b"short"
+
+
+def test_handle_response_resumes_a_short_write(tmp_path, dish, monkeypatch):
+    text = "prose that takes several writes " * 20
+    real_write = os.write
+    calls = []
+
+    def write_at_most_7(fd, data):
+        calls.append(len(data))
+        return real_write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", write_at_most_7)
+    record = handle_response(ModelResponse(text), dish, tmp_path)
+    monkeypatch.undo()
+    assert (tmp_path / record.output_path).read_bytes() == text.encode("utf-8")
+    assert len(calls) == (len(text) + 6) // 7
+
+
+@pytest.mark.parametrize(
+    "text", ["crème brûlée\u2028line\u2029para", "日本の料理 🍜\n", "\x00\x85\U0010ffff"]
+)
+def test_handle_response_writes_the_utf8_encoding_of_the_text(tmp_path, dish, text):
+    record = handle_response(ModelResponse(text), dish, tmp_path)
+    assert (tmp_path / record.output_path).read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_output_files_get_the_umask_mode(tmp_path, dish, umask):
+    previous = os.umask(umask)
+    try:
+        record = handle_response(ModelResponse("prose"), dish, tmp_path / "out")
+    finally:
+        os.umask(previous)
+    mode = os.stat(tmp_path / "out" / record.output_path).st_mode
+    assert stat.S_IMODE(mode) == 0o666 & ~umask
+
+
+def test_a_file_in_place_of_a_category_directory_exits_2(tmp_path, capsys, sample_manifest_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    first = next(read_manifest(sample_manifest_path).dishes())
+    (out / sanitize_filename(first.category)).write_text("in the way", encoding="utf-8")
+    code = main(
+        [
+            "generate",
+            "--manifest",
+            str(sample_manifest_path),
+            "--strategy",
+            "contextual",
+            "--fixture",
+            str(data_path("fixtures", "replay_contextual_run1.json")),
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
 
 
 def test_run_without_dishes_still_writes_its_report(tmp_path):

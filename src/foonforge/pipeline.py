@@ -424,9 +424,11 @@ def load_run_report(path: str | Path) -> RunReport:
     field, or holds one of the wrong type raises :class:`ManifestError`,
     as do counts that disagree with the records, a stored ``outcome``
     that disagrees with its ``fallback_reason``, and a successful record
-    whose ``raw_text`` is not a valid task tree. A record that is not an
-    object, or a record field of the wrong type or value, is named by
-    its pointer, such as ``/records/3/output_path``. A per-record
+    whose ``raw_text`` is not a valid task tree. A record or dish that
+    is not an object, and a missing field or one of the wrong type or
+    value, is named by its pointer, such as ``/records/3/output_path``
+    or ``/total``; a count must be a JSON integer, not a float or a
+    bool. ``started`` and ``finished`` may be absent. A per-record
     ``strategy``, written by older versions, is ignored.
     """
     path = Path(path)
@@ -435,21 +437,24 @@ def load_run_report(path: str | Path) -> RunReport:
     except (ValueError, RecursionError) as exc:
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        entries = raw["records"]
+        entries = _field(raw, "records", "")
         if not isinstance(entries, list):
             raise TypeError("records must be an array")
         records = tuple(_load_record(entry, i) for i, entry in enumerate(entries))
-        report = RunReport(
-            Strategy(raw["strategy"]), records, raw.get("started", ""), raw.get("finished", "")
-        )
-    except KeyError as exc:
-        raise ManifestError(f"{path} is not a run report: missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
         raise ManifestError(f"{path} is not a run report: {exc}") from exc
+    try:
+        strategy = Strategy(_field(raw, "strategy", ""))
+    except ValueError as exc:
+        raise ManifestError(str(exc), "/strategy") from exc
+    started, finished = (
+        _string_field(raw, name, "") if name in raw else "" for name in ("started", "finished")
+    )
+    report = RunReport(strategy, records, started, finished)
     if (report.total, report.json_ok, report.text_fallback) != (
-        raw.get("total"),
-        raw.get("json_ok"),
-        raw.get("text_fallback"),
+        _count_field(raw, "total"),
+        _count_field(raw, "json_ok"),
+        _count_field(raw, "text_fallback"),
     ):
         raise ManifestError(f"report counts in {path} are inconsistent with its records")
     return report
@@ -459,11 +464,13 @@ def _load_record(entry, index: int) -> OutputRecord:
     pointer = f"/records/{index}"
     if not isinstance(entry, dict):
         raise ManifestError("record must be an object", pointer)
-    dish_raw = entry["dish"]
+    dish_raw = _field(entry, "dish", pointer)
+    if not isinstance(dish_raw, dict):
+        raise ManifestError("dish must be an object", pointer + "/dish")
     category = _string_field(dish_raw, "category", pointer + "/dish")
     dish = _parse_dish(dish_raw, category, pointer + "/dish")
     try:
-        outcome = Outcome(entry["outcome"])
+        outcome = Outcome(_field(entry, "outcome", pointer))
     except ValueError as exc:
         raise ManifestError(str(exc), pointer + "/outcome") from exc
     raw_text = _string_field(entry, "raw_text", pointer)
@@ -485,8 +492,23 @@ def _load_record(entry, index: int) -> OutputRecord:
     return OutputRecord(dish, raw_text, output_path, tree, reason)
 
 
+def _field(entry: dict, name: str, pointer: str):
+    try:
+        return entry[name]
+    except KeyError:
+        raise ManifestError(f"missing field {name!r}", f"{pointer}/{name}") from None
+
+
 def _string_field(entry: dict, name: str, pointer: str) -> str:
-    value = entry[name]
+    value = _field(entry, name, pointer)
     if not isinstance(value, str):
         raise ManifestError(f"{name} must be a string", f"{pointer}/{name}")
+    return value
+
+
+def _count_field(raw: dict, name: str) -> int:
+    value = _field(raw, name, "")
+    # a bool is an int to Python, and 1.0 == 1, but neither is a count
+    if type(value) is not int:
+        raise ManifestError(f"{name} must be a whole number", f"/{name}")
     return value

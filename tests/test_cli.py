@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from foonforge import cli
 from foonforge.cli import _print_report, main
 from foonforge.client import API_KEY_ENV, API_URL_ENV
 from foonforge.errors import ClientError
@@ -378,6 +383,82 @@ def test_unknown_subcommand_exits_1(capsys):
     assert capsys.readouterr().err
 
 
+_GENERATE = ["generate", "--manifest", "m.json", "--strategy", "contextual", "--out", "o"]
+_ARGV_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["--", "validate", "x"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    _GENERATE[:3],
+    ["validate"],
+    ["evaluate"],
+    ["convert", "a", "b"],
+    ["retrieve", "--goal", "g"],
+    ["validate", "x", "--bogus"],
+    ["validate", "--", "x"],
+    ["validate", "x", "--form", "json"],
+    ["validate", "x", "--format", "foon", "--as-task-tree", "--goal", "g"],
+    [*_GENERATE, "--fixture", "f.json", "--live"],
+    [*_GENERATE, "--live", "--max-in-flight", "0"],
+    [*_GENERATE[:4], "nope", *_GENERATE[5:], "--fixture", "f.json"],
+    [*_GENERATE, "--fixture", "f.json", "--strict-replay", "--instructions", "-x"],
+    [*_GENERATE, "--live", "--max-in-flight", "3", "--template", "t.txt"],
+    ["evaluate", "a", "b", "--compare", "--zzz"],
+    ["evaluate", "a", "b", "--compare", "--csv", "t.csv"],
+    ["convert", "a", "b", "--to", "json", "--goal", "g"],
+    ["retrieve", "--graph", "g.foon", "--goal", "g", "--available", "a,b", "--out", "t"],
+]
+
+
+def _full_parse(argv) -> tuple[int, dict | None]:
+    try:
+        return 0, vars(cli._build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return int(exc.code or 0), None
+
+
+@pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "nothing")
+def test_dispatch_parses_as_the_full_parser_does(monkeypatch, capsys, argv):
+    parsed = []
+
+    def capture(args):
+        parsed.append(vars(args))
+        return 0
+
+    for name, command in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, command._replace(handler=capture))
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    expected_code, expected_args = _full_parse(list(argv))
+    assert (code, out, err) == (expected_code, *capsys.readouterr())
+    assert parsed == ([] if expected_args is None else [expected_args])
+
+
+def test_the_module_entry_point_reads_its_own_argv(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    runs = [
+        ["validate", str(data_path("macaroni.foon"))],
+        ["-h"],
+    ]
+    done = [
+        subprocess.run(
+            [sys.executable, "-m", "foonforge.cli", *argv],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        for argv in runs
+    ]
+    assert [(run.returncode, run.stderr) for run in done] == [(0, ""), (0, "")]
+    assert done[0].stdout == "valid\n"
+    assert done[1].stdout.startswith("usage: foonforge [-h]")
+    assert "Cost:" not in done[1].stdout  # the docstring's notes stay out of --help
+
+
 _MALFORMED_JSON = [b"[" * 100_000, b'{"a": [', b"\xff\xfe{}"]
 _MALFORMED_IDS = ["nested", "truncated", "not-utf8"]
 
@@ -588,7 +669,65 @@ def test_evaluate_requires_raw_text(tmp_path, capsys, outcome):
     _write_report(report, record)
     _edit_report(report, lambda payload: payload["records"][0].pop("raw_text"))
     assert main(["evaluate", str(report)]) == 2
-    assert "missing field 'raw_text'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: /records/0/raw_text: missing field 'raw_text'")
+
+
+@pytest.mark.parametrize(
+    "pointer",
+    ["/records/0/dish", "/records/0/outcome", "/records/0/output_path",
+     "/records/0/dish/category", "/strategy", "/total", "/json_ok", "/text_fallback"],
+)
+def test_evaluate_names_a_missing_field(tmp_path, capsys, pointer):
+    tree = random_task_tree(random.Random(4))
+    dish = DishSpec("pasta", "dish", ("macaroni",))
+    report = tmp_path / REPORT_FILENAME
+    _write_report(report, _tree_record(dish, tree, serialize_task_tree_json(tree), "a.json"))
+    _evaluate(capsys, report)
+    *parents, name = pointer.split("/")[1:]
+
+    def edit(payload):
+        for key in parents:
+            payload = payload[int(key) if key.isdecimal() else key]
+        del payload[name]
+
+    _edit_report(report, edit)
+    assert main(["evaluate", str(report)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {pointer}: missing field '{name}'")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("total", 1.0),
+        ("total", True),
+        ("json_ok", 1.0),
+        ("json_ok", True),
+        ("text_fallback", False),
+        ("text_fallback", "0"),
+        ("started", 5),
+        ("finished", None),
+        ("strategy", 5),
+        ("strategy", "fusion"),
+    ],
+)
+def test_evaluate_rejects_a_bad_top_level_field(tmp_path, capsys, field, value):
+    tree = random_task_tree(random.Random(4))
+    dish = DishSpec("pasta", "dish", ("macaroni",))
+    report = tmp_path / REPORT_FILENAME
+    # one JSON_OK record: its counts 1, 1 and 0 equal True, True and False
+    _write_report(report, _tree_record(dish, tree, serialize_task_tree_json(tree), "a.json"))
+    _evaluate(capsys, report)
+    _edit_report(report, lambda payload: payload.update({field: value}))
+    assert main(["evaluate", str(report)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: /{field}: ")
+
+
+def test_evaluate_reads_a_report_without_timestamps(tmp_path, capsys, shipped_runs):
+    copy = tmp_path / REPORT_FILENAME
+    copy.write_bytes(shipped_runs[0].read_bytes())
+    _edit_report(copy, lambda payload: [payload.pop("started"), payload.pop("finished")])
+    assert _evaluate(capsys, copy) == _evaluate(capsys, shipped_runs[0])
 
 
 @pytest.mark.parametrize(
@@ -607,11 +746,13 @@ def test_evaluate_requires_raw_text(tmp_path, capsys, outcome):
         (1, {"fallback_reason": 0}, "error: /records/1/fallback_reason: "),
         (0, {"fallback_reason": ""}, "error: /records/0/fallback_reason: "),
         (1, 5, "error: /records/1: "),
+        (0, {"dish": []}, "error: /records/0/dish: "),
+        (1, {"dish": 5}, "error: /records/1/dish: "),
     ],
     ids=["category-not-a-string", "unknown-outcome", "json-ok-with-reason",
          "fallback-without-reason", "output-path-int", "output-path-null",
          "fallback-raw-text-list", "json-ok-raw-text-int", "unknown-reason", "reason-zero",
-         "reason-empty", "record-not-an-object"],
+         "reason-empty", "record-not-an-object", "dish-a-list", "dish-an-int"],
 )
 def test_evaluate_rejects_a_bad_record_field(tmp_path, capsys, index, changes, detail):
     tree = random_task_tree(random.Random(4))

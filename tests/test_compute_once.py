@@ -5,11 +5,13 @@ template is read once and its example block serialized once per set of
 examples; an output directory is made once, and an output file opened
 once. The counts are taken on the shipped example-based run1 (34
 dishes, 27 JSON outputs) by wrapping the counted function wherever the
-package holds a reference to it.
+package holds a reference to it. A command builds the argument parser
+of that command alone, counted by wrapping ``ArgumentParser.__init__``.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from collections import Counter
@@ -159,3 +161,21 @@ def test_output_directories_are_made_once_and_files_opened_once(run1, monkeypatc
         capsys.readouterr()
         assert sorted(made) == ([] if rerun else sorted(f"{fresh}/{c}" for c in categories))
         assert Counter(path for path in opened if path in outputs) == outputs
+
+
+def test_a_command_builds_the_parser_of_that_command_alone(monkeypatch, capsys):
+    built: list = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["validate", str(data_path("macaroni.foon"))]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert built == ["foonforge validate"]
+    built.clear()
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: foonforge [-h]")
+    assert len(built) == 6  # the top-level parser and one per command

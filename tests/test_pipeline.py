@@ -478,8 +478,8 @@ def test_counting_identity_always_holds(tmp_path, sample_manifest_path):
         (b'\xff\xfe{"records": []}', "not valid JSON"),
         (b"{}", "missing field 'records'"),
         (b'{"records": {"a": 1}, "strategy": "contextual"}', "not a run report"),
-        (b'{"records": [{"dish": []}], "strategy": "contextual"}', "not a run report"),
-        (b'{"records": [], "strategy": "fusion"}', "not a run report"),
+        (b'{"records": [{"dish": []}], "strategy": "contextual"}', "^/records/0/dish: "),
+        (b'{"records": [], "strategy": "fusion"}', "^/strategy: "),
     ],
 )
 def test_load_run_report_rejects_malformed_reports(tmp_path, content, detail):

@@ -184,11 +184,17 @@ def _parse_node(raw: Any, memo: dict) -> ObjectNode:
             return node
         except InvalidNodeError as exc:
             cause = exc
-    if not isinstance(states, list) or any(not isinstance(s, str) for s in states):
-        raise _Misfit("'states' must be an array of strings")
-    if not isinstance(ingredients, list) or any(not isinstance(s, str) for s in ingredients):
-        raise _Misfit("'ingredients' must be an array of strings")
-    raise _Misfit(str(cause)) from cause
+    # the traceback of ``cause`` holds this frame: drop it before the
+    # frame ends, or the two form a cycle that keeps the parse's memo
+    # and payload alive until a collection, which ``cli.main`` pauses
+    try:
+        if not isinstance(states, list) or any(not isinstance(s, str) for s in states):
+            raise _Misfit("'states' must be an array of strings")
+        if not isinstance(ingredients, list) or any(not isinstance(s, str) for s in ingredients):
+            raise _Misfit("'ingredients' must be an array of strings")
+        raise _Misfit(str(cause)) from cause
+    finally:
+        del cause
 
 
 def string_array(values, pad: str) -> str:

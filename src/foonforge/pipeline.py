@@ -425,17 +425,21 @@ def load_run_report(path: str | Path) -> RunReport:
     as do counts that disagree with the records, a stored ``outcome``
     that disagrees with its ``fallback_reason``, and a successful record
     whose ``raw_text`` is not a valid task tree. A record or dish that
-    is not an object, and a missing field or one of the wrong type or
-    value, is named by its pointer, such as ``/records/3/output_path``
-    or ``/total``; a count must be a JSON integer, not a float or a
-    bool. ``started`` and ``finished`` may be absent. A per-record
-    ``strategy``, written by older versions, is ignored.
+    is not an object, a missing field or one of the wrong type or
+    value, and an ``outcome`` that disagrees with its ``fallback_reason``
+    are named by their pointer, such as ``/records/3/output_path``,
+    ``/records/3/fallback_reason`` or ``/total``; a count must be a JSON
+    integer, not a float or a bool. A report that is not an object is
+    refused at ``/``. ``started`` and ``finished`` may be absent. A
+    per-record ``strategy``, written by older versions, is ignored.
     """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ManifestError("run report must be a JSON object")
     try:
         entries = _field(raw, "records", "")
         if not isinstance(entries, list):
@@ -487,8 +491,12 @@ def _load_record(entry, index: int) -> OutputRecord:
         reason = None if reason_raw is None else FallbackReason(reason_raw)
     except ValueError as exc:
         raise ManifestError(str(exc), pointer + "/fallback_reason") from exc
+    if (tree is None) == (reason is None):
+        raise ManifestError(
+            f"outcome {outcome.value} disagrees with fallback_reason {json.dumps(reason_raw)}",
+            pointer + "/fallback_reason",
+        )
     output_path = _string_field(entry, "output_path", pointer)
-    # a reason on a JSON_OK record, or none on a fallback, fails the record's own check
     return OutputRecord(dish, raw_text, output_path, tree, reason)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import gc
 import io
 import json
 import os
@@ -12,7 +14,7 @@ import pytest
 
 from foonforge import cli
 from foonforge.cli import _print_report, main
-from foonforge.client import API_KEY_ENV, API_URL_ENV
+from foonforge.client import API_KEY_ENV, API_URL_ENV, LiveClient
 from foonforge.errors import ClientError
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
 from foonforge.foon.validation import validate_graph
@@ -736,8 +738,14 @@ def test_evaluate_reads_a_report_without_timestamps(tmp_path, capsys, shipped_ru
         (1, {"dish": {"category": 5, "name": "dish", "ingredients": ["macaroni"]}},
          "/records/1/dish/category: "),
         (1, {"outcome": "MAYBE"}, "/records/1/outcome: "),
-        (0, {"fallback_reason": "schema"}, "either a tree or a fallback reason"),
-        (1, {"fallback_reason": None}, "either a tree or a fallback reason"),
+        (0, {"fallback_reason": "schema"},
+         "error: /records/0/fallback_reason: outcome JSON_OK disagrees with "
+         'fallback_reason "schema"'),
+        (1, {"fallback_reason": None},
+         "error: /records/1/fallback_reason: outcome TEXT_FALLBACK disagrees with "
+         "fallback_reason null"),
+        (0, {"outcome": "TEXT_FALLBACK"}, "error: /records/0/fallback_reason: "),
+        (1, {"fallback_reason": None, "raw_text": "{}"}, "error: /records/1/fallback_reason: "),
         (0, {"output_path": 5}, "error: /records/0/output_path: "),
         (1, {"output_path": None}, "error: /records/1/output_path: "),
         (1, {"raw_text": [1, 2]}, "error: /records/1/raw_text: "),
@@ -750,7 +758,8 @@ def test_evaluate_reads_a_report_without_timestamps(tmp_path, capsys, shipped_ru
         (1, {"dish": 5}, "error: /records/1/dish: "),
     ],
     ids=["category-not-a-string", "unknown-outcome", "json-ok-with-reason",
-         "fallback-without-reason", "output-path-int", "output-path-null",
+         "fallback-without-reason", "tree-marked-fallback", "json-fallback-without-reason",
+         "output-path-int", "output-path-null",
          "fallback-raw-text-list", "json-ok-raw-text-int", "unknown-reason", "reason-zero",
          "reason-empty", "record-not-an-object", "dish-a-list", "dish-an-int"],
 )
@@ -909,3 +918,103 @@ def test_generate_live_passes_max_in_flight_to_the_live_client(
             "--live", "--out", str(tmp_path / "out"), *extra]
     assert main(argv) == 0
     assert built == [{"max_in_flight": want}]
+
+
+# --- the collector pause ---------------------------------------------------
+
+
+@pytest.fixture()
+def collector_state():
+    """Puts the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _exit_cases(tmp_path, manifest) -> dict:
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}", encoding="utf-8")
+    graph = str(data_path("macaroni.foon"))
+    return {
+        "ok": (["validate", graph], 0),
+        "config": (["validate", graph, "--goal", "x"], 1),
+        "io": (["validate", str(tmp_path / "missing.foon")], 2),
+        "fixture-miss": (["generate", "--manifest", str(manifest), "--strategy", "contextual",
+                          "--out", str(tmp_path / "out"), "--fixture", str(empty),
+                          "--strict-replay"], 3),
+        "usage": (["validate"], 1),
+    }
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("case", ["ok", "config", "io", "fixture-miss", "usage"])
+def test_main_leaves_the_collector_as_it_found_it(
+    tmp_path, capsys, sample_manifest_path, collector_state, enabled, case
+):
+    argv, code = _exit_cases(tmp_path, sample_manifest_path)[case]
+    (gc.enable if enabled else gc.disable)()
+    assert main(argv) == code
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_an_escaping_error_leaves_the_collector_as_it_found_it(
+    monkeypatch, collector_state, enabled
+):
+    seen = []
+
+    def crash(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("handler bug")
+
+    validate = cli._COMMANDS["validate"]
+    monkeypatch.setitem(cli._COMMANDS, "validate", validate._replace(handler=crash))
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError, match="handler bug"):
+        main(["validate", "g.foon"])
+    assert (seen, gc.isenabled()) == ([False], enabled)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "g.foon"],
+        ["evaluate", "r.json"],
+        ["convert", "a", "b", "--to", "foon"],
+        ["retrieve", "--graph", "g.foon", "--goal", "g"],
+        [*_GENERATE, "--fixture", "f.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_offline_commands_run_with_the_collector_paused(monkeypatch, collector_state, argv):
+    seen = []
+
+    def capture(args):
+        seen.append(gc.isenabled())
+        return 0
+
+    for name, command in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, command._replace(handler=capture))
+    gc.enable()
+    assert main(argv) == 0
+    assert (seen, gc.isenabled()) == ([False], True)
+
+
+def test_live_generation_runs_with_the_collector_on(
+    tmp_path, monkeypatch, capsys, sample_manifest_path, collector_state
+):
+    seen = []
+
+    def post(url, body, headers, timeout):
+        seen.append(gc.isenabled())
+        return 200, json.dumps({"text": "prose", "finish_reason": "complete"}).encode()
+
+    monkeypatch.setenv(API_URL_ENV, "https://example.invalid/generate")
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    monkeypatch.setattr("foonforge.cli.LiveClient", functools.partial(LiveClient, post=post))
+    gc.enable()
+    argv = ["generate", "--manifest", str(sample_manifest_path), "--strategy", "contextual",
+            "--live", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert "text_fallback=3" in capsys.readouterr().out
+    assert seen == [True] * 3 and gc.isenabled()

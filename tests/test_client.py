@@ -358,6 +358,9 @@ class _Server:
                 pass
 
         self.httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        # tracked, so server_close joins every request thread: one still
+        # running would drop this server's objects during a later test
+        self.httpd.daemon_threads = False
         self.url = f"http://127.0.0.1:{self.httpd.server_address[1]}"
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
 
@@ -368,6 +371,8 @@ class _Server:
     def __exit__(self, *exc_info):
         self.httpd.shutdown()
         self.httpd.server_close()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
 
 
 def _loopback(server, sleeper=None):

@@ -480,6 +480,10 @@ def test_counting_identity_always_holds(tmp_path, sample_manifest_path):
         (b'{"records": {"a": 1}, "strategy": "contextual"}', "not a run report"),
         (b'{"records": [{"dish": []}], "strategy": "contextual"}', "^/records/0/dish: "),
         (b'{"records": [], "strategy": "fusion"}', "^/strategy: "),
+        (b"[]", "^/: run report must be a JSON object$"),
+        (b"5", "^/: run report must be a JSON object$"),
+        (b'"x"', "^/: run report must be a JSON object$"),
+        (b"null", "^/: run report must be a JSON object$"),
     ],
 )
 def test_load_run_report_rejects_malformed_reports(tmp_path, content, detail):

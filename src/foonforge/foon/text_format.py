@@ -18,13 +18,13 @@ its ``//`` line (or the end of the text) closes it. A memo maps each
 object's raw name, states and ingredients, and each motion's raw text,
 to the built node; it lives for one parse and is dropped with it, so an
 object the graph mentions again is one dict lookup, and a new object is
-checked once over all its tokens (see ``ObjectNode``).
+built and checked in one call, over all its tokens (see ``build_node``).
 """
 
 from __future__ import annotations
 
 from ..errors import FoonSyntaxError, InvalidNodeError
-from .model import FoonGraph, FunctionalUnit, MotionNode, ObjectNode
+from .model import FoonGraph, FunctionalUnit, MotionNode, ObjectNode, build_node, build_unit
 
 _SEPARATOR = "//"
 
@@ -117,7 +117,7 @@ def _parse_unit(chunk: list[tuple[int, str]], memo: dict) -> FunctionalUnit:
         raise FoonSyntaxError("unit has no input objects", line=motion_line)
     if not outputs:
         raise FoonSyntaxError("unit has no output objects", line=motion_line)
-    return FunctionalUnit(tuple(inputs), motion, tuple(outputs))
+    return build_unit(tuple(inputs), motion, tuple(outputs))
 
 
 def _object_node(
@@ -129,7 +129,7 @@ def _object_node(
     node = memo.get(key)
     if node is None:
         try:
-            node = memo[key] = ObjectNode(*key)
+            node = memo[key] = build_node(*key)
         except InvalidNodeError as exc:
             raise FoonSyntaxError(str(exc), line=line) from exc
     return node

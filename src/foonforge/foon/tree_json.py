@@ -17,12 +17,16 @@ Cost: after ``json.loads``, a tree is built in one pass. A memo maps
 each raw node (its name, states and ingredients as written) to the
 built node; it lives for one parse and is dropped with it, so a node a
 tree mentions again (every intermediate product is an output and then
-an input) is one dict lookup. A new node is checked once over all its
-tokens (see ``ObjectNode``), and a schema error's JSON pointer is built
-only when the error is raised. With this, ``evaluate`` on the
-``big-graphs`` benchmark workload, which reparses and revalidates trees
-of 10 to 2,000 units, fell from 0.243 s to 0.137 s of CPU time (medians
-of 10 runs each on a shared 2-vCPU VM).
+an input) is one dict lookup. A new node is built and checked in one
+call, over all its tokens, and each unit in one call (see
+``build_node`` and ``build_unit``); a schema error's JSON pointer is
+built only when the error is raised. ``evaluate`` on the
+``big-graphs`` benchmark workload, which reparses, revalidates and
+rescores trees of 10 to 2,000 units, takes 0.086 s at the median,
+against 0.116 s when each node and unit went through its class's
+``__init__`` and every tree was indexed to be validated (CPU time
+scaled to one machine speed, 10 alternating pairs of 30 s runs on a
+shared 2-vCPU VM).
 
 Serialization writes the indent-2 text for this one fixed shape
 directly, encoding each string with the C ``encode_basestring`` that
@@ -49,7 +53,15 @@ from ..errors import (
     TaskTreeSchemaError,
     TaskTreeStructureError,
 )
-from .model import FoonGraph, FunctionalUnit, MotionNode, ObjectNode, TaskTree
+from .model import (
+    FoonGraph,
+    FunctionalUnit,
+    MotionNode,
+    ObjectNode,
+    TaskTree,
+    build_node,
+    build_unit,
+)
 from .validation import validate_task_tree
 
 
@@ -141,7 +153,7 @@ def _parse_unit(raw: Any, memo: dict) -> FunctionalUnit:
             motion = memo[motion_raw] = MotionNode(motion_raw)
         except InvalidNodeError as exc:
             raise _Misfit(str(exc), "/motion") from exc
-    return FunctionalUnit(inputs, motion, outputs)
+    return build_unit(inputs, motion, outputs)
 
 
 def _parse_node_list(raw: Any, memo: dict, where: str) -> tuple[ObjectNode, ...]:
@@ -180,7 +192,7 @@ def _parse_node(raw: Any, memo: dict) -> ObjectNode:
         # the node rejects a token that is not a string, so the array
         # checks below run only when it fails
         try:
-            node = memo[key] = ObjectNode(name, key[1], key[2])
+            node = memo[key] = build_node(name, key[1], key[2])
             return node
         except InvalidNodeError as exc:
             cause = exc

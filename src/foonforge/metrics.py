@@ -15,6 +15,14 @@ every tree from the record's ``raw_text`` by that same parse. So the
 rule adds 0.2 to every successful output, and mean accuracy over
 successes is at least 0.2. The score keeps the rule so that figures stay
 comparable across runs.
+
+Cost: both scores of a tree come from one walk over its units, which
+gathers the produced and consumed identities and the outputs of the
+units that do not make the goal; the nodes' names and contents are
+read from those identities, or scanned in C. The rules used to walk
+the tree once each. In timeit runs on a shared 2-vCPU VM (CPU time
+scaled to one machine speed), scoring a fresh five-unit tree took 9 us
+against 15 us, and a 2,000-unit chain 1.7-2.0 ms against 2.3 ms.
 """
 
 from __future__ import annotations
@@ -23,10 +31,12 @@ import csv
 import io
 import statistics
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
 from .errors import FoonForgeError
-from .foon.model import TaskTree
+from .foon.model import NodeKey, TaskTree
 from .foon.validation import validate_task_tree
 from .pipeline import Outcome, OutputRecord, RunReport
 from .prompts import DishSpec, Strategy
@@ -73,36 +83,64 @@ class StrategyComparison:
         raise KeyError(strategy)
 
 
-def _accuracy_rules(tree: TaskTree, dish: DishSpec) -> list[bool]:
-    graph = tree.graph
-    produced = graph.produced_keys
+def _scores(tree: TaskTree, dish: DishSpec) -> MetricScores:
+    """Both scores of a tree, from one walk over its units; their nodes
+    are scanned in C."""
+    goal_key = tree.goal.key
+    units = tree.graph.units
+    produced: set[NodeKey] = set()
+    consumed: set[NodeKey] = set()
+    # outputs of the units that do not make the goal
+    side: set[NodeKey] = set()
+    for unit in units:
+        outputs = unit.output_keys
+        produced |= outputs
+        consumed |= unit.input_keys
+        if goal_key not in outputs:
+            side |= outputs
+    motions_present = all(map(_motion_name, units))
+    # input nodes that list contents, and the contents of every output node
+    containers = list(filter(_contents, chain.from_iterable(map(_inputs, units))))
+    held = set(chain.from_iterable(map(_contents, chain.from_iterable(map(_outputs, units)))))
 
     goal_matches = tree.goal.name == dish.name
 
-    motions_present = all(unit.motion.name for unit in graph.units)
-
     # leaf inputs are the raw items the plan starts from; anything not in
     # the dish spec counts as hallucinated
-    allowed = set(dish.ingredients) | set(dish.tools)
-    leaf_names: set[str] = set()
-    for unit in graph.units:
-        for node in unit.inputs:
-            if node.key not in produced:
-                leaf_names.add(node.name)
-                leaf_names.update(node.ingredients)
-    no_hallucination = leaf_names <= allowed
+    leaf_names = set(map(_name_of, consumed - produced))
+    for node in containers:
+        held.update(node.ingredients)
+        if node.key not in produced:
+            leaf_names.update(node.ingredients)
+    no_hallucination = leaf_names <= set(dish.ingredients) | set(dish.tools)
 
     structurally_valid = validate_task_tree(tree).ok
 
     # every side product of a non-final step must feed a later step
-    consumed = frozenset().union(*(unit.input_keys for unit in graph.units))
-    no_dangling = all(
-        unit.output_keys <= consumed
-        for unit in graph.units
-        if tree.goal.key not in unit.output_keys
-    )
+    no_dangling = side <= consumed
 
-    return [goal_matches, motions_present, no_hallucination, structurally_valid, no_dangling]
+    rules = [goal_matches, motions_present, no_hallucination, structurally_valid, no_dangling]
+
+    input_names = set(map(_name_of, consumed))
+    covered_names = input_names | held
+    ingredient_part = sum(1 for i in dish.ingredients if i in covered_names) / len(
+        dish.ingredients
+    )
+    if dish.tools:
+        all_names = input_names.union(map(_name_of, produced))
+        tool_part = sum(1 for t in dish.tools if t in all_names) / len(dish.tools)
+        completeness = (ingredient_part + tool_part) / 2
+    else:
+        completeness = ingredient_part
+    return MetricScores(sum(rules) / ACCURACY_RULE_COUNT, completeness)
+
+
+_inputs = attrgetter("inputs")
+_outputs = attrgetter("outputs")
+_motion_name = attrgetter("motion.name")
+_contents = attrgetter("ingredients")
+# a node key's name
+_name_of = itemgetter(0)
 
 
 def score_accuracy(tree: TaskTree, dish: DishSpec) -> float:
@@ -112,8 +150,7 @@ def score_accuracy(tree: TaskTree, dish: DishSpec) -> float:
     hallucinated raw inputs, structural validity, and no dangling
     intermediate products.
     """
-    rules = _accuracy_rules(tree, dish)
-    return sum(rules) / ACCURACY_RULE_COUNT
+    return _scores(tree, dish).accuracy
 
 
 def score_completeness(tree: TaskTree, dish: DishSpec) -> float:
@@ -123,31 +160,14 @@ def score_completeness(tree: TaskTree, dish: DishSpec) -> float:
     or container ingredient, and the fraction of tools appearing as an
     object name; ingredient coverage alone when the dish lists no tools.
     """
-    covered_names = {node.name for unit in tree.units for node in unit.inputs}
-    covered_names |= {
-        ing
-        for unit in tree.units
-        for node in (*unit.inputs, *unit.outputs)
-        for ing in node.ingredients
-    }
-    ingredient_part = sum(1 for i in dish.ingredients if i in covered_names) / len(
-        dish.ingredients
-    )
-    if not dish.tools:
-        return ingredient_part
-    all_names = {node.name for unit in tree.units for node in (*unit.inputs, *unit.outputs)}
-    tool_part = sum(1 for t in dish.tools if t in all_names) / len(dish.tools)
-    return (ingredient_part + tool_part) / 2
+    return _scores(tree, dish).completeness
 
 
 def score_record(record: OutputRecord) -> MetricScores:
     """Scores for one record; fallbacks score 0 on both metrics."""
     if record.tree is None:
         return MetricScores(0.0, 0.0)
-    return MetricScores(
-        score_accuracy(record.tree, record.dish),
-        score_completeness(record.tree, record.dish),
-    )
+    return _scores(record.tree, record.dish)
 
 
 def run_mean_scores(report: RunReport) -> MetricScores:

@@ -332,7 +332,7 @@ def _reference_token(value, what: str) -> str:
     return token
 
 
-def _reference_object(name, states, ingredients) -> ObjectNode:
+def reference_object(name, states, ingredients) -> ObjectNode:
     """The original node checks: every token on its own, each in turn."""
     name = _reference_token(name, "object name")
     states = tuple(_reference_token(s, "state") for s in states)
@@ -431,7 +431,7 @@ def _reference_json_node(raw, pointer: str) -> ObjectNode:
     if not isinstance(ingredients, list) or any(not isinstance(s, str) for s in ingredients):
         raise TaskTreeSchemaError("'ingredients' must be an array of strings", pointer)
     try:
-        return _reference_object(name, tuple(states), tuple(ingredients))
+        return reference_object(name, tuple(states), tuple(ingredients))
     except InvalidNodeError as exc:
         raise TaskTreeSchemaError(str(exc), pointer) from exc
 
@@ -472,7 +472,7 @@ def _reference_text_unit(chunk: list[tuple[int, str]]) -> FunctionalUnit:
         if pending is not None:
             name, line, states, ingredients = pending
             try:
-                node = _reference_object(name, tuple(states), tuple(ingredients or ()))
+                node = reference_object(name, tuple(states), tuple(ingredients or ()))
             except InvalidNodeError as exc:
                 raise FoonSyntaxError(str(exc), line=line) from exc
             section.append(node)
@@ -520,6 +520,58 @@ def _reference_text_unit(chunk: list[tuple[int, str]]) -> FunctionalUnit:
     if not outputs:
         raise FoonSyntaxError("unit has no output objects", line=motion_line)
     return FunctionalUnit(tuple(inputs), motion, tuple(outputs))
+
+
+# --- reference scores ---------------------------------------------------
+
+def reference_accuracy_rules(tree: TaskTree, dish) -> list[bool]:
+    """The original accuracy rules, kept as an oracle for the one-walk
+    scorer: each rule walks the tree on its own."""
+    graph = tree.graph
+    produced = graph.produced_keys
+
+    goal_matches = tree.goal.name == dish.name
+
+    motions_present = all(unit.motion.name for unit in graph.units)
+
+    allowed = set(dish.ingredients) | set(dish.tools)
+    leaf_names: set[str] = set()
+    for unit in graph.units:
+        for node in unit.inputs:
+            if node.key not in produced:
+                leaf_names.add(node.name)
+                leaf_names.update(node.ingredients)
+    no_hallucination = leaf_names <= allowed
+
+    structurally_valid = validate_task_tree(tree).ok
+
+    consumed = frozenset().union(*(unit.input_keys for unit in graph.units))
+    no_dangling = all(
+        unit.output_keys <= consumed
+        for unit in graph.units
+        if tree.goal.key not in unit.output_keys
+    )
+
+    return [goal_matches, motions_present, no_hallucination, structurally_valid, no_dangling]
+
+
+def reference_score_completeness(tree: TaskTree, dish) -> float:
+    """The original completeness score, kept as an oracle."""
+    covered_names = {node.name for unit in tree.units for node in unit.inputs}
+    covered_names |= {
+        ing
+        for unit in tree.units
+        for node in (*unit.inputs, *unit.outputs)
+        for ing in node.ingredients
+    }
+    ingredient_part = sum(1 for i in dish.ingredients if i in covered_names) / len(
+        dish.ingredients
+    )
+    if not dish.tools:
+        return ingredient_part
+    all_names = {node.name for unit in tree.units for node in (*unit.inputs, *unit.outputs)}
+    tool_part = sum(1 for t in dish.tools if t in all_names) / len(dish.tools)
+    return (ingredient_part + tool_part) / 2
 
 
 # --- reference serializers ----------------------------------------------

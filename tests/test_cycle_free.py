@@ -159,6 +159,14 @@ def test_validate_graph_leaves_no_cycles_on_a_mutant(mutate):
     assert _cyclic_garbage(validate_graph, mutant.graph, mutant.goal) == Counter()
 
 
+def test_validate_graph_leaves_no_cycles_out_of_order():
+    # acyclic, but listed goal first: the unit-order test fails and the
+    # Kahn pass settles it
+    tree = chain_tree(6, goal_first=True)
+    assert validate_graph(tree.graph, tree.goal).ok
+    assert _cyclic_garbage(validate_graph, tree.graph, tree.goal) == Counter()
+
+
 @pytest.mark.parametrize(
     "available, found", [(("water", "macaroni", "cheese"), True), ((), False)]
 )

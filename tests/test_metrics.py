@@ -23,6 +23,14 @@ from foonforge.metrics import (
 from foonforge.pipeline import FallbackReason, OutputRecord, RunReport
 from foonforge.prompts import DishSpec, Strategy
 
+from .graphgen import (
+    NAMES,
+    random_graph,
+    random_task_tree,
+    reference_accuracy_rules,
+    reference_score_completeness,
+)
+
 
 def perfect_tree(dish: DishSpec) -> TaskTree:
     base = ObjectNode(f"{dish.name} base", ("combined",), dish.ingredients)
@@ -185,6 +193,64 @@ def test_scores_invariant_under_unit_permutation(dish):
         shuffled = TaskTree(FoonGraph(tuple(units)), tree.goal)
         assert score_accuracy(shuffled, dish) == score_accuracy(tree, dish)
         assert score_completeness(shuffled, dish) == score_completeness(tree, dish)
+
+
+def _random_dish(rng: random.Random, tree: TaskTree) -> DishSpec:
+    """A dish that names the tree's goal or not, with a few of the node
+    names as ingredients and tools, or with no tools at all; half of the
+    dishes list every leaf input, so that hallucination turns on the
+    contents of the nodes."""
+    names = sorted({n.name for u in tree.units for n in (*u.inputs, *u.outputs)} | set(NAMES))
+    goal = tree.goal.name if rng.random() < 0.7 else "other dish"
+    ingredients = rng.sample(names, rng.randint(1, 5))
+    if rng.random() < 0.5:
+        produced = tree.graph.produced_keys
+        leaves = {n.name for u in tree.units for n in u.inputs if n.key not in produced}
+        ingredients = sorted(leaves | set(ingredients[:1]))
+    tools = rng.sample(names, rng.randint(1, 3)) if rng.random() < 0.6 else []
+    return DishSpec("test", goal, tuple(ingredients), tuple(tools))
+
+
+def _with_contents(rng: random.Random, tree: TaskTree) -> TaskTree:
+    """The tree with contents on some input nodes, produced ones too."""
+
+    def filled(node):
+        if rng.random() < 0.3:
+            return ObjectNode(node.name, node.states, rng.sample(NAMES, rng.randint(1, 2)))
+        return node
+
+    units = [
+        make_unit(map(filled, u.inputs), u.motion.name, u.outputs) for u in tree.units
+    ]
+    return TaskTree(FoonGraph(tuple(units)), tree.goal)
+
+
+def test_scores_match_the_original_rules():
+    rng = random.Random(81)
+    accuracies, completeness = set(), set()
+    for i in range(300):
+        if i % 2:
+            tree = _with_contents(rng, random_task_tree(rng, max_units=6))
+        else:  # container ingredients, repeated identities, broken trees
+            graph = random_graph(rng, max_units=6)
+            tree = TaskTree(graph, graph.units[-1].outputs[0])
+        units = list(tree.units)
+        rng.shuffle(units)
+        for tree in (tree, TaskTree(FoonGraph(tuple(units)), tree.goal)):
+            for _ in range(3):
+                dish = _random_dish(rng, tree)
+                want = MetricScores(
+                    sum(reference_accuracy_rules(tree, dish)) / 5,
+                    reference_score_completeness(tree, dish),
+                )
+                assert score_record(_ok_record(dish, tree)) == want
+                assert score_accuracy(tree, dish) == want.accuracy
+                assert score_completeness(tree, dish) == want.completeness
+                accuracies.add(want.accuracy)
+                completeness.add(want.completeness)
+    # the cases reach most values of either score
+    assert len(accuracies) >= 4
+    assert len(completeness) >= 10
 
 
 def test_adding_unused_ingredient_never_increases_completeness(dish):

@@ -1,4 +1,4 @@
-"""The one-pass parsers and the Kahn cycle check against their originals.
+"""The one-pass parsers and the validator against their originals.
 
 Every source goes through the parser and through the original kept in
 ``graphgen``: both must raise the same exception type with the same
@@ -11,22 +11,32 @@ from __future__ import annotations
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foonforge.errors import FoonForgeError
-from foonforge.foon.model import FoonGraph, ObjectNode, TaskTree
+from foonforge.errors import FoonForgeError, InvalidNodeError
+from foonforge.foon import validation
+from foonforge.foon.model import FoonGraph, FunctionalUnit, ObjectNode, TaskTree
 from foonforge.foon.text_format import parse_foon_text, serialize_foon_text
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
-from foonforge.foon.validation import RULE_CYCLE, find_cycle, validate_graph
+from foonforge.foon.validation import (
+    RULE_BIPARTITE,
+    RULE_CYCLE,
+    RULE_NOOP_UNIT,
+    find_cycle,
+    validate_graph,
+)
 
 from .graphgen import (
     MUTATORS,
     chain_tree,
     mutate_add_cycle,
+    mutate_noop,
     random_graph,
     random_task_tree,
     reference_find_cycle,
+    reference_object,
     reference_parse_foon_text,
     reference_parse_task_tree_json,
     reference_validate_graph,
@@ -167,6 +177,113 @@ def test_parsed_repeats_share_one_node():
         assert before.outputs[0] is after.inputs[0]
     graph = parse_foon_text(serialize_foon_text(tree.graph))
     assert graph.units[0].outputs[0] is graph.units[1].inputs[0]
+
+
+# --- node construction ---------------------------------------------------
+
+# (name, states, ingredients) as a model might write them: each side of
+# every fast path of the node check, and values it must refuse.
+_RAW_NODES = [
+    ("Egg", [], []),
+    ("Egg", ["Raw"], []),
+    ("Egg", [" Raw ", "chopped", "WARM"], []),
+    ("pan", ["Hot", "hot"], []),
+    ("pan", ["hot", "HOT", "clean"], []),
+    ("pan", ["  "], []),
+    ("pan", ["hot", " \t "], []),
+    ("egg\t", [], []),
+    ("egg", ["raw\t"], []),
+    ("egg\x85white", [], []),
+    ("egg", ["raw\u2028"], []),
+    ("egg\ud800", [], []),
+    ("egg", ["\udc00"], []),
+    ("bowl", [], ["salt", "x\ud800"]),
+    ("Jalapeño", ["Diced"], []),
+    ("bowl", ["full"], ["Jalapeño", "salt"]),
+    ("salt, coarse", ["Fine, dry"], []),
+    ("bowl", [], ["salt,pepper"]),
+    ("bowl", ["mixed"], ["Salt", "salt ", "egg"]),
+    ("bowl", ["mixed"], [""]),
+    ("", [], []),
+    ("egg", [5], []),
+    ("egg", [["raw"]], []),
+    ("egg", "raw", []),
+    ("bowl", [], [None]),
+    ("bowl", [], "salt"),
+]
+
+
+def _tree_with(name, states, ingredients) -> str:
+    """A valid tree but for the node, which unit 0 takes in first and
+    unit 1 takes in again: the repeat is a memo hit."""
+    node = {"name": name, "states": states, "ingredients": ingredients}
+    return json.dumps({
+        "goal": {"name": "omelette"},
+        "functional_units": [
+            {"inputs": [node, {"name": "salt"}], "motion": "mix", "outputs": [{"name": "batter"}]},
+            {"inputs": [{"name": "batter"}, node], "motion": "cook",
+             "outputs": [{"name": "omelette"}]},
+        ],
+    })
+
+
+def _text_with(name, states, ingredients) -> str:
+    lines = [f"O\t{name}", *(f"S\t{s}" for s in states)]
+    if ingredients:
+        lines.insert(1, "I\t" + ",".join(ingredients))
+    return "\n".join(
+        [*lines, "O\tsalt", "M\tmix", "O\tbatter", "//", "O\tbatter", *lines, "M\tcook",
+         "O\tomelette"]
+    ) + "\n"
+
+
+def _assert_node_built_whole(node, name, states, ingredients):
+    for slot in ObjectNode.__slots__:
+        getattr(node, slot)  # an unset slot raises AttributeError
+    direct = ObjectNode(name, states, ingredients)
+    assert node == direct
+    assert (node.key, repr(node), hash(node)) == (direct.key, repr(direct), hash(direct))
+    assert node.key == (node.name, node.states)
+
+
+def test_each_raw_node_builds_as_the_original_parsers_build_it():
+    accepted = 0
+    for name, states, ingredients in _RAW_NODES:
+        source = _tree_with(name, states, ingredients)
+        _assert_same_json(source)
+        result = _outcome(parse_task_tree_json, source)
+        if isinstance(result, TaskTree):
+            accepted += 1
+            node = result.units[0].inputs[0]
+            assert result.units[1].inputs[1] is node
+            _assert_node_built_whole(node, name, states, ingredients)
+            for unit in result.units:
+                for slot in FunctionalUnit.__slots__:
+                    getattr(unit, slot)
+        tokens = [name, *states, *ingredients] if isinstance(states, list) else [None]
+        if isinstance(ingredients, list) and all(isinstance(t, str) for t in tokens):
+            text = _text_with(name, states, ingredients)
+            _assert_same_text(text)
+            graph = _outcome(parse_foon_text, text)
+            if isinstance(graph, FoonGraph):
+                node = graph.units[0].inputs[0]
+                assert graph.units[1].inputs[1] is node
+                if "," not in "".join(ingredients):  # the text format splits at a comma
+                    _assert_node_built_whole(node, name, states, ingredients)
+    assert accepted >= 10
+
+
+def test_objects_built_directly_match_the_original_checks():
+    for name, states, ingredients in _RAW_NODES:
+        try:
+            want = reference_object(name, states, ingredients)
+        except InvalidNodeError as exc:
+            with pytest.raises(InvalidNodeError) as caught:
+                ObjectNode(name, states, ingredients)
+            assert str(caught.value) == str(exc)
+        else:
+            got = ObjectNode(name, states, ingredients)
+            assert (got, got.key) == (want, want.key)
 
 
 # --- bad payloads ---------------------------------------------------------
@@ -348,3 +465,77 @@ def test_objects_outside_a_unit_list_still_build():
     node = ObjectNode(" Bowl ", iter(["Warm", "clean"]), ["Salt", "egg", "salt"])
     assert node == ObjectNode("bowl", ("clean", "warm"), ("egg", "salt"))
     assert node.key == ("bowl", ("clean", "warm"))
+
+
+# --- the unit-order test and its hand-off to the Kahn pass ----------------
+
+def _assert_validates_as_the_original(graph, goal):
+    assert validate_graph(graph, goal) == reference_validate_graph(graph, goal)
+    assert validate_graph(graph) == reference_validate_graph(graph)
+
+
+def test_permuted_units_validate_as_the_original_validator():
+    rng = random.Random(65)
+    for i in range(300):
+        if i % 3:
+            tree = random_task_tree(rng, max_units=8)
+        else:
+            graph = random_graph(rng, max_units=8)
+            tree = TaskTree(graph, rng.choice(graph.units).outputs[0])
+        units = list(tree.units)
+        rng.shuffle(units)
+        _assert_validates_as_the_original(tree.graph, tree.goal)
+        _assert_validates_as_the_original(FoonGraph(tuple(units)), tree.goal)
+    for n in (1, 2, 3, 40):
+        for first in (False, True):
+            tree = chain_tree(n, goal_first=first)
+            _assert_validates_as_the_original(tree.graph, tree.goal)
+
+
+def test_mutants_validate_as_the_original_validator():
+    rng = random.Random(66)
+    for _ in range(30):
+        tree = random_task_tree(rng, max_units=6)
+        for mutate in MUTATORS:
+            mutant, _ = mutate(tree)
+            units = list(mutant.units)
+            rng.shuffle(units)
+            _assert_validates_as_the_original(mutant.graph, mutant.goal)
+            _assert_validates_as_the_original(FoonGraph(tuple(units)), mutant.goal)
+        # a unit that leaves a node unchanged also feeds itself
+        mutant, _ = mutate_noop(tree)
+        rules = validate_graph(mutant.graph, mutant.goal).rules
+        assert {RULE_NOOP_UNIT, RULE_CYCLE} <= rules
+
+
+class _Stray:
+    """Not an object node, though it carries a node's key."""
+
+    key = ("stage", ("s0",))
+
+    def describe(self) -> str:
+        return "stray"
+
+
+def test_a_stray_node_with_a_key_is_still_reported():
+    tree = chain_tree(3)
+    first, *rest = tree.units
+    confused = FunctionalUnit((*first.inputs, _Stray()), first.motion, first.outputs)
+    assert confused.input_keys == first.input_keys
+    for units in ((confused, *rest), (*rest, confused)):
+        graph = FoonGraph(units)
+        _assert_validates_as_the_original(graph, tree.goal)
+        assert RULE_BIPARTITE in validate_graph(graph, tree.goal).rules
+    motionless = FunctionalUnit(first.inputs, "mix", first.outputs)
+    _assert_validates_as_the_original(FoonGraph((motionless, *rest)), tree.goal)
+
+
+def test_only_units_out_of_order_run_the_kahn_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        validation, "find_cycle", lambda edges: calls.append(edges) or find_cycle(edges)
+    )
+    for first in (False, True):
+        tree = chain_tree(5, goal_first=first)
+        assert validate_graph(tree.graph, tree.goal).ok
+    assert len(calls) == 1  # the goal-first chain: acyclic, but edges point back

@@ -5,12 +5,13 @@ import logging
 import pytest
 
 from foonforge.errors import InvalidNodeError, PromptError
+from foonforge.foon.model import ObjectNode
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
 from foonforge.prompts import (
     OUTPUT_SCHEMA,
     DishSpec,
     Strategy,
-    _example_block,
+    _EXAMPLE_BLOCKS,
     annotate_example,
     load_examples,
     render_for_dish,
@@ -73,12 +74,34 @@ def test_example_block_cache_keys_on_the_examples(dish, examples):
     sets = ([a], [b], [a])
     uncached = []
     for trees in sets:
-        _example_block.cache_clear()
+        _EXAMPLE_BLOCKS.clear()
         uncached.append(render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees).text)
-    _example_block.cache_clear()
+    _EXAMPLE_BLOCKS.clear()
     cached = [render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees).text for trees in sets]
     assert cached == uncached
     assert uncached[0] != uncached[1]
+
+
+def test_example_block_lookup_touches_no_node(dish, monkeypatch):
+    # the examples as one command loads them, and again as the next one
+    # in the same process does: equal trees, other objects
+    before = load_examples(data_path("examples"))
+    first = render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=before)
+    trees = load_examples(data_path("examples"))
+    assert trees == before and all(a is not b for a, b in zip(trees, before))
+    assert render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees) == first
+    touched = []
+    for name in ("__hash__", "__eq__"):
+        original = getattr(ObjectNode, name)
+        monkeypatch.setattr(
+            ObjectNode, name, lambda *args, f=original: touched.append(args) or f(*args)
+        )
+    again = [render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees) for _ in range(3)]
+    assert touched == []
+    assert {(b.text, b.context_hash) for b in again} == {(first.text, first.context_hash)}
+    # the kept hash is the one the tree's fields give
+    assert [hash(t) for t in trees] == [hash((t.graph, t.goal)) for t in trees]
+    assert touched
 
 
 def test_no_examples_rejected(dish):

@@ -23,13 +23,15 @@ use slots. A node's tokens are checked together in one pass, and only a
 node that fails it is checked token by token, which words the error.
 The parsers build each new node with one call to :func:`build_node` and
 each unit with one call to :func:`build_unit`, which set the slots of a
-blank instance without the class's ``__init__``; the class's
-``__init__`` calls the same function, so the checks have one owner. A
-unit's key sets are made in C, by ``frozenset(map(...))``. In timeit
-runs on a shared 2-vCPU VM (CPU time scaled to one machine speed), a
-one-state node took 1.1-1.3 us to build against 1.9-2.0 us through
-``ObjectNode(...)`` before, and a unit of three nodes 1.3-1.4 us against
-1.6-1.9 us.
+blank instance without the class's ``__init__``. ``ObjectNode.__init__``
+calls :func:`build_node` too, so the node checks have one owner;
+``FunctionalUnit.__init__``, for units built by hand, filters its key
+sets so that a unit holding anything but nodes can still be built and
+reported. :func:`build_unit` makes a unit's key sets in C, by
+``frozenset(map(...))``. In timeit runs on a shared 2-vCPU VM (CPU time
+scaled to one machine speed), a one-state node took 1.1-1.3 us to build
+against 1.9-2.0 us through ``ObjectNode(...)`` before, and a unit of
+three nodes 1.3-1.4 us against 1.6-1.9 us through ``FunctionalUnit``.
 """
 
 from __future__ import annotations
@@ -242,13 +244,10 @@ class FunctionalUnit:
         self, inputs: Iterable[ObjectNode], motion: MotionNode, outputs: Iterable[ObjectNode]
     ):
         inputs, outputs = tuple(inputs), tuple(outputs)
-        if only_object_nodes(map(type, inputs + outputs)):
-            build_unit(inputs, motion, outputs, self)
-            return
-        # type-confused nodes are skipped so the validator can report them
         _set_inputs(self, inputs)
         _set_motion(self, motion)
         _set_outputs(self, outputs)
+        # type-confused nodes are skipped so the validator can report them
         _set_input_keys(self, frozenset([n.key for n in inputs if isinstance(n, ObjectNode)]))
         _set_output_keys(self, frozenset([n.key for n in outputs if isinstance(n, ObjectNode)]))
 
@@ -264,16 +263,15 @@ def build_unit(
     inputs: tuple[ObjectNode, ...],
     motion: MotionNode,
     outputs: tuple[ObjectNode, ...],
-    unit: FunctionalUnit | None = None,
 ) -> FunctionalUnit:
     """A unit of two tuples of object nodes, in one call.
 
     The parsers, whose nodes are all :class:`ObjectNode` instances,
-    build their units with it and skip ``FunctionalUnit.__init__``;
-    ``__init__`` passes its own instance when every node is one.
+    build their units with it and skip ``FunctionalUnit.__init__``,
+    which filters its key sets so that a unit holding anything else
+    can be built and reported by the validator.
     """
-    if unit is None:
-        unit = _new(FunctionalUnit)
+    unit = _new(FunctionalUnit)
     _set_inputs(unit, inputs)
     _set_motion(unit, motion)
     _set_outputs(unit, outputs)

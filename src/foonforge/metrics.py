@@ -16,13 +16,14 @@ rule adds 0.2 to every successful output, and mean accuracy over
 successes is at least 0.2. The score keeps the rule so that figures stay
 comparable across runs.
 
-Cost: both scores of a tree come from one walk over its units, which
-gathers the produced and consumed identities and the outputs of the
-units that do not make the goal; the nodes' names and contents are
-read from those identities, or scanned in C. The rules used to walk
-the tree once each. In timeit runs on a shared 2-vCPU VM (CPU time
-scaled to one machine speed), scoring a fresh five-unit tree took 9 us
-against 15 us, and a 2,000-unit chain 1.7-2.0 ms against 2.3 ms.
+Cost: what both scores read from a tree (the identities its units make
+and use, the side products, and the contents its nodes list) is gathered
+in one walk over its units.
+Completeness alone does not validate. In timeit runs on a shared 2-vCPU
+VM (raw CPU time, best to median of five), scoring a validated five-unit
+tree took 16-18 us against 20-22 us, and a 2,000-unit chain 2.6-2.9 ms
+against 3.3-4.2 ms; with only this change, ``big-graphs``
+``evaluate_s.p50`` fell 4.5% (6 of 6 alternating benchmark pairs).
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ import csv
 import io
 import statistics
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter, itemgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import FoonForgeError
 from .foon.model import NodeKey, TaskTree
@@ -83,64 +82,76 @@ class StrategyComparison:
         raise KeyError(strategy)
 
 
-def _scores(tree: TaskTree, dish: DishSpec) -> MetricScores:
-    """Both scores of a tree, from one walk over its units; their nodes
-    are scanned in C."""
+class _TreeFacts(NamedTuple):
+    """What the scores read from a tree, gathered in one walk."""
+
+    produced: set[NodeKey]
+    consumed: set[NodeKey]
+    # outputs of the units that do not make the goal
+    side: set[NodeKey]
+    # contents listed by any node
+    held: set[str]
+    # contents listed by an input that no unit makes
+    leaf_contents: set[str]
+
+
+def _tree_facts(tree: TaskTree) -> _TreeFacts:
     goal_key = tree.goal.key
-    units = tree.graph.units
     produced: set[NodeKey] = set()
     consumed: set[NodeKey] = set()
-    # outputs of the units that do not make the goal
     side: set[NodeKey] = set()
-    for unit in units:
+    held: set[str] = set()
+    containers = []
+    for unit in tree.graph.units:
         outputs = unit.output_keys
         produced |= outputs
         consumed |= unit.input_keys
         if goal_key not in outputs:
             side |= outputs
-    motions_present = all(map(_motion_name, units))
-    # input nodes that list contents, and the contents of every output node
-    containers = list(filter(_contents, chain.from_iterable(map(_inputs, units))))
-    held = set(chain.from_iterable(map(_contents, chain.from_iterable(map(_outputs, units)))))
-
-    goal_matches = tree.goal.name == dish.name
-
-    # leaf inputs are the raw items the plan starts from; anything not in
-    # the dish spec counts as hallucinated
-    leaf_names = set(map(_name_of, consumed - produced))
+        for node in unit.inputs:
+            if node.ingredients:
+                containers.append(node)
+        for node in unit.outputs:
+            if node.ingredients:
+                held.update(node.ingredients)
+    leaf_contents: set[str] = set()
     for node in containers:
         held.update(node.ingredients)
         if node.key not in produced:
-            leaf_names.update(node.ingredients)
+            leaf_contents.update(node.ingredients)
+    return _TreeFacts(produced, consumed, side, held, leaf_contents)
+
+
+def _accuracy(tree: TaskTree, dish: DishSpec, facts: _TreeFacts) -> float:
+    goal_matches = tree.goal.name == dish.name
+
+    motions_present = all(unit.motion.name for unit in tree.graph.units)
+
+    # leaf inputs are the raw items the plan starts from; anything not in
+    # the dish spec counts as hallucinated
+    leaf_names = {key[0] for key in facts.consumed - facts.produced} | facts.leaf_contents
     no_hallucination = leaf_names <= set(dish.ingredients) | set(dish.tools)
 
     structurally_valid = validate_task_tree(tree).ok
 
     # every side product of a non-final step must feed a later step
-    no_dangling = side <= consumed
+    no_dangling = facts.side <= facts.consumed
 
     rules = [goal_matches, motions_present, no_hallucination, structurally_valid, no_dangling]
+    return sum(rules) / ACCURACY_RULE_COUNT
 
-    input_names = set(map(_name_of, consumed))
-    covered_names = input_names | held
+
+def _completeness(dish: DishSpec, facts: _TreeFacts) -> float:
+    input_names = {key[0] for key in facts.consumed}
+    covered_names = input_names | facts.held
     ingredient_part = sum(1 for i in dish.ingredients if i in covered_names) / len(
         dish.ingredients
     )
-    if dish.tools:
-        all_names = input_names.union(map(_name_of, produced))
-        tool_part = sum(1 for t in dish.tools if t in all_names) / len(dish.tools)
-        completeness = (ingredient_part + tool_part) / 2
-    else:
-        completeness = ingredient_part
-    return MetricScores(sum(rules) / ACCURACY_RULE_COUNT, completeness)
-
-
-_inputs = attrgetter("inputs")
-_outputs = attrgetter("outputs")
-_motion_name = attrgetter("motion.name")
-_contents = attrgetter("ingredients")
-# a node key's name
-_name_of = itemgetter(0)
+    if not dish.tools:
+        return ingredient_part
+    all_names = input_names | {key[0] for key in facts.produced}
+    tool_part = sum(1 for t in dish.tools if t in all_names) / len(dish.tools)
+    return (ingredient_part + tool_part) / 2
 
 
 def score_accuracy(tree: TaskTree, dish: DishSpec) -> float:
@@ -150,7 +161,7 @@ def score_accuracy(tree: TaskTree, dish: DishSpec) -> float:
     hallucinated raw inputs, structural validity, and no dangling
     intermediate products.
     """
-    return _scores(tree, dish).accuracy
+    return _accuracy(tree, dish, _tree_facts(tree))
 
 
 def score_completeness(tree: TaskTree, dish: DishSpec) -> float:
@@ -160,14 +171,16 @@ def score_completeness(tree: TaskTree, dish: DishSpec) -> float:
     or container ingredient, and the fraction of tools appearing as an
     object name; ingredient coverage alone when the dish lists no tools.
     """
-    return _scores(tree, dish).completeness
+    return _completeness(dish, _tree_facts(tree))
 
 
 def score_record(record: OutputRecord) -> MetricScores:
     """Scores for one record; fallbacks score 0 on both metrics."""
     if record.tree is None:
         return MetricScores(0.0, 0.0)
-    return _scores(record.tree, record.dish)
+    tree, dish = record.tree, record.dish
+    facts = _tree_facts(tree)
+    return MetricScores(_accuracy(tree, dish, facts), _completeness(dish, facts))
 
 
 def run_mean_scores(report: RunReport) -> MetricScores:

@@ -154,29 +154,18 @@ def annotate_example(tree: TaskTree) -> str:
     return f"# example: {tree.goal.name}, {steps} step{'s' if steps != 1 else ''}, tools: {', '.join(leaves)}"
 
 
-# example trees -> their annotated block, for the last few sets rendered
-_EXAMPLE_BLOCKS: dict[tuple[TaskTree, ...], str] = {}
-_EXAMPLE_SETS_KEPT = 4
-
-
+@functools.lru_cache(maxsize=4)
 def _example_block(examples: tuple[TaskTree, ...]) -> str:
     """Annotated example trees, built once per set; equal trees render alike.
 
-    A lookup hashes each tree once per tree object (see ``TaskTree``).
-    A set equal to a kept one but made of other objects, such as the
-    examples a later command in the same process loads again, is
-    compared in full once and then kept under the new objects, so the
-    lookups after it compare by identity, whatever the trees' size.
+    Each tree keeps its hash once computed (see ``TaskTree``), and a
+    lookup with the tree objects that filled the entry compares them by
+    identity, so within one loaded set a lookup costs the same for any
+    size of example.
     """
-    block = _EXAMPLE_BLOCKS.pop(examples, None)
-    if block is None:
-        block = "\n\n".join(
-            annotate_example(tree) + "\n" + serialize_task_tree_json(tree) for tree in examples
-        )
-        if len(_EXAMPLE_BLOCKS) >= _EXAMPLE_SETS_KEPT:
-            _EXAMPLE_BLOCKS.clear()
-    _EXAMPLE_BLOCKS[examples] = block
-    return block
+    return "\n\n".join(
+        annotate_example(tree) + "\n" + serialize_task_tree_json(tree) for tree in examples
+    )
 
 
 def load_examples(directory: str | Path) -> list[TaskTree]:

@@ -46,7 +46,7 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 def counts(monkeypatch):
     # start from cold prompt caches, as a fresh process does
     prompts.default_template.cache_clear()
-    prompts._EXAMPLE_BLOCKS.clear()
+    prompts._example_block.cache_clear()
     return {
         "validate": _count_calls(monkeypatch, validation, "validate_graph"),
         "serialize": _count_calls(monkeypatch, tree_json, "serialize_task_tree_json"),

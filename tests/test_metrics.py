@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from foonforge import metrics
 from foonforge.errors import FoonForgeError
 from foonforge.foon.model import FoonGraph, ObjectNode, TaskTree, make_unit
 from foonforge.metrics import (
@@ -251,6 +252,14 @@ def test_scores_match_the_original_rules():
     # the cases reach most values of either score
     assert len(accuracies) >= 4
     assert len(completeness) >= 10
+
+
+def test_completeness_alone_does_not_validate(dish, monkeypatch):
+    def fail(tree):
+        raise AssertionError("completeness validated the tree")
+
+    monkeypatch.setattr(metrics, "validate_task_tree", fail)
+    assert score_completeness(perfect_tree(dish), dish) == 1.0
 
 
 def test_adding_unused_ingredient_never_increases_completeness(dish):

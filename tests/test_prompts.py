@@ -11,7 +11,7 @@ from foonforge.prompts import (
     OUTPUT_SCHEMA,
     DishSpec,
     Strategy,
-    _EXAMPLE_BLOCKS,
+    _example_block,
     annotate_example,
     load_examples,
     render_for_dish,
@@ -74,22 +74,19 @@ def test_example_block_cache_keys_on_the_examples(dish, examples):
     sets = ([a], [b], [a])
     uncached = []
     for trees in sets:
-        _EXAMPLE_BLOCKS.clear()
+        _example_block.cache_clear()
         uncached.append(render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees).text)
-    _EXAMPLE_BLOCKS.clear()
+    _example_block.cache_clear()
     cached = [render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees).text for trees in sets]
     assert cached == uncached
     assert uncached[0] != uncached[1]
 
 
 def test_example_block_lookup_touches_no_node(dish, monkeypatch):
-    # the examples as one command loads them, and again as the next one
-    # in the same process does: equal trees, other objects
-    before = load_examples(data_path("examples"))
-    first = render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=before)
+    # the examples as one command loads them and renders them per dish
+    _example_block.cache_clear()
     trees = load_examples(data_path("examples"))
-    assert trees == before and all(a is not b for a, b in zip(trees, before))
-    assert render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees) == first
+    first = render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees)
     touched = []
     for name in ("__hash__", "__eq__"):
         original = getattr(ObjectNode, name)

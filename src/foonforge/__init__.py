@@ -9,7 +9,6 @@ fallback, and score the results.
 
 from .client import (
     FinishReason,
-    GenerationParams,
     LiveClient,
     ModelResponse,
     ReplayClient,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FinishReason",
-    "GenerationParams",
     "LiveClient",
     "ModelResponse",
     "ReplayClient",

@@ -8,10 +8,14 @@ backend.
 The live backend speaks a minimal provider-agnostic protocol: POST a JSON
 body ``{"model", "prompt", "temperature", "max_output_tokens"}`` and read
 ``{"text", "finish_reason"}`` back. Provider specifics stay inside this
-module. Configuration comes from ``FOONFORGE_API_URL`` and
-``FOONFORGE_API_KEY``. The request goes out through :func:`urllib_post`,
-the standard library's HTTP client, which verifies TLS certificates and
-follows no redirect, so the key is only ever sent to the configured URL.
+module. The model, temperature, token cap and timeout are fixed
+(``MODEL``, ``TEMPERATURE``, ``MAX_OUTPUT_TOKENS``, ``REQUEST_TIMEOUT``),
+so the prompt is the only part of a request that varies, and the
+context hash that keys a fixture covers all of it. The deployment
+settings come from ``FOONFORGE_API_URL`` and ``FOONFORGE_API_KEY``. The
+request goes out through :func:`urllib_post`, the standard library's
+HTTP client, which verifies TLS certificates and follows no redirect, so
+the key is only ever sent to the configured URL.
 
 A backend answers a whole batch at once (:meth:`TextGenerator.generate_all`),
 so concurrency lives where the waiting is: the live backend keeps up to
@@ -53,28 +57,15 @@ from .prompts import PromptBundle
 API_KEY_ENV = "FOONFORGE_API_KEY"
 API_URL_ENV = "FOONFORGE_API_URL"
 
-DEFAULT_MODEL = "gemini-1.0-pro-latest"
+MODEL = "gemini-1.0-pro-latest"
+TEMPERATURE = 0.2
+MAX_OUTPUT_TOKENS = 2048
+REQUEST_TIMEOUT = 60.0  # seconds
 
 MAX_RETRIES = 3
 BACKOFF_BASE = 1.0
 BACKOFF_FACTOR = 2.0
 DEFAULT_MAX_IN_FLIGHT = 4
-
-
-@dataclass(frozen=True)
-class GenerationParams:
-    model_name: str = DEFAULT_MODEL
-    temperature: float = 0.2
-    max_output_tokens: int = 2048
-    timeout: float = 60.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError(f"temperature must be in [0, 2], got {self.temperature}")
-        if self.max_output_tokens <= 0:
-            raise ValueError("max_output_tokens must be positive")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
 
 
 class FinishReason(str, Enum):
@@ -115,21 +106,17 @@ def decode_response(payload, *, latency: float = 0.0) -> ModelResponse:
 class TextGenerator(Protocol):
     """Anything that can answer a batch of prompt bundles."""
 
-    def generate_all(
-        self, prompts: Sequence[PromptBundle], params: GenerationParams
-    ) -> list[ModelResponse | ClientError]:
+    def generate_all(self, prompts: Sequence[PromptBundle]) -> list[ModelResponse | ClientError]:
         """One response, or the :class:`ClientError` that stood in for it,
         per prompt, in prompt order. Any other exception propagates."""
         ...
 
 
 def _answer(
-    generate: Callable[[PromptBundle, GenerationParams], ModelResponse],
-    prompt: PromptBundle,
-    params: GenerationParams,
+    generate: Callable[[PromptBundle], ModelResponse], prompt: PromptBundle
 ) -> ModelResponse | ClientError:
     try:
-        return generate(prompt, params)
+        return generate(prompt)
     except ClientError as exc:
         return exc
 
@@ -153,16 +140,14 @@ class ReplayClient:
             except MalformedResponseError as exc:
                 raise MalformedResponseError(f"fixture entry {key}: {exc}") from exc
 
-    def generate(self, prompt: PromptBundle, params: GenerationParams) -> ModelResponse:
+    def generate(self, prompt: PromptBundle) -> ModelResponse:
         response = self._responses.get(prompt.context_hash)
         if response is None:
             raise FixtureMissError(prompt.context_hash)
         return response
 
-    def generate_all(
-        self, prompts: Sequence[PromptBundle], params: GenerationParams
-    ) -> list[ModelResponse | ClientError]:
-        return [_answer(self.generate, prompt, params) for prompt in prompts]
+    def generate_all(self, prompts: Sequence[PromptBundle]) -> list[ModelResponse | ClientError]:
+        return [_answer(self.generate, prompt) for prompt in prompts]
 
 
 def load_fixture(path: str | Path) -> dict[str, dict]:
@@ -268,19 +253,17 @@ class LiveClient:
         self._rng = rng or random.Random()
         self.max_in_flight = max_in_flight
 
-    def generate_all(
-        self, prompts: Sequence[PromptBundle], params: GenerationParams
-    ) -> list[ModelResponse | ClientError]:
+    def generate_all(self, prompts: Sequence[PromptBundle]) -> list[ModelResponse | ClientError]:
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-            return list(pool.map(lambda prompt: _answer(self.generate, prompt, params), prompts))
+            return list(pool.map(lambda prompt: _answer(self.generate, prompt), prompts))
 
-    def generate(self, prompt: PromptBundle, params: GenerationParams) -> ModelResponse:
+    def generate(self, prompt: PromptBundle) -> ModelResponse:
         body = json.dumps(
             {
-                "model": params.model_name,
+                "model": MODEL,
                 "prompt": prompt.text,
-                "temperature": params.temperature,
-                "max_output_tokens": params.max_output_tokens,
+                "temperature": TEMPERATURE,
+                "max_output_tokens": MAX_OUTPUT_TOKENS,
             }
         ).encode("utf-8")
         headers = {"Authorization": f"Bearer {self.api_key}"}
@@ -288,7 +271,7 @@ class LiveClient:
         start = time.monotonic()
         last_status = 0
         for attempt in range(MAX_RETRIES + 1):
-            status, raw = self._post(self.api_url, body, headers, params.timeout)
+            status, raw = self._post(self.api_url, body, headers, REQUEST_TIMEOUT)
             if status == 200:
                 try:
                     payload = json.loads(raw)

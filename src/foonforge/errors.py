@@ -8,7 +8,15 @@ class FoonForgeError(Exception):
 
 
 class InvalidNodeError(FoonForgeError):
-    """A node or unit was constructed from malformed values."""
+    """A node or unit was constructed from malformed values.
+
+    ``pointer`` names the refused field, relative to the value being
+    built, where the constructor knows it, as :class:`DishSpec` does.
+    """
+
+    def __init__(self, message: str, pointer: str = ""):
+        self.pointer = pointer
+        super().__init__(message)
 
 
 class FoonSyntaxError(FoonForgeError):
@@ -84,7 +92,7 @@ class TransportError(ClientError):
 
 
 class RequestTimeoutError(TransportError):
-    """The provider did not answer within the configured timeout."""
+    """The provider did not answer within ``client.REQUEST_TIMEOUT`` seconds."""
 
 
 class RateLimitedError(TransportError):

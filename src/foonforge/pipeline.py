@@ -25,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .client import FinishReason, FixtureMissError, GenerationParams, ModelResponse, TextGenerator
+from .client import FinishReason, FixtureMissError, ModelResponse, TextGenerator
 from .errors import (
     ClientError,
     InvalidNodeError,
@@ -169,16 +169,23 @@ def _parse_dish(raw, category: str, pointer: str) -> DishSpec:
     name = raw.get("name")
     if not isinstance(name, str):
         raise ManifestError("missing dish name", pointer + "/name")
-    ingredients = raw.get("ingredients")
-    if not isinstance(ingredients, list) or not all(isinstance(i, str) for i in ingredients):
-        raise ManifestError("missing ingredients list", pointer + "/ingredients")
-    tools = raw.get("tools", [])
-    if not isinstance(tools, list) or not all(isinstance(t, str) for t in tools):
-        raise ManifestError("tools must be an array of strings", pointer + "/tools")
+    ingredients = _strings(
+        raw.get("ingredients"), "missing ingredients list", pointer + "/ingredients"
+    )
+    tools = _strings(raw.get("tools", []), "tools must be an array of strings", pointer + "/tools")
     try:
-        return DishSpec(category, name, tuple(ingredients), tuple(tools))
+        return DishSpec(category, name, ingredients, tools)
     except InvalidNodeError as exc:
-        raise ManifestError(str(exc), pointer) from exc
+        raise ManifestError(str(exc), pointer + exc.pointer) from exc
+
+
+def _strings(value, message: str, pointer: str) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ManifestError(message, pointer)
+    for i, item in enumerate(value):
+        if not isinstance(item, str):
+            raise ManifestError("must be a string", f"{pointer}/{i}")
+    return tuple(value)
 
 
 def sanitize_filename(name: str) -> str:
@@ -314,7 +321,6 @@ def run_generation(
     strategy: Strategy,
     backend: TextGenerator,
     out_dir: str | Path,
-    params: GenerationParams | None = None,
     *,
     examples: Sequence[TaskTree] = (),
     instructions: str | None = None,
@@ -332,7 +338,6 @@ def run_generation(
     then classified and written one by one, in manifest order.
     """
     out_dir = Path(out_dir)
-    params = params or GenerationParams()
 
     dishes = list(manifest.dishes())
     bundles = [
@@ -344,7 +349,7 @@ def run_generation(
     stems = _resolve_stems(manifest)
 
     started = _utc_now()
-    answers = backend.generate_all(bundles, params)
+    answers = backend.generate_all(bundles)
     if strict_replay:
         for answer in answers:
             if isinstance(answer, FixtureMissError):
@@ -424,14 +429,18 @@ def load_run_report(path: str | Path) -> RunReport:
     field, or holds one of the wrong type raises :class:`ManifestError`,
     as do counts that disagree with the records, a stored ``outcome``
     that disagrees with its ``fallback_reason``, and a successful record
-    whose ``raw_text`` is not a valid task tree. A record or dish that
-    is not an object, a missing field or one of the wrong type or
-    value, and an ``outcome`` that disagrees with its ``fallback_reason``
-    are named by their pointer, such as ``/records/3/output_path``,
-    ``/records/3/fallback_reason`` or ``/total``; a count must be a JSON
-    integer, not a float or a bool. A report that is not an object is
-    refused at ``/``. ``started`` and ``finished`` may be absent. A
-    per-record ``strategy``, written by older versions, is ignored.
+    whose ``raw_text`` is not a valid task tree. Each of these names its
+    field by a pointer, such as ``/records``, ``/records/3/output_path``
+    or ``/records/3/dish/ingredients/1``; ``outcome`` against
+    ``fallback_reason`` is named at ``/records/<i>/fallback_reason``,
+    and a count that disagrees at its own pointer, such as ``/total``.
+    A count must be a JSON integer, not a float or a bool. Only a report
+    that is not an object is refused at ``/``. ``started`` and
+    ``finished`` may be absent. Unknown fields are ignored at report,
+    record and dish level alike, as the manifest reader and
+    :func:`~foonforge.client.decode_response` ignore theirs, so the
+    per-record ``strategy`` that older versions wrote needs no special
+    case.
     """
     path = Path(path)
     try:
@@ -440,13 +449,10 @@ def load_run_report(path: str | Path) -> RunReport:
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ManifestError("run report must be a JSON object")
-    try:
-        entries = _field(raw, "records", "")
-        if not isinstance(entries, list):
-            raise TypeError("records must be an array")
-        records = tuple(_load_record(entry, i) for i, entry in enumerate(entries))
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ManifestError(f"{path} is not a run report: {exc}") from exc
+    entries = _field(raw, "records", "")
+    if not isinstance(entries, list):
+        raise ManifestError("records must be an array", "/records")
+    records = tuple(_load_record(entry, i) for i, entry in enumerate(entries))
     try:
         strategy = Strategy(_field(raw, "strategy", ""))
     except ValueError as exc:
@@ -455,12 +461,16 @@ def load_run_report(path: str | Path) -> RunReport:
         _string_field(raw, name, "") if name in raw else "" for name in ("started", "finished")
     )
     report = RunReport(strategy, records, started, finished)
-    if (report.total, report.json_ok, report.text_fallback) != (
-        _count_field(raw, "total"),
-        _count_field(raw, "json_ok"),
-        _count_field(raw, "text_fallback"),
+    for name, count in (
+        ("total", report.total),
+        ("json_ok", report.json_ok),
+        ("text_fallback", report.text_fallback),
     ):
-        raise ManifestError(f"report counts in {path} are inconsistent with its records")
+        stored = _count_field(raw, name)
+        if stored != count:
+            raise ManifestError(
+                f"{name} {stored} is inconsistent with its records ({count})", f"/{name}"
+            )
     return report
 
 
@@ -477,25 +487,25 @@ def _load_record(entry, index: int) -> OutputRecord:
         outcome = Outcome(_field(entry, "outcome", pointer))
     except ValueError as exc:
         raise ManifestError(str(exc), pointer + "/outcome") from exc
+    reason_raw = entry.get("fallback_reason")
+    try:
+        reason = None if reason_raw is None else FallbackReason(reason_raw)
+    except ValueError as exc:
+        raise ManifestError(str(exc), pointer + "/fallback_reason") from exc
+    if (outcome is Outcome.JSON_OK) != (reason is None):
+        raise ManifestError(
+            f"outcome {outcome.value} disagrees with fallback_reason {json.dumps(reason_raw)}",
+            pointer + "/fallback_reason",
+        )
     raw_text = _string_field(entry, "raw_text", pointer)
     tree = None
-    if outcome is Outcome.JSON_OK:
+    if reason is None:
         try:
             tree = _parse_answer(raw_text)
         except TaskTreeError as exc:
             raise ManifestError(
                 f"JSON_OK record is not a task tree: {exc}", pointer + "/raw_text"
             ) from exc
-    reason_raw = entry.get("fallback_reason")
-    try:
-        reason = None if reason_raw is None else FallbackReason(reason_raw)
-    except ValueError as exc:
-        raise ManifestError(str(exc), pointer + "/fallback_reason") from exc
-    if (tree is None) == (reason is None):
-        raise ManifestError(
-            f"outcome {outcome.value} disagrees with fallback_reason {json.dumps(reason_raw)}",
-            pointer + "/fallback_reason",
-        )
     output_path = _string_field(entry, "output_path", pointer)
     return OutputRecord(dish, raw_text, output_path, tree, reason)
 

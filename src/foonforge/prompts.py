@@ -83,13 +83,17 @@ class DishSpec:
         object.__setattr__(self, "category", normalize_token(self.category))
         name = normalize_token(self.name)
         if not name:
-            raise InvalidNodeError("dish name must not be empty")
+            raise InvalidNodeError("dish name must not be empty", "/name")
         object.__setattr__(self, "name", name)
         ingredients = tuple(normalize_token(i) for i in self.ingredients)
-        if not ingredients or any(not i for i in ingredients):
-            raise InvalidNodeError(f"dish {name!r} needs a non-empty ingredients list")
+        if not ingredients or "" in ingredients:
+            where = f"/ingredients/{ingredients.index('')}" if ingredients else "/ingredients"
+            raise InvalidNodeError(f"dish {name!r} needs a non-empty ingredients list", where)
         if len(set(ingredients)) != len(ingredients):
-            raise InvalidNodeError(f"dish {name!r} has duplicate ingredients")
+            repeat = next(i for i, item in enumerate(ingredients) if item in ingredients[:i])
+            raise InvalidNodeError(
+                f"dish {name!r} has duplicate ingredients", f"/ingredients/{repeat}"
+            )
         object.__setattr__(self, "ingredients", ingredients)
         tools: list[str] = []
         for raw in self.tools:

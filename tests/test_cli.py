@@ -808,7 +808,8 @@ def test_evaluate_rejects_counts_that_disagree_with_the_records(tmp_path, capsys
     _evaluate(capsys, report)
     _edit_report(report, lambda payload: payload.update({field: payload[field] + 1}))
     assert main(["evaluate", str(report)]) == 2
-    assert "inconsistent with its records" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: /{field}: ") and "inconsistent with its records" in err
 
 
 def test_evaluate_reads_reports_that_still_carry_a_strategy_per_record(
@@ -910,7 +911,7 @@ def test_generate_live_passes_max_in_flight_to_the_live_client(
         def __init__(self, **kwargs):
             built.append(kwargs)
 
-        def generate_all(self, prompts, params):
+        def generate_all(self, prompts):
             return [ClientError("offline")] * len(prompts)
 
     monkeypatch.setattr("foonforge.cli.LiveClient", Recorder)

@@ -9,12 +9,16 @@ import time
 
 import pytest
 
+from foonforge import client as client_module
 from foonforge.client import (
     API_KEY_ENV,
     API_URL_ENV,
+    MAX_OUTPUT_TOKENS,
     MAX_RETRIES,
+    MODEL,
+    REQUEST_TIMEOUT,
+    TEMPERATURE,
     FinishReason,
-    GenerationParams,
     LiveClient,
     ModelResponse,
     ReplayClient,
@@ -40,20 +44,6 @@ def bundle():
     return render_for_dish(Strategy.USER_GUIDED, dish, instructions="plain and quick")
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"temperature": -0.1},
-        {"temperature": 2.5},
-        {"max_output_tokens": 0},
-        {"timeout": 0},
-    ],
-)
-def test_generation_params_ranges(kwargs):
-    with pytest.raises(ValueError):
-        GenerationParams(**kwargs)
-
-
 def test_model_response_invariant():
     with pytest.raises(ValueError):
         ModelResponse("", FinishReason.COMPLETE)
@@ -62,12 +52,12 @@ def test_model_response_invariant():
 
 def test_replay_hit_and_miss(bundle):
     client = ReplayClient({bundle.context_hash: {"text": "canned", "finish_reason": "complete"}})
-    response = client.generate(bundle, GenerationParams())
+    response = client.generate(bundle)
     assert response.text == "canned"
 
     empty = ReplayClient({})
     with pytest.raises(FixtureMissError) as exc_info:
-        empty.generate(bundle, GenerationParams())
+        empty.generate(bundle)
     assert bundle.context_hash in str(exc_info.value)
 
 
@@ -103,9 +93,9 @@ def test_replay_client_rejects_malformed_entries_when_built(tmp_path, entry):
 
 def test_replay_decodes_each_entry_once(bundle):
     client = ReplayClient({bundle.context_hash: {"text": "canned", "finish_reason": "error"}})
-    first = client.generate(bundle, GenerationParams())
+    first = client.generate(bundle)
     assert first.finish_reason is FinishReason.ERROR
-    assert client.generate(bundle, GenerationParams()) is first
+    assert client.generate(bundle) is first
 
 
 @pytest.mark.parametrize(
@@ -139,7 +129,8 @@ class FakePost:
 
     def __call__(self, url, body, headers, timeout):
         self.calls.append(
-            {"url": url, "json": json.loads(body), "headers": headers, "timeout": timeout}
+            {"url": url, "body": body, "json": json.loads(body), "headers": headers,
+             "timeout": timeout}
         )
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, Exception):
@@ -181,7 +172,7 @@ def test_missing_url_is_config_error(monkeypatch):
 def test_retries_on_429_and_5xx_then_succeeds(bundle):
     sleeper = FakeSleeper()
     client = _live([(429, b""), (503, b""), _ok("stew time")], sleeper)
-    response = client.generate(bundle, GenerationParams())
+    response = client.generate(bundle)
     assert response.text == "stew time"
     assert len(client._post.calls) == 3
     # full jitter: each nap bounded by base * factor**attempt
@@ -192,18 +183,30 @@ def test_retries_on_429_and_5xx_then_succeeds(bundle):
 
 def test_request_body_and_headers(bundle):
     client = _live([(200, b'{"text": "y"}')])
-    client.generate(bundle, GenerationParams(model_name="m1", temperature=0.7))
-    call = client._post.calls[0]
-    assert call["json"]["model"] == "m1"
-    assert call["json"]["prompt"] == bundle.text
-    assert call["json"]["temperature"] == 0.7
+    client.generate(bundle)
+    [call] = client._post.calls
+    assert call["json"] == {
+        "model": MODEL,
+        "prompt": bundle.text,
+        "temperature": TEMPERATURE,
+        "max_output_tokens": MAX_OUTPUT_TOKENS,
+    }
+    assert call["timeout"] == REQUEST_TIMEOUT
+    # the prompt is the only part of a request that varies, so the context
+    # hash that keys a fixture determines the whole request
+    prompt = json.dumps(bundle.text)
+    assert call["body"] == (
+        f'{{"model": "gemini-1.0-pro-latest", "prompt": {prompt}, "temperature": 0.2, '
+        f'"max_output_tokens": 2048}}'
+    ).encode()
+    assert call["timeout"] == 60.0
     assert call["headers"]["Authorization"] == "Bearer k"
 
 
 def test_client_4xx_not_retried(bundle):
     client = _live([(400, b"bad request")])
     with pytest.raises(ProviderError) as exc_info:
-        client.generate(bundle, GenerationParams())
+        client.generate(bundle)
     assert exc_info.value.status == 400
     assert str(exc_info.value) == "provider returned HTTP 400: bad request"
     assert len(client._post.calls) == 1
@@ -217,7 +220,7 @@ def test_client_4xx_not_retried(bundle):
 def test_provider_error_keeps_200_characters_of_the_body(bundle, status, body, detail):
     client = _live([(status, body)])
     with pytest.raises(ProviderError) as exc_info:
-        client.generate(bundle, GenerationParams())
+        client.generate(bundle)
     assert str(exc_info.value) == f"provider returned HTTP {status}{detail}"
     assert len(client._post.calls) == 1
 
@@ -225,14 +228,15 @@ def test_provider_error_keeps_200_characters_of_the_body(bundle, status, body, d
 def test_rate_limited_after_retry_budget(bundle):
     client = _live([(429, b"")] * (MAX_RETRIES + 1))
     with pytest.raises(RateLimitedError):
-        client.generate(bundle, GenerationParams())
+        client.generate(bundle)
     assert len(client._post.calls) == MAX_RETRIES + 1
 
 
-def test_timeout_not_retried(bundle):
+def test_timeout_not_retried(bundle, monkeypatch):
+    monkeypatch.setattr(client_module, "REQUEST_TIMEOUT", 0.5)
     client = _live([RequestTimeoutError("slow")])
     with pytest.raises(RequestTimeoutError):
-        client.generate(bundle, GenerationParams(timeout=0.5))
+        client.generate(bundle)
     assert len(client._post.calls) == 1
     assert client._post.calls[0]["timeout"] == 0.5
 
@@ -240,16 +244,16 @@ def test_timeout_not_retried(bundle):
 def test_malformed_payloads(bundle):
     for body in (b"no json", b"\xff", b"[" * 100_000, b'{"answer": "x"}'):
         with pytest.raises(MalformedResponseError):
-            _live([(200, body)]).generate(bundle, GenerationParams())
+            _live([(200, body)]).generate(bundle)
     with pytest.raises(MalformedResponseError):
-        _live([_ok("x", "odd")]).generate(bundle, GenerationParams())
+        _live([_ok("x", "odd")]).generate(bundle)
 
 
 def test_live_lone_surrogate_is_a_model_error_record(tmp_path):
     surrogate = _ok("oops \ud800")
     with pytest.raises(MalformedResponseError):
         _live([surrogate]).generate(
-            render_for_dish(Strategy.CONTEXTUAL, DishSpec("a", "b", ("c",))), GenerationParams()
+            render_for_dish(Strategy.CONTEXTUAL, DishSpec("a", "b", ("c",)))
         )
 
     path = tmp_path / "manifest.json"
@@ -383,19 +387,19 @@ def _loopback(server, sleeper=None):
 
 def test_loopback_200(bundle):
     with _Server([(200, _ok("hot soup")[1], {}, 0)]) as server:
-        response = _loopback(server).generate(bundle, GenerationParams(model_name="m"))
+        response = _loopback(server).generate(bundle)
     assert response.text == "hot soup"
     [(method, path, headers, body)] = server.requests
     assert (method, path) == ("POST", "/generate")
     assert headers["Authorization"] == "Bearer secret"
     assert headers["Content-Type"] == "application/json"
-    assert json.loads(body)["model"] == "m"
+    assert json.loads(body)["model"] == MODEL
 
 
 def test_loopback_503_is_retried(bundle):
     sleeper = FakeSleeper()
     with _Server([(503, b"busy", {}, 0), (200, _ok("ok")[1], {}, 0)]) as server:
-        assert _loopback(server, sleeper).generate(bundle, GenerationParams()).text == "ok"
+        assert _loopback(server, sleeper).generate(bundle).text == "ok"
     assert len(server.requests) == 2
     assert len(sleeper.napped) == 1
 
@@ -403,7 +407,7 @@ def test_loopback_503_is_retried(bundle):
 def test_loopback_400_is_a_provider_error_with_its_body(bundle):
     with _Server([(400, b"prompt too long", {}, 0)]) as server:
         with pytest.raises(ProviderError, match="prompt too long") as exc_info:
-            _loopback(server).generate(bundle, GenerationParams())
+            _loopback(server).generate(bundle)
     assert exc_info.value.status == 400
     assert len(server.requests) == 1
 
@@ -413,26 +417,28 @@ def test_loopback_redirect_is_not_followed(bundle):
         moved = (302, b"", {"Location": f"{elsewhere.url}/steal"}, 0)
         with _Server([moved]) as server:
             with pytest.raises(ProviderError) as exc_info:
-                _loopback(server).generate(bundle, GenerationParams())
+                _loopback(server).generate(bundle)
     assert exc_info.value.status == 302
     assert len(server.requests) == 1
     assert elsewhere.requests == []
 
 
-def test_loopback_slow_answer_times_out(bundle):
+def test_loopback_slow_answer_times_out(bundle, monkeypatch):
+    monkeypatch.setattr(client_module, "REQUEST_TIMEOUT", 0.2)
     with _Server([(200, _ok("late")[1], {}, 1.0)]) as server:
         with pytest.raises(RequestTimeoutError):
-            _loopback(server).generate(bundle, GenerationParams(timeout=0.2))
+            _loopback(server).generate(bundle)
     assert len(server.requests) == 1
 
 
-def test_loopback_closed_port_is_a_transport_error(bundle):
+def test_loopback_closed_port_is_a_transport_error(bundle, monkeypatch):
+    monkeypatch.setattr(client_module, "REQUEST_TIMEOUT", 2.0)
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     client = LiveClient(api_url=f"http://127.0.0.1:{port}/generate", api_key="k")
     with pytest.raises(TransportError) as exc_info:
-        client.generate(bundle, GenerationParams(timeout=2))
+        client.generate(bundle)
     assert not isinstance(exc_info.value, RequestTimeoutError)
 
 
@@ -441,4 +447,4 @@ def test_non_http_url_is_a_transport_error(bundle, tmp_path):
     secret.write_text("do not send", encoding="utf-8")
     client = LiveClient(api_url=secret.as_uri(), api_key="k")
     with pytest.raises(TransportError, match="unknown url type"):
-        client.generate(bundle, GenerationParams())
+        client.generate(bundle)

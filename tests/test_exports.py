@@ -1,0 +1,14 @@
+"""Every name a package exports resolves on it."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+
+@pytest.mark.parametrize("module_name", ["foonforge", "foonforge.foon"])
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -21,7 +21,7 @@ from foonforge.metrics import (
     score_record,
     summarize_run,
 )
-from foonforge.pipeline import FallbackReason, OutputRecord, RunReport
+from foonforge.pipeline import FallbackReason, OutputRecord, RunReport, load_run_report
 from foonforge.prompts import DishSpec, Strategy
 
 from .graphgen import (
@@ -183,6 +183,18 @@ def test_accuracy_is_multiple_of_point_two(dish):
             tree = _with_goal(tree, "other dish")
         value = score_accuracy(tree, dish)
         assert abs(value * 5 - round(value * 5)) < 1e-9
+
+
+def test_every_shipped_success_scores_at_least_point_four(shipped_runs):
+    # motions present and structural validity hold for every scored tree
+    lowest = 1.0
+    for path in shipped_runs:
+        for record in load_run_report(path).records:
+            if record.tree is not None:
+                _, motions, _, valid, _ = reference_accuracy_rules(record.tree, record.dish)
+                assert motions and valid, (path, record.dish.name)
+                lowest = min(lowest, score_accuracy(record.tree, record.dish))
+    assert lowest == 0.4
 
 
 def test_scores_invariant_under_unit_permutation(dish):

@@ -70,6 +70,19 @@ def test_duplicate_dish_rejected(tmp_path):
         ({"categories": [{"name": "a", "dishes": [{"name": "x"}]}]}, "/categories/0/dishes/0/ingredients"),
         ({"categories": [{"dishes": []}]}, "/categories/0/name"),
         ([], "manifest must be"),
+        ({"categories": [{"name": "a", "dishes": [{"name": " ", "ingredients": ["x"]}]}]},
+         "/categories/0/dishes/0/name: "),
+        ({"categories": [{"name": "a", "dishes": [{"name": "x", "ingredients": []}]}]},
+         "/categories/0/dishes/0/ingredients: "),
+        ({"categories": [{"name": "a", "dishes": [{"name": "x", "ingredients": ["y", 5]}]}]},
+         "/categories/0/dishes/0/ingredients/1: "),
+        ({"categories": [{"name": "a", "dishes": [{"name": "x", "ingredients": ["y", " "]}]}]},
+         "/categories/0/dishes/0/ingredients/1: "),
+        ({"categories": [{"name": "a", "dishes": [{"name": "x", "ingredients": ["y", "Y"]}]}]},
+         "/categories/0/dishes/0/ingredients/1: "),
+        ({"categories": [{"name": "a", "dishes": [{"name": "x", "ingredients": ["y"],
+                                                  "tools": ["pot", None]}]}]},
+         "/categories/0/dishes/0/tools/1: "),
     ],
 )
 def test_manifest_schema_errors_carry_pointers(tmp_path, payload, fragment):
@@ -477,7 +490,7 @@ def test_counting_identity_always_holds(tmp_path, sample_manifest_path):
         (b'{"records": [', "not valid JSON"),
         (b'\xff\xfe{"records": []}', "not valid JSON"),
         (b"{}", "missing field 'records'"),
-        (b'{"records": {"a": 1}, "strategy": "contextual"}', "not a run report"),
+        (b'{"records": {"a": 1}, "strategy": "contextual"}', "^/records: "),
         (b'{"records": [{"dish": []}], "strategy": "contextual"}', "^/records/0/dish: "),
         (b'{"records": [], "strategy": "fusion"}', "^/strategy: "),
         (b"[]", "^/: run report must be a JSON object$"),
@@ -491,6 +504,107 @@ def test_load_run_report_rejects_malformed_reports(tmp_path, content, detail):
     path.write_bytes(content)
     with pytest.raises(ManifestError, match=detail):
         load_run_report(path)
+
+
+# --- the report type sweep: every field, in turn, set to each JSON type ----
+
+_SWEEP_VALUES = (
+    None, True, False, 0, 1, -1, 34.0, "", "x", [], [1], {},
+    # well-typed values some fields accept, or that contradict another field
+    "JSON_OK", "TEXT_FALLBACK", "schema", "user_guided",
+)
+_DELETED = object()
+_COUNT_POINTERS = {"/total", "/json_ok", "/text_fallback"}
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _field_paths(value, path=()):
+    """The key path of every field below ``value``, list elements included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, path + (key,))
+
+
+def _two_record_report(shipped_report) -> dict:
+    """A shipped run's report cut down to one JSON_OK and one fallback
+    record, each with tools and more than one ingredient."""
+    payload = json.loads(shipped_report.read_text(encoding="utf-8"))
+
+    def first(outcome):
+        return next(
+            record for record in payload["records"]
+            if record["outcome"] == outcome
+            and record["dish"]["tools"]
+            and len(record["dish"]["ingredients"]) > 1
+        )
+
+    records = [first("JSON_OK"), first("TEXT_FALLBACK")]
+    return {**payload, "total": 2, "json_ok": 1, "text_fallback": 1, "records": records}
+
+
+def test_report_type_sweep_names_the_field_or_loads(tmp_path, shipped_runs):
+    base = _two_record_report(shipped_runs[0])
+    path = tmp_path / REPORT_FILENAME
+    path.write_text(json.dumps(base), encoding="utf-8")
+    assert load_run_report(path).total == 2
+
+    faults, loaded_deletions = [], set()
+    for field in _field_paths(base):
+        pointer = "".join(f"/{key}" for key in field)
+        name = field[-1]
+        for value in (*_SWEEP_VALUES, _DELETED):
+            payload = json.loads(json.dumps(base))
+            holder = _at(payload, field[:-1])
+            if value is _DELETED:
+                del holder[name]
+            else:
+                holder[name] = value
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            try:
+                load_run_report(path)
+            except ManifestError as exc:
+                got = exc.pointer
+                if not (
+                    got == pointer
+                    or got.rpartition("/")[0] == pointer
+                    # dropping or emptying records leaves the counts behind
+                    or (got in _COUNT_POINTERS and field[0] == "records" and len(field) <= 2)
+                    or (name == "outcome" and got == pointer.replace("outcome", "fallback_reason"))
+                ):
+                    faults.append((pointer, value, got))
+            else:
+                if value is _DELETED:
+                    loaded_deletions.add(pointer)
+                # a loaded value has the field's own JSON type (True is no count)
+                elif type(value) is not type(_at(base, field)):
+                    faults.append((pointer, value, "loaded"))
+    assert faults == []
+    # only these fields may be absent; a list element may be dropped
+    # (the counts or the dish then say what is wrong, if anything)
+    optional = {"/started", "/finished", "/records/0/fallback_reason"}
+    optional |= {f"/records/{i}/dish/tools" for i in (0, 1)}
+    assert {p for p in loaded_deletions if not p.split("/")[-1].isdecimal()} == optional
+
+
+@pytest.mark.parametrize("level", ["report", "record", "dish"])
+def test_load_run_report_ignores_unknown_fields(tmp_path, shipped_runs, level):
+    original = shipped_runs[0]
+    payload = json.loads(original.read_text(encoding="utf-8"))
+    for record in payload["records"]:
+        holder = {"report": payload, "record": record, "dish": record["dish"]}[level]
+        # a per-record strategy is what reports before the run-level field carried
+        holder.update({"strategy": "fusion", "extra": [1, {"a": None}]} if level == "record"
+                      else {"extra": [1, {"a": None}]})
+    copy = tmp_path / REPORT_FILENAME
+    copy.write_text(json.dumps(payload), encoding="utf-8")
+    assert load_run_report(copy) == load_run_report(original)
 
 
 def _every_outcome(dish, raw_text: str) -> list[OutputRecord]:

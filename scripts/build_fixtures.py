@@ -485,7 +485,7 @@ def build(out_dir: Path) -> list[Path]:
 
     manifest = read_manifest(out_dir / "manifest_34.json")
     examples = load_examples(examples_dir)
-    assert len(examples) == len(examples_trees)
+    assert len(examples.trees) == len(examples_trees)
 
     fixtures = {
         strategy: [

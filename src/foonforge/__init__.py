@@ -54,6 +54,7 @@ from .pipeline import (
 )
 from .prompts import (
     DishSpec,
+    ExampleSet,
     PromptBundle,
     Strategy,
     load_examples,
@@ -101,6 +102,7 @@ __all__ = [
     "run_generation",
     "sanitize_filename",
     "DishSpec",
+    "ExampleSet",
     "PromptBundle",
     "Strategy",
     "load_examples",

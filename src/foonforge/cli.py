@@ -239,7 +239,7 @@ def cmd_generate(args) -> int:
         backend = ReplayClient(args.fixture)
 
     strategy = Strategy(args.strategy)
-    examples = ()
+    examples = None
     if strategy is Strategy.EXAMPLE_BASED:
         examples = load_examples(args.examples or data_path("examples"))
 

@@ -161,11 +161,11 @@ def _checked_tokens(name, states, ingredients) -> tuple[str, tuple[str, ...], tu
     return name, tuple(sorted(states)), tuple(sorted(seen))
 
 
-def require_unicode(text: str, what: str) -> None:
+def require_unicode(text: str, what: str, pointer: str = "") -> None:
     """Reject text holding a lone surrogate, which no UTF-8 file or hash
-    input can carry, with :class:`InvalidNodeError`."""
+    input can carry, with :class:`InvalidNodeError` at ``pointer``."""
     if not (text.isascii() or _encodes(text)):
-        raise InvalidNodeError(f"{what} must be valid Unicode text: {text!r}")
+        raise InvalidNodeError(f"{what} must be valid Unicode text: {text!r}", pointer)
 
 
 @dataclass(frozen=True, slots=True)
@@ -348,16 +348,6 @@ class TaskTree:
     @property
     def units(self) -> tuple[FunctionalUnit, ...]:
         return self.graph.units
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The dataclass hash, of every unit and node, computed once: a
-        tree used as a cache key, such as a prompt's example trees, is
-        then hashed at no cost per lookup."""
-        return hash((self.graph, self.goal))
 
     @cached_property
     def validation(self) -> ValidationReport:

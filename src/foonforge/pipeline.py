@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .client import FinishReason, FixtureMissError, ModelResponse, TextGenerator
 from .errors import (
@@ -42,7 +42,7 @@ from .foon.tree_json import (
     serialize_task_tree_json,
     string_array,
 )
-from .prompts import DishSpec, Strategy, render_for_dish
+from .prompts import DishSpec, ExampleSet, Strategy, render_for_dish
 from .resources import write_text_atomic
 
 log = logging.getLogger(__name__)
@@ -151,7 +151,7 @@ def read_manifest(path: str | Path) -> InputManifest:
         dishes: list[DishSpec] = []
         for di, dish_raw in enumerate(dishes_raw):
             dish_pointer = f"{pointer}/dishes/{di}"
-            dish = _parse_dish(dish_raw, name, dish_pointer)
+            dish = _parse_dish(dish_raw, name, dish_pointer, pointer + "/name")
             if dish.name in seen_names:
                 raise ManifestError(
                     f"duplicate dish {dish.name!r} (also at {seen_names[dish.name]})",
@@ -163,7 +163,9 @@ def read_manifest(path: str | Path) -> InputManifest:
     return InputManifest(tuple(categories))
 
 
-def _parse_dish(raw, category: str, pointer: str) -> DishSpec:
+def _parse_dish(raw, category: str, pointer: str, category_pointer: str) -> DishSpec:
+    """The dish at ``pointer``; a fault in ``category``, which a manifest
+    gives per category and a report per dish, is named at ``category_pointer``."""
     if not isinstance(raw, dict):
         raise ManifestError("dish must be an object", pointer)
     name = raw.get("name")
@@ -176,7 +178,8 @@ def _parse_dish(raw, category: str, pointer: str) -> DishSpec:
     try:
         return DishSpec(category, name, ingredients, tools)
     except InvalidNodeError as exc:
-        raise ManifestError(str(exc), pointer + exc.pointer) from exc
+        where = category_pointer if exc.pointer == "/category" else pointer + exc.pointer
+        raise ManifestError(str(exc), where) from exc
 
 
 def _strings(value, message: str, pointer: str) -> tuple[str, ...]:
@@ -322,7 +325,7 @@ def run_generation(
     backend: TextGenerator,
     out_dir: str | Path,
     *,
-    examples: Sequence[TaskTree] = (),
+    examples: ExampleSet | None = None,
     instructions: str | None = None,
     template: str | None = None,
     strict_replay: bool = False,
@@ -482,7 +485,7 @@ def _load_record(entry, index: int) -> OutputRecord:
     if not isinstance(dish_raw, dict):
         raise ManifestError("dish must be an object", pointer + "/dish")
     category = _string_field(dish_raw, "category", pointer + "/dish")
-    dish = _parse_dish(dish_raw, category, pointer + "/dish")
+    dish = _parse_dish(dish_raw, category, pointer + "/dish", pointer + "/dish/category")
     try:
         outcome = Outcome(_field(entry, "outcome", pointer))
     except ValueError as exc:

@@ -23,7 +23,6 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
 
 from .errors import InvalidNodeError, PromptError, TaskTreeError
 from .foon.model import TaskTree, normalize_token, require_unicode
@@ -78,8 +77,11 @@ class DishSpec:
     def __post_init__(self):
         texts = (self.category, self.name, *self.ingredients, *self.tools)
         if not "".join(texts).isascii():  # one pass over ASCII text, the common case
-            for text in texts:
-                require_unicode(text, "dish text")
+            fields = ["/category", "/name"]
+            fields += (f"/ingredients/{i}" for i in range(len(self.ingredients)))
+            fields += (f"/tools/{i}" for i in range(len(self.tools)))
+            for where, text in zip(fields, texts):
+                require_unicode(text, "dish text", where)
         object.__setattr__(self, "category", normalize_token(self.category))
         name = normalize_token(self.name)
         if not name:
@@ -95,11 +97,8 @@ class DishSpec:
                 f"dish {name!r} has duplicate ingredients", f"/ingredients/{repeat}"
             )
         object.__setattr__(self, "ingredients", ingredients)
-        tools: list[str] = []
-        for raw in self.tools:
-            tool = normalize_token(raw)
-            if tool and tool not in tools:
-                tools.append(tool)
+        tools = dict.fromkeys(normalize_token(raw) for raw in self.tools)  # first-seen order
+        tools.pop("", None)
         object.__setattr__(self, "tools", tuple(tools))
 
 
@@ -158,22 +157,22 @@ def annotate_example(tree: TaskTree) -> str:
     return f"# example: {tree.goal.name}, {steps} step{'s' if steps != 1 else ''}, tools: {', '.join(leaves)}"
 
 
-@functools.lru_cache(maxsize=4)
-def _example_block(examples: tuple[TaskTree, ...]) -> str:
-    """Annotated example trees, built once per set; equal trees render alike.
+@dataclass(frozen=True)
+class ExampleSet:
+    """The example trees of example-based prompts, plus the annotated
+    block every such prompt embeds, built once when the set is made."""
 
-    Each tree keeps its hash once computed (see ``TaskTree``), and a
-    lookup with the tree objects that filled the entry compares them by
-    identity, so within one loaded set a lookup costs the same for any
-    size of example.
-    """
-    return "\n\n".join(
-        annotate_example(tree) + "\n" + serialize_task_tree_json(tree) for tree in examples
-    )
+    trees: tuple[TaskTree, ...]
+    block: str = field(init=False)
+
+    def __post_init__(self):
+        shown = (annotate_example(t) + "\n" + serialize_task_tree_json(t) for t in self.trees)
+        object.__setattr__(self, "block", "\n\n".join(shown))
 
 
-def load_examples(directory: str | Path) -> list[TaskTree]:
-    """Parse every ``*.json`` file in a directory, ordered by filename.
+def load_examples(directory: str | Path) -> ExampleSet:
+    """Parse every ``*.json`` file in a directory, ordered by filename,
+    into one :class:`ExampleSet`.
 
     Files that fail to parse are logged by name and skipped.
     """
@@ -186,21 +185,21 @@ def load_examples(directory: str | Path) -> list[TaskTree]:
             trees.append(parse_task_tree_json(file.read_text(encoding="utf-8")))
         except (TaskTreeError, UnicodeDecodeError) as exc:
             log.warning("skipping invalid example %s: %s", file.name, exc)
-    return trees
+    return ExampleSet(tuple(trees))
 
 
 def render_for_dish(
     strategy: Strategy,
     dish: DishSpec,
     *,
-    examples: Sequence[TaskTree] = (),
+    examples: ExampleSet | None = None,
     instructions: str | None = None,
     template: str | None = None,
 ) -> PromptBundle:
     """Render one dish's prompt under a strategy.
 
-    Example-based prompts need at least one example tree, which they
-    show annotated; user-guided prompts need non-blank instructions,
+    Example-based prompts need an example set of at least one tree, and
+    embed its annotated block; user-guided prompts need non-blank instructions,
     which they embed verbatim; contextual prompts take the kitchen's
     availability from the dish's own tools and ingredients. Inputs
     another strategy uses are ignored. ``template`` overrides the
@@ -210,9 +209,9 @@ def render_for_dish(
     ingredients = ", ".join(sorted(dish.ingredients))
     tools = ", ".join(sorted(dish.tools)) or "none"
     if strategy is Strategy.EXAMPLE_BASED:
-        if not examples:
+        if examples is None or not examples.trees:
             raise PromptError("example-based prompts need at least one example tree")
-        extra = {"examples": _example_block(tuple(examples))}
+        extra = {"examples": examples.block}
     elif strategy is Strategy.USER_GUIDED:
         if not instructions or not instructions.strip():
             raise PromptError("user-guided prompts need non-empty instructions")

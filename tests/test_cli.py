@@ -795,6 +795,30 @@ def test_evaluate_rejects_a_dish_list_given_as_a_string(tmp_path, capsys, field)
     assert capsys.readouterr().err.startswith(f"error: /records/0/dish/{field}: ")
 
 
+@pytest.mark.parametrize(
+    "field, value, pointer",
+    [
+        ("name", "x\ud800", "name"),
+        ("category", "x\ud800", "category"),
+        ("ingredients", ["salt", "x\ud800"], "ingredients/1"),
+        ("tools", ["x\udfff"], "tools/0"),
+    ],
+)
+def test_evaluate_names_a_lone_surrogate_in_a_dish_at_its_field(
+    tmp_path, capsys, field, value, pointer
+):
+    tree = random_task_tree(random.Random(4))
+    dish = DishSpec("pasta", "dish", ("macaroni",), ("pot",))
+    report = tmp_path / REPORT_FILENAME
+    _write_report(report, _tree_record(dish, tree, serialize_task_tree_json(tree), "a.json"))
+    _evaluate(capsys, report)
+    _edit_report(report, lambda payload: payload["records"][0]["dish"].update({field: value}))
+    assert main(["evaluate", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: /records/0/dish/{pointer}: ")
+    assert "valid Unicode" in err
+
+
 @pytest.mark.parametrize("field", ["total", "json_ok", "text_fallback"])
 def test_evaluate_rejects_counts_that_disagree_with_the_records(tmp_path, capsys, field):
     tree = random_task_tree(random.Random(4))
@@ -859,15 +883,30 @@ def _generate(tmp_path, manifest, strategy, *extra):
     )
 
 
-@pytest.mark.parametrize("field", ["name", "ingredients", "tools"])
-def test_generate_lone_surrogate_in_manifest_exits_2(tmp_path, capsys, field):
+@pytest.mark.parametrize(
+    "field, pointer",
+    [
+        ("name", "/categories/0/dishes/0/name"),
+        ("ingredients", "/categories/0/dishes/0/ingredients/1"),
+        ("tools", "/categories/0/dishes/0/tools/1"),
+        ("category", "/categories/0/name"),
+    ],
+    ids=["name", "ingredients", "tools", "category"],
+)
+def test_generate_lone_surrogate_in_manifest_exits_2(tmp_path, capsys, field, pointer):
     dish = {"name": "soup", "ingredients": ["water"], "tools": ["pot"]}
-    dish[field] = "soup \ud800" if field == "name" else ["water", "salt \udfff"]
+    category = {"name": "s", "dishes": [dish]}
+    if field == "category":
+        category["name"] = "s \ud800"
+    elif field == "name":
+        dish["name"] = "soup \ud800"
+    else:
+        dish[field] = ["water", "salt \udfff"]
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"categories": [{"name": "s", "dishes": [dish]}]}))
+    manifest.write_text(json.dumps({"categories": [category]}))
     assert _generate(tmp_path, manifest, "contextual") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: /categories/0/dishes/0: ")
+    assert err.startswith(f"error: {pointer}: ")
     assert "valid Unicode" in err
     assert not (tmp_path / "out").exists()
 

@@ -1,11 +1,11 @@
 """Each fact of a run is computed once.
 
 A tree is validated when it is parsed and never again; a prompt's
-template is read once and its example block serialized once per set of
-examples; an output directory is made once, and an output file opened
-once. The counts are taken on the shipped example-based run1 (34
-dishes, 27 JSON outputs) by wrapping the counted function wherever the
-package holds a reference to it. A command builds the argument parser
+template is read once and its example block serialized once per loaded
+example set, so once per command; an output directory is made once, and
+an output file opened once. The counts are taken on the shipped
+example-based run1 (34 dishes, 27 JSON outputs) by wrapping the counted
+function wherever the package holds a reference to it. A command builds the argument parser
 of that command alone, counted by wrapping ``ArgumentParser.__init__``.
 """
 
@@ -44,9 +44,8 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 
 @pytest.fixture()
 def counts(monkeypatch):
-    # start from cold prompt caches, as a fresh process does
+    # start from a cold template cache, as a fresh process does
     prompts.default_template.cache_clear()
-    prompts._example_block.cache_clear()
     return {
         "validate": _count_calls(monkeypatch, validation, "validate_graph"),
         "serialize": _count_calls(monkeypatch, tree_json, "serialize_task_tree_json"),
@@ -54,14 +53,12 @@ def counts(monkeypatch):
     }
 
 
-@pytest.fixture()
-def run1(tmp_path, capsys, counts, acceptance_manifest_path):
-    out = tmp_path / "run1"
+def _generate_run1(out, capsys, manifest_path):
     code = main(
         [
             "generate",
             "--manifest",
-            str(acceptance_manifest_path),
+            str(manifest_path),
             "--strategy",
             "example-based",
             "--fixture",
@@ -76,6 +73,11 @@ def run1(tmp_path, capsys, counts, acceptance_manifest_path):
     return out / "run_report.json"
 
 
+@pytest.fixture()
+def run1(tmp_path, capsys, counts, acceptance_manifest_path):
+    return _generate_run1(tmp_path / "run1", capsys, acceptance_manifest_path)
+
+
 def test_generate_call_counts(run1, counts):
     validated, serialized = len(counts["validate"]), len(counts["serialize"])
     templates_read = sum(1 for args in counts["read"] if args[0] == "templates")
@@ -87,6 +89,17 @@ def test_generate_call_counts(run1, counts):
     # once per JSON output, plus once per example tree
     assert serialized == report.json_ok + 2 == 29
     assert templates_read == 1
+
+
+def test_each_command_serializes_its_examples_once(
+    tmp_path, capsys, counts, acceptance_manifest_path
+):
+    # no cache is cleared between the runs: the second command in this
+    # process builds its example block from its own loaded set, as the first did
+    for run in ("first", "second"):
+        counts["serialize"].clear()
+        report = load_run_report(_generate_run1(tmp_path / run, capsys, acceptance_manifest_path))
+        assert len(counts["serialize"]) == report.json_ok + 2 == 29
 
 
 def test_evaluate_reuses_the_validation_of_parsing(run1, counts, capsys):

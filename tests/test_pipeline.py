@@ -512,6 +512,8 @@ _SWEEP_VALUES = (
     None, True, False, 0, 1, -1, 34.0, "", "x", [], [1], {},
     # well-typed values some fields accept, or that contradict another field
     "JSON_OK", "TEXT_FALLBACK", "schema", "user_guided",
+    # a lone surrogate, which no dish text may hold
+    "x\ud800",
 )
 _DELETED = object()
 _COUNT_POINTERS = {"/total", "/json_ok", "/text_fallback"}

@@ -10,8 +10,8 @@ from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_j
 from foonforge.prompts import (
     OUTPUT_SCHEMA,
     DishSpec,
+    ExampleSet,
     Strategy,
-    _example_block,
     annotate_example,
     load_examples,
     render_for_dish,
@@ -28,7 +28,7 @@ def dish() -> DishSpec:
 
 
 @pytest.fixture(scope="module")
-def examples() -> list:
+def examples() -> ExampleSet:
     return load_examples(data_path("examples"))
 
 
@@ -51,14 +51,14 @@ def test_dish_spec_invariants():
 def test_example_based_contains_each_example(dish, examples):
     bundle = render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=examples)
     assert bundle.strategy is Strategy.EXAMPLE_BASED
-    assert len(examples) == 2
-    for tree in examples:
+    assert len(examples.trees) == 2
+    for tree in examples.trees:
         assert serialize_task_tree_json(tree) in bundle.text
         assert annotate_example(tree) in bundle.text
 
 
 def test_annotation_header_shape(examples):
-    mac = examples[0]
+    mac = examples.trees[0]
     assert annotate_example(mac) == "# example: mac and cheese, 2 steps, tools: cheese, macaroni"
 
 
@@ -69,41 +69,39 @@ def test_rendering_is_deterministic(dish, examples):
     assert a.context_hash == b.context_hash
 
 
-def test_example_block_cache_keys_on_the_examples(dish, examples):
-    a, b = examples
-    sets = ([a], [b], [a])
-    uncached = []
-    for trees in sets:
-        _example_block.cache_clear()
-        uncached.append(render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees).text)
-    _example_block.cache_clear()
-    cached = [render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees).text for trees in sets]
-    assert cached == uncached
-    assert uncached[0] != uncached[1]
+def test_sets_of_different_trees_render_different_blocks(dish, examples):
+    a, b = examples.trees
+    sets = [ExampleSet(trees) for trees in ((a,), (b,), (a,))]
+    assert sets[0].block != sets[1].block
+    texts = [render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=s).text for s in sets]
+    assert texts[0] != texts[1]
+    assert texts[0] == texts[2]
+    assert ExampleSet((a, b)).block == examples.block
 
 
-def test_example_block_lookup_touches_no_node(dish, monkeypatch):
+def test_rendering_from_one_set_touches_no_node(dish, monkeypatch):
     # the examples as one command loads them and renders them per dish
-    _example_block.cache_clear()
-    trees = load_examples(data_path("examples"))
-    first = render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees)
+    examples = load_examples(data_path("examples"))
+    dishes = [dish, DishSpec("lunch", "toast", ("bread", "butter")), dish]
     touched = []
     for name in ("__hash__", "__eq__"):
         original = getattr(ObjectNode, name)
         monkeypatch.setattr(
             ObjectNode, name, lambda *args, f=original: touched.append(args) or f(*args)
         )
-    again = [render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees) for _ in range(3)]
+    bundles = [render_for_dish(Strategy.EXAMPLE_BASED, d, examples=examples) for d in dishes]
     assert touched == []
-    assert {(b.text, b.context_hash) for b in again} == {(first.text, first.context_hash)}
-    # the kept hash is the one the tree's fields give
-    assert [hash(t) for t in trees] == [hash((t.graph, t.goal)) for t in trees]
+    assert examples.block in bundles[1].text
+    assert (bundles[0].text, bundles[0].context_hash) == (bundles[2].text, bundles[2].context_hash)
+    # the counters work: comparing equal, distinct trees touches nodes
+    assert examples.trees == load_examples(data_path("examples")).trees
     assert touched
 
 
 def test_no_examples_rejected(dish):
-    with pytest.raises(PromptError, match="at least one example"):
-        render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=[])
+    for examples in (ExampleSet(()), None):
+        with pytest.raises(PromptError, match="at least one example"):
+            render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=examples)
 
 
 def test_user_guided_embeds_instructions_verbatim(dish):
@@ -137,9 +135,9 @@ def test_schema_block_exactly_once(dish, examples):
 def test_prompt_length_monotone_in_example_count(dish):
     rng = random.Random(11)
     trees = [random_task_tree(rng, max_units=3) for _ in range(4)]
+    sets = [ExampleSet(tuple(trees[: k + 1])) for k in range(len(trees))]
     lengths = [
-        len(render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=trees[: k + 1]).text)
-        for k in range(len(trees))
+        len(render_for_dish(Strategy.EXAMPLE_BASED, dish, examples=s).text) for s in sets
     ]
     assert lengths == sorted(lengths)
 
@@ -184,13 +182,13 @@ def test_load_examples_reports_and_skips_invalid(tmp_path, caplog):
     (tmp_path / "a_bad.json").write_text("not json at all", encoding="utf-8")
     (tmp_path / "notes.txt").write_text("ignored", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
-        trees = load_examples(tmp_path)
-    assert trees == [good]
+        loaded = load_examples(tmp_path)
+    assert loaded.trees == (good,)
     assert any("a_bad.json" in record.getMessage() for record in caplog.records)
 
 
 def test_load_examples_empty_and_missing(tmp_path):
-    assert load_examples(tmp_path) == []
+    assert load_examples(tmp_path).trees == ()
     with pytest.raises(PromptError, match="not found"):
         load_examples(tmp_path / "nope")
 
@@ -200,10 +198,10 @@ def test_load_examples_ordered_by_filename(tmp_path):
     first, second = random_task_tree(rng), random_task_tree(rng)
     (tmp_path / "2.json").write_text(serialize_task_tree_json(second), encoding="utf-8")
     (tmp_path / "1.json").write_text(serialize_task_tree_json(first), encoding="utf-8")
-    assert load_examples(tmp_path) == [first, second]
-    assert load_examples(tmp_path) == load_examples(tmp_path)
+    assert load_examples(tmp_path).trees == (first, second)
+    assert load_examples(tmp_path).block == load_examples(tmp_path).block
 
 
 def test_packaged_examples_parse(examples):
-    for tree in examples:
+    for tree in examples.trees:
         assert parse_task_tree_json(serialize_task_tree_json(tree)) == tree

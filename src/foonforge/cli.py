@@ -5,20 +5,25 @@ Subcommands: ``generate``, ``validate``, ``evaluate``, ``convert``,
 stderr. Exit codes: 0 success, 1 usage or configuration error, 2 IO or
 input-data error, 3 fixture miss under ``--strict-replay``.
 
-Cost: a call builds the parser of the one subcommand it names and
-parses with it. Help, a missing or unknown subcommand and leftover
-arguments go to the full parser, so its usage line and messages are
-the ones printed. Building and running the full parser cost about
-1.3 ms of CPU per call (6 parsers and 31 arguments, each making a help
-formatter that reads the terminal size), more than the work of a small
-``validate``, ``convert`` or ``retrieve``; one command's parser costs
-about 0.25 ms. On the ``replay-34`` benchmark workload,
-the median ``validate`` call fell from 1.17 to 0.43 ms of CPU time
-(medians of 10 alternating pairs of 30 s runs on a shared 2-vCPU VM),
-and ``convert`` and ``retrieve`` by as much. No parser is cached across
-calls: a fresh process builds one either way, so a cache would only
-move the cost out of the benchmark's timed calls, while every
-``foonforge`` run still pays it.
+Cost: every subcommand's arguments are declared once, as data, in
+``_COMMANDS``. A plain command line is read straight from that table
+with no parser built (see ``_read_plain``). Anything else, such as help,
+``--``, ``--x=y``, an abbreviation, a repeat, or an unknown, missing or
+bad argument, goes to the full argparse parser built from the same
+table, so every usage line, message, exit code and ``--help`` text is
+argparse's own. Building and running the full parser cost about 1.3 ms
+of CPU per call (6 parsers and 31 arguments, each making a help
+formatter that reads the terminal size), and one command's parser about
+0.2 ms, more than the work of a small ``validate``, ``convert`` or
+``retrieve``; reading a plain line from the table costs about 10 us.
+On the ``replay-34`` benchmark workload, the median ``validate`` call
+fell from 0.37 to 0.15 ms of CPU time when the one-command parser gave
+way to the table, ``convert`` from 0.55 to 0.31 ms and ``retrieve``
+from 0.50 to 0.27 ms (medians of 10 alternating pairs of 30 s runs on a
+shared 2-vCPU VM, every pair a win). No parser is cached across calls:
+a fresh process builds one either way, so a cache would only move the
+cost out of the benchmark's timed calls, while every ``foonforge`` run
+still pays it.
 
 Cost: the handler runs with Python's cyclic garbage collector paused,
 and ``main`` restores the caller's setting on every exit (a caller
@@ -36,10 +41,12 @@ that refer only to values built before them, and no error keeps the
 frame that raised it (see ``tree_json._parse_node``).
 ``tests/test_cycle_free.py`` runs every parse outcome, validation,
 retrieval and the nine shipped runs with the collector off and finds
-nothing for it to free. The one cyclic object of a call is argparse's
-parser, built before the pause. ``generate --live`` keeps the
-collector on: it waits on the network, so the pause would save little,
-and it runs ``urllib`` and thread-pool code whose cycles nobody checks.
+nothing for it to free. A plain command line builds no parser, so no
+cyclic object at all; the full parser, which has cycles, is built only
+for help and usage errors, before the pause. ``generate --live`` keeps
+the collector on: it waits on the network, so the pause would save
+little, and it runs ``urllib`` and thread-pool code whose cycles nobody
+checks.
 """
 
 from __future__ import annotations
@@ -84,11 +91,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+class _Arg(NamedTuple):
+    """One argument of a subcommand, as its ``add_argument`` call takes it.
+
+    ``flag`` is a long option (``--goal``) or a positional's dest
+    (``path``). ``switch`` makes a ``store_true`` option, and ``one_of``
+    puts the option in its command's required group, of which exactly
+    one must be given.
+    """
+
+    flag: str
+    help: str | None = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    default: str | None = None
+    type: Callable[[str], object] | None = None
+    switch: bool = False
+    nargs: str | None = None
+    one_of: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
 class _Command(NamedTuple):
-    """One subcommand: its help line, what adds its arguments, and its handler."""
+    """One subcommand: its help line, its arguments in order, and its handler."""
 
     help: str
-    add_arguments: Callable[[_Parser], None]
+    arguments: tuple[_Arg, ...]
     handler: Callable[[argparse.Namespace], int]
 
 
@@ -98,113 +129,104 @@ def _at_least_one(text: str) -> int:
     return int(text)
 
 
-def _generate_arguments(gen: _Parser) -> None:
-    gen.add_argument("--manifest", required=True, help="input manifest JSON")
-    gen.add_argument(
-        "--strategy",
-        required=True,
-        choices=[s.value for s in Strategy],
-    )
-    gen.add_argument("--out", required=True, help="output directory")
-    backend = gen.add_mutually_exclusive_group(required=True)
-    backend.add_argument("--fixture", help="replay fixture JSON (no network)")
-    backend.add_argument("--live", action="store_true", help="call the configured endpoint")
-    gen.add_argument(
-        "--examples",
-        help="directory of example task trees (example-based only; packaged default)",
-    )
-    gen.add_argument("--instructions", help="verbatim user instructions (user-guided only)")
-    gen.add_argument("--template", help="prompt template file overriding the packaged one")
-    gen.add_argument(
-        "--strict-replay",
-        action="store_true",
-        help="abort on a fixture miss instead of recording a fallback",
-    )
-    gen.add_argument(
-        "--max-in-flight",
-        type=_at_least_one,
-        help=f"requests open at once, --live only (default {DEFAULT_MAX_IN_FLIGHT})",
-    )
-
-
-def _validate_arguments(val: _Parser) -> None:
-    val.add_argument("path")
-    val.add_argument(
-        "--format",
-        choices=["auto", "foon", "json"],
-        default="auto",
-        help="input format; auto picks json for .json files",
-    )
-    val.add_argument(
-        "--as-task-tree",
-        action="store_true",
-        help="also check acyclicity, goal, and connectivity (foon input needs --goal)",
-    )
-    val.add_argument("--goal", help="goal object name, required by --as-task-tree on foon input")
-
-
-def _evaluate_arguments(ev: _Parser) -> None:
-    ev.add_argument("reports", nargs="+", help="run_report.json paths")
-    ev.add_argument(
-        "--compare",
-        action="store_true",
-        help="group reports by strategy and emit the comparison table",
-    )
-    ev.add_argument("--csv", help="also write the table as CSV to this path")
-
-
-def _convert_arguments(conv: _Parser) -> None:
-    conv.add_argument("source")
-    conv.add_argument("dest")
-    conv.add_argument("--to", required=True, choices=["json", "foon"])
-    conv.add_argument("--goal", help="goal object name (required for --to json)")
-
-
-def _retrieve_arguments(ret: _Parser) -> None:
-    ret.add_argument("--graph", required=True, help="graph file in text format")
-    ret.add_argument("--goal", required=True, help="goal object name")
-    ret.add_argument(
-        "--available",
-        default="",
-        help="comma-separated names of raw items on hand",
-    )
-    ret.add_argument("--out", help="write the tree JSON here instead of stdout")
-
-
 def _build_parser() -> _Parser:
     # the paragraphs above "Cost:" are the --help description
     parser = _Parser(prog="foonforge", description=__doc__.partition("\n\nCost:")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        command.add_arguments(sub.add_parser(name, help=command.help))
+        sub_parser = sub.add_parser(name, help=command.help)
+        group = None
+        for arg in command.arguments:
+            if arg.one_of and group is None:
+                group = sub_parser.add_mutually_exclusive_group(required=True)
+            kwargs = {"help": arg.help}
+            if arg.switch:
+                kwargs["action"] = "store_true"
+            if arg.required:
+                kwargs["required"] = True
+            for key in ("choices", "default", "type", "nargs"):
+                if getattr(arg, key) is not None:
+                    kwargs[key] = getattr(arg, key)
+            (group if arg.one_of else sub_parser).add_argument(arg.flag, **kwargs)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` as the full parser does, building only what it needs.
+def _value(arg: _Arg, text: str):
+    """``text`` converted and checked as argparse does, or None if it fails."""
+    if arg.type is not None:
+        try:
+            text = arg.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+    if arg.choices is not None and text not in arg.choices:
+        return None
+    return text
 
-    A known subcommand with nothing left over is parsed by that
-    command's parser alone, built as the full parser's subparser is: the
-    same ``prog``, arguments and error handling. Everything else (no
-    command, help, an unknown command, leftover arguments) goes to the
-    full parser, so its usage line and messages are the ones printed.
+
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """Read ``argv`` from the argument table, or None if it is not plain.
+
+    A plain argv is a known command, then its exact long options, each
+    at most once, each value one token that does not start with ``-``,
+    and its positionals as one contiguous run; every required argument
+    is there, every value passes its type and choices, and exactly one
+    option of the required group is given. On such an argv the full
+    parser gives this same namespace, so none is built. Anything else
+    (help, ``--``, ``--x=y``, an abbreviation, a repeat, an unknown or
+    missing argument, a bad value) returns None for the full parser to
+    read or refuse in its own words.
     """
     command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        parser = _Parser(prog=f"foonforge {argv[0]}")
-        command.add_arguments(parser)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
+    if command is None:
+        return None
+    options = {arg.flag: arg for arg in command.arguments if arg.flag.startswith("-")}
+    values: dict = {}
+    run: list[str] = []
+    run_ended = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if run_ended:
+                return None
+            run.append(token)
+            continue
+        run_ended = bool(run)
+        arg = options.get(token)
+        if arg is None or arg.dest in values:
+            return None
+        if arg.switch:
+            values[arg.dest] = True
+            continue
+        text = next(tokens, "-")  # a missing value reads as an option
+        value = None if text.startswith("-") else _value(arg, text)
+        if value is None:
+            return None
+        values[arg.dest] = value
+    group = [arg for arg in command.arguments if arg.one_of]
+    if group and sum(arg.dest in values for arg in group) != 1:
+        return None
+
+    for arg in command.arguments:
+        if arg.flag in options:
+            if arg.required and arg.dest not in values:
+                return None
+            values.setdefault(arg.dest, False if arg.switch else arg.default)
+            continue
+        taken, run = (run, []) if arg.nargs == "+" else (run[:1], run[1:])
+        checked = [_value(arg, text) for text in taken]
+        if not taken or None in checked:
+            return None
+        values[arg.dest] = checked if arg.nargs == "+" else checked[0]
+    if run:
+        return None
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parse(argv)
+        args = _read_plain(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -379,17 +401,83 @@ def cmd_retrieve(args) -> int:
 
 _COMMANDS = {
     "generate": _Command(
-        "generate recipes for every dish in a manifest", _generate_arguments, cmd_generate
+        "generate recipes for every dish in a manifest",
+        (
+            _Arg("--manifest", "input manifest JSON", required=True),
+            _Arg("--strategy", required=True, choices=tuple(s.value for s in Strategy)),
+            _Arg("--out", "output directory", required=True),
+            _Arg("--fixture", "replay fixture JSON (no network)", one_of=True),
+            _Arg("--live", "call the configured endpoint", switch=True, one_of=True),
+            _Arg(
+                "--examples",
+                "directory of example task trees (example-based only; packaged default)",
+            ),
+            _Arg("--instructions", "verbatim user instructions (user-guided only)"),
+            _Arg("--template", "prompt template file overriding the packaged one"),
+            _Arg(
+                "--strict-replay",
+                "abort on a fixture miss instead of recording a fallback",
+                switch=True,
+            ),
+            _Arg(
+                "--max-in-flight",
+                f"requests open at once, --live only (default {DEFAULT_MAX_IN_FLIGHT})",
+                type=_at_least_one,
+            ),
+        ),
+        cmd_generate,
     ),
-    "validate": _Command("validate a graph or task-tree file", _validate_arguments, cmd_validate),
+    "validate": _Command(
+        "validate a graph or task-tree file",
+        (
+            _Arg("path"),
+            _Arg(
+                "--format",
+                "input format; auto picks json for .json files",
+                choices=("auto", "foon", "json"),
+                default="auto",
+            ),
+            _Arg(
+                "--as-task-tree",
+                "also check acyclicity, goal, and connectivity (foon input needs --goal)",
+                switch=True,
+            ),
+            _Arg("--goal", "goal object name, required by --as-task-tree on foon input"),
+        ),
+        cmd_validate,
+    ),
     "evaluate": _Command(
-        "summarize run reports or compare strategies", _evaluate_arguments, cmd_evaluate
+        "summarize run reports or compare strategies",
+        (
+            _Arg("reports", "run_report.json paths", nargs="+"),
+            _Arg(
+                "--compare",
+                "group reports by strategy and emit the comparison table",
+                switch=True,
+            ),
+            _Arg("--csv", "also write the table as CSV to this path"),
+        ),
+        cmd_evaluate,
     ),
     "convert": _Command(
-        "convert between graph text and task-tree JSON", _convert_arguments, cmd_convert
+        "convert between graph text and task-tree JSON",
+        (
+            _Arg("source"),
+            _Arg("dest"),
+            _Arg("--to", required=True, choices=("json", "foon")),
+            _Arg("--goal", "goal object name (required for --to json)"),
+        ),
+        cmd_convert,
     ),
     "retrieve": _Command(
-        "retrieve a minimal task tree from a graph", _retrieve_arguments, cmd_retrieve
+        "retrieve a minimal task tree from a graph",
+        (
+            _Arg("--graph", "graph file in text format", required=True),
+            _Arg("--goal", "goal object name", required=True),
+            _Arg("--available", "comma-separated names of raw items on hand", default=""),
+            _Arg("--out", "write the tree JSON here instead of stdout"),
+        ),
+        cmd_retrieve,
     ),
 }
 

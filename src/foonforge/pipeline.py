@@ -69,13 +69,12 @@ class FallbackReason(str, Enum):
 
 @dataclass(frozen=True)
 class InputManifest:
-    """Categories of dish specs, as read from the input JSON file."""
+    """The dish specs of the input JSON file, in manifest order."""
 
-    categories: tuple[tuple[str, tuple[DishSpec, ...]], ...]
+    specs: tuple[DishSpec, ...]
 
     def dishes(self) -> Iterator[DishSpec]:
-        for _, specs in self.categories:
-            yield from specs
+        return iter(self.specs)
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def read_manifest(path: str | Path) -> InputManifest:
     if not isinstance(categories_raw, list) or not categories_raw:
         raise ManifestError("must be a non-empty array", "/categories")
 
-    categories: list[tuple[str, tuple[DishSpec, ...]]] = []
+    dishes: list[DishSpec] = []
     seen_names: dict[str, str] = {}
     for ci, cat_raw in enumerate(categories_raw):
         pointer = f"/categories/{ci}"
@@ -148,7 +147,6 @@ def read_manifest(path: str | Path) -> InputManifest:
         dishes_raw = cat_raw.get("dishes")
         if not isinstance(dishes_raw, list):
             raise ManifestError("must be an array", pointer + "/dishes")
-        dishes: list[DishSpec] = []
         for di, dish_raw in enumerate(dishes_raw):
             dish_pointer = f"{pointer}/dishes/{di}"
             dish = _parse_dish(dish_raw, name, dish_pointer, pointer + "/name")
@@ -159,8 +157,7 @@ def read_manifest(path: str | Path) -> InputManifest:
                 )
             seen_names[dish.name] = dish_pointer
             dishes.append(dish)
-        categories.append((name.strip().lower(), tuple(dishes)))
-    return InputManifest(tuple(categories))
+    return InputManifest(tuple(dishes))
 
 
 def _parse_dish(raw, category: str, pointer: str, category_pointer: str) -> DishSpec:

@@ -8,9 +8,12 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foonforge import cli
 from foonforge.cli import _print_report, main
@@ -411,31 +414,112 @@ _ARGV_CORPUS = [
     ["evaluate", "a", "b", "--compare", "--csv", "t.csv"],
     ["convert", "a", "b", "--to", "json", "--goal", "g"],
     ["retrieve", "--graph", "g.foon", "--goal", "g", "--available", "a,b", "--out", "t"],
+    # what the plain reader leaves to the full parser, and what it reads itself
+    ["validate", "x", "-h"],
+    ["validate", "x", "--goal=g", "--as-task-tree"],
+    ["validate", "x", "--go", "g", "--as-task-tree"],
+    ["validate", "x", "--format", "json", "--format", "foon"],
+    ["validate", "x", "--as-task-tree", "--as-task-tree"],
+    ["validate", "x", "--format", "JSON"],
+    ["validate", "x", "--as-task-tree", "--goal"],
+    ["validate", "x", "--as-task-tree", "--goal", "-1"],
+    ["validate", "x", "--as-task-tree", "--goal", "-x y"],
+    ["validate", "-1"],
+    ["validate", ""],
+    ["validate", "a b", "--as-task-tree", "--goal", ""],
+    ["validate", "x", "y"],
+    ["evaluate", "a", "--compare", "b"],
+    ["evaluate", "--compare", "a", "b", "--csv", "t.csv"],
+    ["convert", "a", "--to", "foon", "b"],
+    ["convert", "--to", "foon", "a", "b"],
+    ["convert", "a", "b", "c", "--to", "foon"],
+    ["retrieve", "--graph", "g", "--goal", "g", "--available", ""],
+    ["retrieve", "--graph", "g", "--goal", "g", "--available", "a", "--available", "b"],
+    [*_GENERATE, "--fixture", "f.json", "--fixture", "g.json"],
+    [*_GENERATE, "--live", "--live"],
+    [*_GENERATE, "--fixture", ""],
+    [*_GENERATE[:-1], "--fixture", "f.json"],
+    [*_GENERATE, "--live", "--max-in-flight", "\u0663"],
+    [*_GENERATE, "--live", "--max-in-flight", "-1"],
+    [*_GENERATE, "--live", "--max-in-flight", "x"],
 ]
 
 
-def _full_parse(argv) -> tuple[int, dict | None]:
-    try:
-        return 0, vars(cli._build_parser().parse_args(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0), None
-
-
-@pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "nothing")
-def test_dispatch_parses_as_the_full_parser_does(monkeypatch, capsys, argv):
+def _dispatch(argv) -> tuple[int, str, str, list[dict]]:
+    """``main``'s exit code, stdout and stderr, and each namespace a handler got."""
     parsed = []
 
     def capture(args):
         parsed.append(vars(args))
         return 0
 
-    for name, command in cli._COMMANDS.items():
-        monkeypatch.setitem(cli._COMMANDS, name, command._replace(handler=capture))
-    code = main(list(argv))
-    out, err = capsys.readouterr()
-    expected_code, expected_args = _full_parse(list(argv))
-    assert (code, out, err) == (expected_code, *capsys.readouterr())
-    assert parsed == ([] if expected_args is None else [expected_args])
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        for name, command in cli._COMMANDS.items():
+            patch.setitem(cli._COMMANDS, name, command._replace(handler=capture))
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+def _full_parse(argv) -> tuple[int, str, str, list[dict]]:
+    """The same, from the full parser alone."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code, parsed = 0, [vars(cli._build_parser().parse_args(list(argv)))]
+        except SystemExit as exc:
+            code, parsed = int(exc.code or 0), []
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+@pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "nothing")
+def test_dispatch_parses_as_the_full_parser_does(argv):
+    assert _dispatch(argv) == _full_parse(argv)
+
+
+_NEAR_MISSES = ["--go", "--goal=x", "--", "-h", "--help", "--bogus", "-x", "-1", "a"]
+
+
+@st.composite
+def _command_lines(draw, name: str) -> list[str]:
+    """An argv for ``name``, drawn from its own options, choices and
+    positionals: a plain one, or one with a single near miss: a stray
+    token or flag, a value that starts with ``-``, a repeated option, or
+    positionals split around the options."""
+    arguments = cli._COMMANDS[name].arguments
+    group = [arg for arg in arguments if arg.one_of]
+    chosen = draw(st.sampled_from(group)) if group else None
+    pieces, words = [], []
+    for arg in arguments:
+        if not arg.flag.startswith("-"):
+            taken = draw(st.sampled_from([["a"], ["a b"], [""], ["a", "b.json"]]))
+            words += taken if arg.nargs == "+" else taken[:1]
+        elif arg.required or arg is chosen or (not arg.one_of and draw(st.booleans())):
+            values = arg.choices or (("1", "3") if arg.type else ("x", "a b", ""))
+            pieces.append([arg.flag] if arg.switch else [arg.flag, draw(st.sampled_from(values))])
+    pieces = list(draw(st.permutations(pieces)))
+    flags = [arg.flag for arg in arguments if arg.flag.startswith("-")]
+    miss = draw(st.sampled_from(["none", "token", "value", "repeat", "split"]))
+    if miss == "token":
+        token = draw(st.sampled_from(_NEAR_MISSES + flags))
+        pieces.insert(draw(st.integers(0, len(pieces))), [token])
+    elif miss in ("value", "repeat") and pieces:
+        piece = draw(st.sampled_from(pieces))
+        if miss == "repeat":
+            pieces.insert(draw(st.integers(0, len(pieces))), piece)
+        elif len(piece) == 2:
+            piece[1] = draw(st.sampled_from(["-x", "-1", "-", "--", "-h"]))
+    for run in [[word] for word in words] if miss == "split" else [words]:
+        pieces.insert(draw(st.integers(0, len(pieces))), run)
+    return [name, *(token for piece in pieces for token in piece)]
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_drawn_command_lines_parse_as_the_full_parser_does(name, data):
+    argv = data.draw(_command_lines(name))
+    assert _dispatch(argv) == _full_parse(argv)
 
 
 def test_the_module_entry_point_reads_its_own_argv(tmp_path):
@@ -459,6 +543,19 @@ def test_the_module_entry_point_reads_its_own_argv(tmp_path):
     assert done[0].stdout == "valid\n"
     assert done[1].stdout.startswith("usage: foonforge [-h]")
     assert "Cost:" not in done[1].stdout  # the docstring's notes stay out of --help
+
+
+_HELP = Path(__file__).parent / "help"
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_prints_the_pinned_text(monkeypatch, capsysbinary, command):
+    """``--help`` prints, at 80 columns, the bytes in ``tests/help/``."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    pinned = _HELP / ("foonforge-" + command if command else "foonforge")
+    out, err = capsysbinary.readouterr()
+    assert (out, err) == (pinned.with_suffix(".txt").read_bytes(), b"")
 
 
 _MALFORMED_JSON = [b"[" * 100_000, b'{"a": [', b"\xff\xfe{}"]

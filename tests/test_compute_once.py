@@ -5,8 +5,9 @@ template is read once and its example block serialized once per loaded
 example set, so once per command; an output directory is made once, and
 an output file opened once. The counts are taken on the shipped
 example-based run1 (34 dishes, 27 JSON outputs) by wrapping the counted
-function wherever the package holds a reference to it. A command builds the argument parser
-of that command alone, counted by wrapping ``ArgumentParser.__init__``.
+function wherever the package holds a reference to it. A plain command
+line builds no argument parser, and help or a usage error builds the
+full one, counted by wrapping ``ArgumentParser.__init__``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from foonforge import prompts
+from foonforge import cli, prompts
 from foonforge.cli import main
 from foonforge.foon import tree_json, validation
 from foonforge.pipeline import FallbackReason, RunReport, load_run_report
@@ -176,7 +177,19 @@ def test_output_directories_are_made_once_and_files_opened_once(run1, monkeypatc
         assert Counter(path for path in opened if path in outputs) == outputs
 
 
-def test_a_command_builds_the_parser_of_that_command_alone(monkeypatch, capsys):
+_GENERATE = ["generate", "--manifest", "m.json", "--strategy", "user-guided", "--out", "o"]
+# the command shapes the benchmark runs
+_PLAIN_SHAPES = [
+    ["validate", "g.foon", "--as-task-tree", "--goal", "g"],
+    ["convert", "a.json", "b.foon", "--to", "foon"],
+    ["convert", "a.foon", "b.json", "--to", "json", "--goal", "g"],
+    ["retrieve", "--graph", "g.foon", "--goal", "g", "--available", "a,b"],
+    ["evaluate", "--compare", "a.json", "b.json"],
+    [*_GENERATE, "--fixture", "f.json", "--instructions", "use the oven"],
+]
+
+
+def test_only_help_and_errors_build_an_argument_parser(monkeypatch, capsys):
     built: list = []
     init = argparse.ArgumentParser.__init__
 
@@ -187,8 +200,19 @@ def test_a_command_builds_the_parser_of_that_command_alone(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert main(["validate", str(data_path("macaroni.foon"))]) == 0
     assert capsys.readouterr().out == "valid\n"
-    assert built == ["foonforge validate"]
-    built.clear()
-    assert main(["--help"]) == 0
-    assert capsys.readouterr().out.startswith("usage: foonforge [-h]")
-    assert len(built) == 6  # the top-level parser and one per command
+    handled = []
+    for name, command in cli._COMMANDS.items():
+        monkeypatch.setitem(
+            cli._COMMANDS, name, command._replace(handler=lambda args: handled.append(args) or 0)
+        )
+    assert [main(argv) for argv in _PLAIN_SHAPES] == [0] * len(_PLAIN_SHAPES)
+    assert ([args.command for args in handled], built) == ([a[0] for a in _PLAIN_SHAPES], [])
+    assert handled[-1].instructions == "use the oven" and not handled[-1].live
+
+    assert main(["validate", "g.foon", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: foonforge validate [-h]")
+    assert main(["convert", "a.json", "b.xml", "--to", "xml"]) == 1
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert len(handled) == len(_PLAIN_SHAPES)
+    # each time the full parser: the top level and one per command
+    assert len(built) == 2 * (1 + len(cli._COMMANDS))

@@ -17,6 +17,7 @@ from collections import Counter
 
 import pytest
 
+from foonforge.cli import main
 from foonforge.client import FinishReason, ModelResponse, ReplayClient
 from foonforge.errors import FoonForgeError
 from foonforge.foon.model import ObjectNode
@@ -157,6 +158,14 @@ def test_validate_graph_leaves_no_cycles_on_a_mutant(mutate):
     mutant, rule = mutate(chain_tree(6))
     assert rule in {v.rule for v in validate_graph(mutant.graph, mutant.goal).violations}
     assert _cyclic_garbage(validate_graph, mutant.graph, mutant.goal) == Counter()
+
+
+def test_a_plain_validate_command_leaves_no_cycles(capsys):
+    # the command line is read without building an argument parser, whose
+    # actions and groups refer to each other
+    argv = ["validate", str(data_path("macaroni.foon"))]
+    assert _cyclic_garbage(main, argv) == Counter()
+    assert capsys.readouterr().out == "valid\n"
 
 
 def test_validate_graph_leaves_no_cycles_out_of_order():

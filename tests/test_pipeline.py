@@ -45,7 +45,7 @@ def _tree_response(tree) -> ModelResponse:
 
 def test_read_sample_manifest(sample_manifest_path):
     manifest = read_manifest(sample_manifest_path)
-    assert len(manifest.categories) == 2
+    assert len(manifest.specs) == 3
     names = [dish.name for dish in manifest.dishes()]
     assert names == ["mac and cheese", "spaghetti aglio e olio", "omelette"]
 

@@ -267,7 +267,7 @@ def cmd_generate(args) -> int:
 
     template = None
     if args.template:
-        template = Path(args.template).read_text(encoding="utf-8")
+        template = _read_source(args.template)
 
     report = run_generation(
         manifest,
@@ -282,6 +282,15 @@ def cmd_generate(args) -> int:
     print(format_text_table(summarize_run(report)))
     print(f"total={report.total} json_ok={report.json_ok} text_fallback={report.text_fallback}")
     return EXIT_OK
+
+
+def _read_source(path: str | Path) -> str:
+    """The text of an input file; one that is not UTF-8 is refused by name."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+    except UnicodeDecodeError as exc:
+        raise FoonForgeError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _print_report(report: ValidationReport) -> None:
@@ -318,7 +327,7 @@ def cmd_validate(args) -> int:
     if args.goal is not None and not args.as_task_tree:
         print("error: --goal needs --as-task-tree", file=sys.stderr)
         return EXIT_CONFIG
-    text = path.read_text(encoding="utf-8")
+    text = _read_source(path)
 
     if fmt == "json":
         try:
@@ -342,7 +351,8 @@ def cmd_evaluate(args) -> int:
     if args.csv and len(args.reports) > 1 and not args.compare:
         print("error: --csv with several reports needs --compare", file=sys.stderr)
         return EXIT_CONFIG
-    reports = [load_run_report(p) for p in args.reports]
+    parsed: dict = {}  # raw_text -> tree, for the reports of this command only
+    reports = [load_run_report(p, parsed=parsed) for p in args.reports]
     if args.compare:
         grouped: dict[Strategy, list] = {}
         for report in reports:
@@ -361,7 +371,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    source = Path(args.source).read_text(encoding="utf-8")
+    source = _read_source(args.source)
     if args.to == "json":
         if not args.goal:
             raise PromptError("--to json requires --goal")
@@ -383,7 +393,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    graph = parse_foon_text(Path(args.graph).read_text(encoding="utf-8"))
+    graph = parse_foon_text(_read_source(args.graph))
     goal = _resolve_goal(graph, args.goal)
     available = [part for part in args.available.split(",") if part.strip()]
     result = retrieve_task_tree(graph, goal, available)

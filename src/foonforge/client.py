@@ -61,6 +61,12 @@ MODEL = "gemini-1.0-pro-latest"
 TEMPERATURE = 0.2
 MAX_OUTPUT_TOKENS = 2048
 REQUEST_TIMEOUT = 60.0  # seconds
+# The most bytes of an answer's body read; a longer one is refused
+# unparsed. A token is a few bytes of text, so MAX_OUTPUT_TOKENS come to
+# some tens of kilobytes. Even if every token were 16 bytes and JSON
+# escaping wrote each byte as six, the body would be 2,048 x 16 x 6 =
+# 197 kB; 4 MiB allows 2 KiB a token.
+MAX_ANSWER_BYTES = 4 * 2**20
 
 MAX_RETRIES = 3
 BACKOFF_BASE = 1.0
@@ -193,7 +199,11 @@ def urllib_post(
 
     Every status, a 3xx included, comes back as ``(status, body)``. A
     timeout raises :class:`RequestTimeoutError`; any other failure to get
-    an answer raises :class:`TransportError`. The HTTP and TLS modules
+    an answer raises :class:`TransportError`, a body cut short of its
+    ``Content-Length`` among them. So does a body longer than
+    ``MAX_ANSWER_BYTES``, of which one byte more is read, so the dish
+    becomes a ``model_error`` record before anything is parsed.
+    Replay reads no body and has no cap. The HTTP and TLS modules
     are imported on the first call: they add about 3 MB to a process,
     which replay never needs.
     """
@@ -210,7 +220,12 @@ def urllib_post(
         except urllib.error.HTTPError as exc:
             response = exc
         with response:
-            return response.status, response.read()
+            status, raw = response.status, response.read(MAX_ANSWER_BYTES + 1)
+            if len(raw) <= MAX_ANSWER_BYTES and response.length:
+                # a sized read returns a body cut short of its
+                # Content-Length without complaint; refuse it as a
+                # whole read does
+                raise http.client.IncompleteRead(raw, response.length)
     except TimeoutError as exc:
         raise RequestTimeoutError(f"no answer within {timeout}s") from exc
     except urllib.error.URLError as exc:
@@ -219,6 +234,9 @@ def urllib_post(
         raise TransportError(str(exc.reason)) from exc
     except (OSError, http.client.HTTPException) as exc:
         raise TransportError(str(exc) or type(exc).__name__) from exc
+    if len(raw) > MAX_ANSWER_BYTES:
+        raise TransportError(f"answer longer than {MAX_ANSWER_BYTES} bytes (HTTP {status})")
+    return status, raw
 
 
 class LiveClient:

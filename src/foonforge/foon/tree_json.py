@@ -21,10 +21,12 @@ an input) is one dict lookup. A new node is built and checked in one
 call, over all its tokens, and each unit in one call (see
 ``build_node`` and ``build_unit``); a schema error's JSON pointer is
 built only when the error is raised. ``evaluate`` on the
-``big-graphs`` benchmark workload, which reparses, revalidates and
-rescores trees of 10 to 2,000 units, takes 0.086 s at the median,
-against 0.116 s when each node and unit went through its class's
-``__init__`` and every tree was indexed to be validated (CPU time
+``big-graphs`` benchmark workload, which parses, validates and scores
+again each of its trees of 10 to 2,000 units (no answer text repeats
+there, so none is shared; see ``pipeline.load_run_report``), took
+0.086 s at the median, against 0.116 s when each node and unit went
+through its class's ``__init__`` and every tree was indexed to be
+validated (CPU time
 scaled to one machine speed, 10 alternating pairs of 30 s runs on a
 shared 2-vCPU VM).
 

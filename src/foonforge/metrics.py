@@ -10,8 +10,10 @@ invalid output.
 
 Two rules are true for every scored tree. Structural validity: only a
 record that holds a tree is scored, and a record holds a tree only when
-its parse, which validates, succeeded; ``load_run_report`` reparses
-every tree from the record's ``raw_text`` by that same parse. Motions
+its parse, which validates, succeeded; ``load_run_report`` rebuilds
+every tree from the record's ``raw_text`` by that same parse, once per
+distinct text in a command, so the records that repeat a text share
+its tree and its validation. Motions
 present: :class:`MotionNode` refuses an empty verb, so no tree holds a
 unit without one. So the two rules add 0.4 to every successful output,
 and mean accuracy over successes is at least 0.4; the lowest score in

@@ -580,7 +580,7 @@ def test_generate_malformed_manifest_exits_2(tmp_path, capsys, content, sample_f
         ]
     )
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(f"error: /: {manifest} is not valid JSON: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -618,13 +618,18 @@ def test_generate_bad_fixture_exits_before_any_dish(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["validate", "convert", "retrieve", "template"])
+@pytest.mark.parametrize(
+    "command",
+    ["validate", "validate-json", "convert", "convert-to-foon", "retrieve", "template"],
+)
 def test_non_utf8_input_file_exits_2(tmp_path, capsys, command, sample_manifest_path):
     bad = tmp_path / "bad.foon"
     bad.write_bytes(b"O\t\xff\xfe pan\n")
     argv = {
         "validate": ["validate", str(bad)],
+        "validate-json": ["validate", str(bad), "--format", "json"],
         "convert": ["convert", str(bad), str(tmp_path / "t.json"), "--to", "json", "--goal", "x"],
+        "convert-to-foon": ["convert", str(bad), str(tmp_path / "t.foon"), "--to", "foon"],
         "retrieve": ["retrieve", "--graph", str(bad), "--goal", "x"],
         "template": [
             "generate",
@@ -641,7 +646,7 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys, command, sample_manifest_
         ],
     }[command]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not UTF-8 text: ")
 
 
 def _evaluate(capsys, *args) -> str:
@@ -741,10 +746,12 @@ def test_evaluate_rejects_a_json_ok_record_whose_raw_text_is_no_tree(tmp_path, c
     report = tmp_path / REPORT_FILENAME
     # a valid output file does not stand in for the record's own text
     (tmp_path / "b.json").write_text(raw_text + "\n", encoding="utf-8")
+    # a repeat of the bad text is not reached: the first record that holds it is named
     _write_report(
         report,
         _tree_record(dish, tree, raw_text, "a.json"),
         _tree_record(dish, tree, _NOT_A_TREE[error], "b.json"),
+        _tree_record(dish, tree, _NOT_A_TREE[error], "c.json"),
     )
     assert main(["evaluate", str(report)]) == 2
     assert capsys.readouterr().err.startswith("error: /records/1/raw_text: ")

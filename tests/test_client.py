@@ -350,7 +350,8 @@ class _Server:
                     self.send_response(status)
                     for key, value in headers.items():
                         self.send_header(key, value)
-                    self.send_header("Content-Length", str(len(reply)))
+                    if "Content-Length" not in headers:
+                        self.send_header("Content-Length", str(len(reply)))
                     self.end_headers()
                     self.wfile.write(reply)
                 except OSError:  # the client gave up waiting
@@ -394,6 +395,29 @@ def test_loopback_200(bundle):
     assert headers["Authorization"] == "Bearer secret"
     assert headers["Content-Type"] == "application/json"
     assert json.loads(body)["model"] == MODEL
+
+
+def test_loopback_answer_longer_than_the_cap_is_a_transport_error(bundle, monkeypatch):
+    body = _ok("hot soup")[1]
+    monkeypatch.setattr(client_module, "MAX_ANSWER_BYTES", len(body))
+    with _Server([(200, body, {}, 0), (200, body + b" ", {}, 0)]) as server:
+        client = _loopback(server)
+        assert client.generate(bundle).text == "hot soup"  # exactly the cap
+        [answer] = client.generate_all([bundle])
+    assert isinstance(answer, TransportError)
+    assert f"longer than {len(body)} bytes" in str(answer)
+    assert len(server.requests) == 2  # not retried
+
+
+@pytest.mark.parametrize("status", [200, 503])
+def test_loopback_body_short_of_its_length_is_a_transport_error(bundle, status):
+    body = _ok("hot soup")[1]
+    headers = {"Content-Length": str(len(body) + 5)}
+    with _Server([(status, body, headers, 0)]) as server:
+        [answer] = _loopback(server).generate_all([bundle])
+    assert isinstance(answer, TransportError)
+    assert str(answer) == f"IncompleteRead({len(body)} bytes read, 5 more expected)"
+    assert len(server.requests) == 1  # not retried
 
 
 def test_loopback_503_is_retried(bundle):

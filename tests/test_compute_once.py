@@ -1,18 +1,21 @@
 """Each fact of a run is computed once.
 
-A tree is validated when it is parsed and never again; a prompt's
-template is read once and its example block serialized once per loaded
-example set, so once per command; an output directory is made once, and
-an output file opened once. The counts are taken on the shipped
-example-based run1 (34 dishes, 27 JSON outputs) by wrapping the counted
-function wherever the package holds a reference to it. A plain command
-line builds no argument parser, and help or a usage error builds the
-full one, counted by wrapping ``ArgumentParser.__init__``.
+A tree is validated when it is parsed and never again, and an answer
+text that several records of an ``evaluate`` hold is parsed once in
+that command; a prompt's template is read once and its example block
+serialized once per loaded example set, so once per command; an output
+directory is made once, and an output file opened once. The counts are
+taken on the shipped example-based run1 (34 dishes, 27 JSON outputs) by
+wrapping the counted function wherever the package holds a reference to
+it. A plain command line builds no argument parser, and help or a usage
+error builds the full one, counted by wrapping
+``ArgumentParser.__init__``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from collections import Counter
@@ -49,6 +52,7 @@ def counts(monkeypatch):
     prompts.default_template.cache_clear()
     return {
         "validate": _count_calls(monkeypatch, validation, "validate_graph"),
+        "parse": _count_calls(monkeypatch, tree_json, "parse_task_tree_json"),
         "serialize": _count_calls(monkeypatch, tree_json, "serialize_task_tree_json"),
         "read": _count_calls(monkeypatch, prompts, "read_data_text"),
     }
@@ -108,6 +112,47 @@ def test_evaluate_reuses_the_validation_of_parsing(run1, counts, capsys):
     assert main(["evaluate", str(run1)]) == 0
     assert "Successful JSON outputs" in capsys.readouterr().out
     assert len(counts["validate"]) == 27  # one per JSON_OK record
+
+
+# evaluate --compare over the nine shipped runs, as it printed when every
+# record's text was parsed on its own
+_COMPARE_NINE = (
+    "Metric         Value                 Notes\n"
+    "example-based  High/High/Consistent  accuracy 0.802, completeness 0.804, 3 run(s)\n"
+    "user-guided    Medium/Low/Variable   accuracy 0.627, completeness 0.370, 3 run(s)\n"
+    "contextual     Low/Low/Inconsistent  accuracy 0.239, completeness 0.083, 3 run(s)\n"
+)
+
+
+def _json_ok_texts(reports) -> list:
+    texts = []
+    for path in reports:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        texts += [r["raw_text"] for r in payload["records"] if r["outcome"] == "JSON_OK"]
+    return texts
+
+
+def test_evaluate_compare_parses_each_distinct_answer_once(shipped_runs, counts, capsys):
+    texts = _json_ok_texts(shipped_runs)
+    # runs of the same dishes repeat answers word for word
+    assert (len(texts), len(set(texts))) == (210, 138)
+    counts["validate"].clear()
+    assert main(["evaluate", "--compare", *map(str, shipped_runs)]) == 0
+    assert capsys.readouterr().out == _COMPARE_NINE
+    assert len(counts["validate"]) == len(set(texts))
+
+
+def test_each_evaluate_command_parses_its_own_answers(shipped_runs, counts, capsys):
+    reports = shipped_runs[:2]
+    distinct = len(set(_json_ok_texts(reports)))
+    outputs = []
+    for _ in range(2):
+        counts["parse"].clear()
+        assert main(["evaluate", *map(str, reports)]) == 0
+        outputs.append(capsys.readouterr().out)
+        # no parse is carried from one command to the next
+        assert len(counts["parse"]) == distinct
+    assert outputs[0] == outputs[1]
 
 
 class _CountedRecords(tuple):

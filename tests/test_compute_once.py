@@ -2,7 +2,8 @@
 
 A tree is validated when it is parsed and never again, and an answer
 text that several records of an ``evaluate`` hold is parsed once in
-that command; a prompt's template is read once and its example block
+that command, as a dish that several records hold is built once and a
+(tree, dish) pair scored once; a prompt's template is read once and its example block
 serialized once per loaded example set, so once per command; an output
 directory is made once, and an output file opened once. The counts are
 taken on the shipped example-based run1 (34 dishes, 27 JSON outputs) by
@@ -22,10 +23,11 @@ from collections import Counter
 
 import pytest
 
-from foonforge import cli, prompts
+from foonforge import cli, metrics, prompts
 from foonforge.cli import main
 from foonforge.foon import tree_json, validation
 from foonforge.pipeline import FallbackReason, RunReport, load_run_report
+from foonforge.prompts import DishSpec
 from foonforge.resources import data_path
 
 
@@ -152,6 +154,52 @@ def test_each_evaluate_command_parses_its_own_answers(shipped_runs, counts, caps
         outputs.append(capsys.readouterr().out)
         # no parse is carried from one command to the next
         assert len(counts["parse"]) == distinct
+    assert outputs[0] == outputs[1]
+
+
+def _count_dish_builds(monkeypatch) -> list:
+    built: list = []
+    init = DishSpec.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(DishSpec, "__init__", counted)
+    return built
+
+
+def test_evaluate_compare_builds_each_dish_and_scores_each_pair_once(
+    shipped_runs, monkeypatch, capsys
+):
+    built = _count_dish_builds(monkeypatch)
+    scored = _count_calls(monkeypatch, metrics, "score_record")
+    assert main(["evaluate", "--compare", *map(str, shipped_runs)]) == 0
+    assert capsys.readouterr().out == _COMPARE_NINE
+    # nine runs of the same 34 dishes: 306 records
+    assert len(built) == len({args for args in built}) == 34
+    records = [args[0] for args in scored]
+    pairs = {(id(r.tree), id(r.dish)) for r in records}
+    assert len(records) == len(pairs)
+    # the 210 successes hold 138 distinct (answer, dish) pairs; a fallback scores
+    # 0 whatever its text, so the fallbacks of one dish are one pair
+    assert sum(r.tree is not None for r in records) == 138
+    assert len(records) == 138 + len({r.dish for r in records if r.tree is None})
+
+
+def test_each_evaluate_command_builds_its_own_dishes(shipped_runs, monkeypatch, capsys):
+    built = _count_dish_builds(monkeypatch)
+    scored = _count_calls(monkeypatch, metrics, "score_record")
+    outputs = []
+    for _ in range(2):
+        built.clear()
+        scored.clear()
+        assert main(["evaluate", *map(str, shipped_runs)]) == 0
+        outputs.append(capsys.readouterr().out)
+        # nothing is carried from one command to the next
+        assert len(built) == 34
+        # one report after another, only the successes score
+        assert len(scored) == 138
     assert outputs[0] == outputs[1]
 
 

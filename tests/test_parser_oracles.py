@@ -3,13 +3,16 @@
 Every source goes through the parser and through the original kept in
 ``graphgen``: both must raise the same exception type with the same
 message, pointer, line and violations, or build equal trees, with equal
-hashes, reprs and node keys.
+hashes, reprs and node keys. The one-pass :class:`DishSpec` is held to
+its original per-field checks the same way.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from dataclasses import astuple
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +30,11 @@ from foonforge.foon.validation import (
     find_cycle,
     validate_graph,
 )
+from foonforge.prompts import DishSpec
 
 from .graphgen import (
     MUTATORS,
+    ReferenceDish,
     chain_tree,
     mutate_add_cycle,
     mutate_noop,
@@ -539,3 +544,81 @@ def test_only_units_out_of_order_run_the_kahn_pass(monkeypatch):
         tree = chain_tree(5, goal_first=first)
         assert validate_graph(tree.graph, tree.goal).ok
     assert len(calls) == 1  # the goal-first chain: acyclic, but edges point back
+
+
+# --- dish specs -------------------------------------------------------------
+
+_CATEGORIES = ["Main", " MAIN ", "", "  ", "plats cuisinés", "İ", "x\ud800"]
+_DISH_NAMES = ["Soup", " soup ", "SOUP", "", " \t ", "crème brûlée", "İstanbul", "\udc00"]
+_INGREDIENT_LISTS = [
+    [], ["salt"], ["salt", "pepper"], [" Salt", "salt "], ["salt", ""], ["", "salt"],
+    ["salt", "  "], ["Salt", "pepper", "SALT"], ["é", "É", "e"], ["İ", "i̇"],
+    ["salt", "x\ud800"], ["\udc00", ""], ["a b", "a  b", "A B "],
+]
+_TOOL_LISTS = [
+    [], ["pan"], ["Pan", " pan"], ["", "pan"], ["  "], ["pot", "Pan", "POT", ""],
+    ["wok", "\ud800"], ["\udc00 ", "pan"], ["é", "É"], ["pan", "pan", "pan"],
+]
+_NOT_TEXTS = [None, 5, ["salt"], b"salt"]
+
+
+def _dish_outcome(build, *args):
+    try:
+        return build(*args)
+    except (InvalidNodeError, TypeError) as exc:
+        return type(exc), str(exc), getattr(exc, "pointer", None)
+
+
+def _assert_same_dish(*args):
+    got = _dish_outcome(DishSpec, *args)
+    want = _dish_outcome(ReferenceDish, *args)
+    if isinstance(want, tuple):
+        assert got == want, args
+        return
+    fields = astuple(want)
+    assert astuple(got) == fields, args
+    assert all(type(value) is type(kept) for value, kept in zip(astuple(got), fields))
+    rebuilt = DishSpec(*fields)
+    assert (got, hash(got)) == (rebuilt, hash(rebuilt))
+    assert repr(got) == repr(want).replace("ReferenceDish(", "DishSpec(", 1)
+
+
+def test_dish_specs_build_as_the_original_checks_build_them():
+    accepted = 0
+    for category, name, ingredients, tools in product(
+        _CATEGORIES, _DISH_NAMES, _INGREDIENT_LISTS, _TOOL_LISTS
+    ):
+        _assert_same_dish(category, name, ingredients, tools)
+        _assert_same_dish(category, name, tuple(ingredients), tuple(tools))
+        accepted += not isinstance(_dish_outcome(DishSpec, category, name, ingredients), tuple)
+    assert accepted >= 300
+
+
+def test_dishes_with_a_non_text_field_fail_as_the_original_checks_fail():
+    for bad in _NOT_TEXTS:
+        for args in (
+            (bad, "soup", ["salt"]),
+            ("main", bad, ["salt"]),
+            ("main", "soup", bad),
+            ("main", "soup", [bad]),
+            ("main", "soup", ["salt"], bad),
+            ("main", "soup", ["salt"], ["pan", bad]),
+        ):
+            _assert_same_dish(*args)
+
+
+_DISH_TEXT = st.sampled_from([
+    "salt", "Salt", " SALT ", "pepper", "pan", "a b", "é", "É", "İ", "😀", "",
+    "  ", "\t", "\ud800", "x\udc00",
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _DISH_TEXT,
+    _DISH_TEXT,
+    st.lists(_DISH_TEXT, max_size=5),
+    st.lists(_DISH_TEXT, max_size=5),
+)
+def test_random_dishes_build_as_the_original_checks_build_them(category, name, ingredients, tools):
+    _assert_same_dish(category, name, ingredients, tools)

@@ -595,6 +595,45 @@ def test_report_type_sweep_names_the_field_or_loads(tmp_path, shipped_runs):
     assert {p for p in loaded_deletions if not p.split("/")[-1].isdecimal()} == optional
 
 
+def _repeated_dish_report(shipped_report, last_dish: dict) -> dict:
+    """Four records, the last three repeating the first's dish, the last
+    with the dish fields ``last_dish``."""
+    base = _two_record_report(shipped_report)
+    ok, fallback = base["records"]
+    records = [ok, fallback, json.loads(json.dumps(ok)), {**ok, "dish": last_dish}]
+    return {**base, "total": 4, "json_ok": 3, "text_fallback": 1, "records": records}
+
+
+def test_a_repeated_dish_is_shared_but_never_hides_a_fault(tmp_path, shipped_runs, capsys):
+    dish = _two_record_report(shipped_runs[0])["records"][0]["dish"]
+    path = tmp_path / REPORT_FILENAME
+    bad_tool = {**dish, "tools": [5, *dish["tools"][1:]]}
+    surrogate = {**dish, "ingredients": [dish["ingredients"][0], "x\ud800"]}
+    for last, pointer in (
+        (bad_tool, "/records/3/dish/tools/0"),
+        (surrogate, "/records/3/dish/ingredients/1"),
+    ):
+        path.write_text(json.dumps(_repeated_dish_report(shipped_runs[0], last)), "utf-8")
+        with pytest.raises(ManifestError) as caught:
+            load_run_report(path)
+        assert caught.value.pointer == pointer
+        assert main(["evaluate", str(path)]) == 2
+        assert f"error: {pointer}: " in capsys.readouterr().err
+    # an unknown field is no part of a dish
+    path.write_text(
+        json.dumps(_repeated_dish_report(shipped_runs[0], {**dish, "note": [1]})), "utf-8"
+    )
+    shared: dict = {}
+    records = load_run_report(path, shared=shared).records
+    assert records[0].dish is records[2].dish is records[3].dish is not records[1].dish
+    assert records[0].tree is records[2].tree is records[3].tree
+    # a second report read with the same map shares its dishes and trees too
+    again = load_run_report(path, shared=shared).records
+    assert [r.dish for r in again] == [r.dish for r in records]
+    assert all(a.dish is b.dish and a.tree is b.tree for a, b in zip(again, records))
+    assert load_run_report(path).records[0].dish is not records[0].dish
+
+
 @pytest.mark.parametrize("level", ["report", "record", "dish"])
 def test_load_run_report_ignores_unknown_fields(tmp_path, shipped_runs, level):
     original = shipped_runs[0]

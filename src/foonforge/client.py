@@ -89,7 +89,10 @@ class ModelResponse:
     def __post_init__(self):
         if self.finish_reason is not FinishReason.ERROR and not self.text:
             raise ValueError("non-error responses must carry text")
-        self.text.encode("utf-8")  # outputs are UTF-8 files; a lone surrogate raises here
+        # outputs are UTF-8 files, so a lone surrogate raises here; only
+        # non-ASCII text can hold one, and ASCII text is not encoded
+        if not self.text.isascii():
+            self.text.encode("utf-8")
 
 
 def decode_response(payload, *, latency: float = 0.0) -> ModelResponse:

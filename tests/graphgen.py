@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, permutations
 
+from foonforge import resources
 from foonforge.errors import (
     FoonSyntaxError,
     InvalidNodeError,
@@ -669,6 +670,35 @@ def reference_report_json(report) -> str:
         ],
     }
     return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+def record_report_writes(monkeypatch, fail_after: int | None = None) -> list[str]:
+    """Record the text of each write into the run report's temp file, the
+    one file :mod:`foonforge.resources` opens; the write after the first
+    ``fail_after`` of them raises ``OSError("disk full")``."""
+    writes: list[str] = []
+
+    class RecordingFile:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, text: str) -> int:
+            if len(writes) == fail_after:
+                raise OSError("disk full")
+            writes.append(text)
+            return self.handle.write(text)
+
+    def recording_open(*args, **kwargs):
+        return RecordingFile(open(*args, **kwargs))
+
+    monkeypatch.setattr(resources, "open", recording_open, raising=False)
+    return writes
 
 
 # --- mutation suite -----------------------------------------------------

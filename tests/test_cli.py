@@ -657,7 +657,7 @@ def _evaluate(capsys, *args) -> str:
 def _write_report(path, *records) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
-        report_to_json(RunReport(Strategy.CONTEXTUAL, records, "", "")), encoding="utf-8"
+        "".join(report_to_json(RunReport(Strategy.CONTEXTUAL, records, "", ""))), encoding="utf-8"
     )
 
 

@@ -5,7 +5,9 @@ text that several records of an ``evaluate`` hold is parsed once in
 that command, as a dish that several records hold is built once and a
 (tree, dish) pair scored once; a prompt's template is read once and its example block
 serialized once per loaded example set, so once per command; an output
-directory is made once, and an output file opened once. The counts are
+directory is made once, and an output file opened once. A run report
+is rendered once per ``generate`` and written piece by piece, no write
+longer than its head and its longest record. The counts are
 taken on the shipped example-based run1 (34 dishes, 27 JSON outputs) by
 wrapping the counted function wherever the package holds a reference to
 it. A plain command line builds no argument parser, and help or a usage
@@ -23,12 +25,14 @@ from collections import Counter
 
 import pytest
 
-from foonforge import cli, metrics, prompts
+from foonforge import cli, metrics, pipeline, prompts
 from foonforge.cli import main
 from foonforge.foon import tree_json, validation
 from foonforge.pipeline import FallbackReason, RunReport, load_run_report
 from foonforge.prompts import DishSpec
 from foonforge.resources import data_path
+
+from .graphgen import record_report_writes
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:
@@ -201,6 +205,26 @@ def test_each_evaluate_command_builds_its_own_dishes(shipped_runs, monkeypatch, 
         # one report after another, only the successes score
         assert len(scored) == 138
     assert outputs[0] == outputs[1]
+
+
+def test_report_is_rendered_once_and_written_in_pieces(
+    tmp_path, capsys, monkeypatch, acceptance_manifest_path
+):
+    rendered = _count_calls(monkeypatch, pipeline, "report_to_json")
+    writes = record_report_writes(monkeypatch)
+    path = _generate_run1(tmp_path / "run1", capsys, acceptance_manifest_path)
+    assert len(rendered) == 1
+    text = path.read_text(encoding="utf-8")
+    assert "".join(writes) == text
+    # each record as the report holds it, two levels in
+    records = [
+        json.dumps(record, indent=2, ensure_ascii=False).replace("\n", "\n    ")
+        for record in json.loads(text)["records"]
+    ]
+    head = text[: text.index(records[0])]
+    assert len(records) == 34
+    # no write carries the whole report
+    assert max(map(len, writes)) <= len(head) + max(map(len, records))
 
 
 class _CountedRecords(tuple):

@@ -4,11 +4,13 @@ import json
 import os
 import random
 import stat
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from foonforge import pipeline
 from foonforge.cli import main
 from foonforge.client import FinishReason, ModelResponse, ReplayClient
 from foonforge.errors import FixtureMissError, ManifestError, PromptError
@@ -31,7 +33,7 @@ from foonforge.pipeline import (
 from foonforge.prompts import DishSpec, Strategy, render_for_dish
 from foonforge.resources import data_path
 
-from .graphgen import random_task_tree, reference_report_json
+from .graphgen import random_task_tree, record_report_writes, reference_report_json
 
 
 @pytest.fixture()
@@ -667,14 +669,17 @@ def test_report_writer_matches_json_dumps(dish, count):
     records = _every_outcome(dish, 'crème "brûlée" \\ 😀 \x00\u2028\n')[:count]
     for strategy in Strategy:
         report = RunReport(strategy, tuple(records), "2024-01-01T00:00:00+00:00", "")
-        assert report_to_json(report) == reference_report_json(report)
+        pieces = report_to_json(report)
+        # the head, one piece per record, and the tail
+        assert len(pieces) == count + 2
+        assert "".join(pieces) == reference_report_json(report) + "\n"
 
 
 @given(st.text(alphabet=st.characters(exclude_categories=("Cs",))))
 def test_report_writer_matches_json_dumps_on_any_raw_text(raw_text):
     dish = DishSpec("pasta", "mac and cheese", ("macaroni",))
     report = RunReport(Strategy.EXAMPLE_BASED, tuple(_every_outcome(dish, raw_text)), raw_text, "")
-    assert report_to_json(report) == reference_report_json(report)
+    assert "".join(report_to_json(report)) == reference_report_json(report) + "\n"
 
 
 def test_handle_response_creates_a_missing_output_directory(tmp_path, dish):
@@ -765,6 +770,15 @@ def test_report_is_replaced_atomically(tmp_path, sample_manifest_path, monkeypat
     run_generation(manifest, Strategy.CONTEXTUAL, ReplayClient(fixture), out)
     before = (out / REPORT_FILENAME).read_bytes()
 
+    # the disk fills after the head and the first record of the new report
+    with monkeypatch.context() as patch:
+        writes = record_report_writes(patch, fail_after=2)
+        with pytest.raises(OSError, match="disk full"):
+            run_generation(manifest, Strategy.CONTEXTUAL, ReplayClient({}), out)
+    assert len(writes) == 2 and writes[1].startswith("{")
+    assert (out / REPORT_FILENAME).read_bytes() == before
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == [REPORT_FILENAME]
+
     def boom(src, dst):
         raise OSError("disk full")
 
@@ -773,3 +787,25 @@ def test_report_is_replaced_atomically(tmp_path, sample_manifest_path, monkeypat
         run_generation(manifest, Strategy.CONTEXTUAL, ReplayClient({}), out)
     assert (out / REPORT_FILENAME).read_bytes() == before
     assert sorted(p.name for p in out.iterdir() if p.is_file()) == [REPORT_FILENAME]
+
+
+def test_prompts_are_released_once_answered(tmp_path, sample_manifest_path, monkeypatch):
+    manifest = read_manifest(sample_manifest_path)
+    answered = []
+
+    class Backend:
+        def generate_all(self, prompts):
+            answered.extend(weakref.ref(prompt) for prompt in prompts)
+            return [ModelResponse("junk") for _ in prompts]
+
+    alive = []
+
+    def counted(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in answered))
+        return handle_response(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "handle_response", counted)
+    report = run_generation(manifest, Strategy.CONTEXTUAL, Backend(), tmp_path / "out")
+    assert report.total == len(answered) == len(alive) == 3
+    # every prompt is gone before the first answer is classified
+    assert alive == [0, 0, 0]

@@ -254,11 +254,14 @@ def cmd_generate(args) -> int:
     if args.fixture and args.max_in_flight is not None:
         print("error: --max-in-flight applies to --live only", file=sys.stderr)
         return EXIT_CONFIG
+    if args.live and args.strict_replay:
+        print("error: --strict-replay applies to --fixture only", file=sys.stderr)
+        return EXIT_CONFIG
     manifest = read_manifest(args.manifest)
     if args.live:
         backend = LiveClient(max_in_flight=args.max_in_flight or DEFAULT_MAX_IN_FLIGHT)
     else:
-        backend = ReplayClient(args.fixture)
+        backend = ReplayClient(args.fixture, strict=args.strict_replay)
 
     strategy = Strategy(args.strategy)
     examples = None
@@ -277,7 +280,6 @@ def cmd_generate(args) -> int:
         examples=examples,
         instructions=args.instructions,
         template=template,
-        strict_replay=args.strict_replay,
     )
     print(format_text_table(summarize_run(report)))
     print(f"total={report.total} json_ok={report.json_ok} text_fallback={report.text_fallback}")
@@ -294,13 +296,15 @@ def _read_source(path: str | Path) -> str:
 
 
 def _print_report(report: ValidationReport) -> None:
-    if report.ok:
-        print("valid")
-        return
-    print(f"invalid ({len(report.violations)} violation(s))")
+    print("valid" if report.ok else f"invalid ({len(report.violations)} violation(s))")
+    _print_violations(report)
+
+
+def _print_violations(report: ValidationReport, file=None) -> None:
+    """One line per violation, to ``file`` (stdout by default)."""
     for v in report.violations:
         where = f" [unit {v.unit_index}]" if v.unit_index is not None else ""
-        print(f"  {v.rule}: {v.message}{where}")
+        print(f"  {v.rule}: {v.message}{where}", file=file)
 
 
 def _resolve_goal(graph: FoonGraph, name: str) -> ObjectNode:
@@ -382,8 +386,7 @@ def cmd_convert(args) -> int:
         report = validate_task_tree(tree)
         if not report.ok:
             print("cannot convert: graph is not a valid task tree", file=sys.stderr)
-            for v in report.violations:
-                print(f"  {v.rule}: {v.message}", file=sys.stderr)
+            _print_violations(report, sys.stderr)
             return EXIT_IO
         Path(args.dest).write_text(serialize_task_tree_json(tree) + "\n", encoding="utf-8")
     else:

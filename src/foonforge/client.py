@@ -2,8 +2,9 @@
 
 The replay backend maps prompt context hashes to canned responses and has
 no transport at all, so anything built on it can never touch the network.
-A lookup miss fails loudly; there is no silent fallback to the live
-backend.
+There is no silent fallback to the live backend: a lookup miss is an
+``error`` response, or, from a ``strict`` replay client, an exception
+that ends the batch.
 
 The live backend speaks a minimal provider-agnostic protocol: POST a JSON
 body ``{"model", "prompt", "temperature", "max_output_tokens"}`` and read
@@ -20,7 +21,10 @@ the key is only ever sent to the configured URL.
 A backend answers a whole batch at once (:meth:`TextGenerator.generate_all`),
 so concurrency lives where the waiting is: the live backend keeps up to
 ``max_in_flight`` requests open on a thread pool, and replay, a dict
-lookup, answers serially.
+lookup, answers serially. It gives one response per prompt: a request
+that fails with a :class:`ClientError` is answered by an ``error``
+response that names the failure and the prompt's hash, so the caller
+need not know which backend answered.
 
 Fixture entries share that payload shape, and :func:`decode_response` is
 the one decoder for both backends: the live backend decodes each answer
@@ -115,19 +119,25 @@ def decode_response(payload, *, latency: float = 0.0) -> ModelResponse:
 class TextGenerator(Protocol):
     """Anything that can answer a batch of prompt bundles."""
 
-    def generate_all(self, prompts: Sequence[PromptBundle]) -> list[ModelResponse | ClientError]:
-        """One response, or the :class:`ClientError` that stood in for it,
-        per prompt, in prompt order. Any other exception propagates."""
+    def generate_all(self, prompts: Sequence[PromptBundle]) -> list[ModelResponse]:
+        """One response per prompt, in prompt order; a failed request is
+        an ``error`` response. Any other exception propagates."""
         ...
 
 
 def _answer(
     generate: Callable[[PromptBundle], ModelResponse], prompt: PromptBundle
-) -> ModelResponse | ClientError:
+) -> ModelResponse:
+    """``generate``'s answer to ``prompt``, or the ``error`` response that
+    stands in for the :class:`ClientError` it raised: the failure's text,
+    ``fixture miss`` for a miss, then the prompt's hash."""
     try:
         return generate(prompt)
     except ClientError as exc:
-        return exc
+        error = "fixture miss" if isinstance(exc, FixtureMissError) else str(exc)
+        return ModelResponse(
+            f"model error: {error}\n(prompt hash {prompt.context_hash})", FinishReason.ERROR
+        )
 
 
 class ReplayClient:
@@ -138,9 +148,15 @@ class ReplayClient:
     here, and a malformed one raises :class:`MalformedResponseError`.
     Lookups are pure, so replay is bit-deterministic; a batch is
     answered serially, since a lookup never waits.
+
+    :meth:`generate` raises :class:`FixtureMissError` on a miss. In a
+    batch, a miss is an ``error`` response, unless the client is
+    ``strict``: then the first miss in prompt order propagates, and the
+    caller has no answer to write.
     """
 
-    def __init__(self, fixture: str | Path | Mapping[str, dict]):
+    def __init__(self, fixture: str | Path | Mapping[str, dict], *, strict: bool = False):
+        self.strict = strict
         entries = load_fixture(fixture) if isinstance(fixture, (str, Path)) else fixture
         self._responses: dict[str, ModelResponse] = {}
         for key, entry in entries.items():
@@ -155,7 +171,9 @@ class ReplayClient:
             raise FixtureMissError(prompt.context_hash)
         return response
 
-    def generate_all(self, prompts: Sequence[PromptBundle]) -> list[ModelResponse | ClientError]:
+    def generate_all(self, prompts: Sequence[PromptBundle]) -> list[ModelResponse]:
+        if self.strict:
+            return [self.generate(prompt) for prompt in prompts]
         return [_answer(self.generate, prompt) for prompt in prompts]
 
 
@@ -274,7 +292,7 @@ class LiveClient:
         self._rng = rng or random.Random()
         self.max_in_flight = max_in_flight
 
-    def generate_all(self, prompts: Sequence[PromptBundle]) -> list[ModelResponse | ClientError]:
+    def generate_all(self, prompts: Sequence[PromptBundle]) -> list[ModelResponse]:
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
             return list(pool.map(lambda prompt: _answer(self.generate, prompt), prompts))
 

@@ -2,13 +2,14 @@
 
 Each dish yields exactly one :class:`OutputRecord`, and
 :func:`handle_response` is the one place that classifies a response and
-writes its output file. A backend failure becomes an ``error`` response
-carrying the failure text, which is recorded as ``model_error`` without
-being parsed; a ``truncated`` response is recorded as ``truncated``,
-also unparsed. Other responses have one enclosing code fence stripped;
-those that then parse and validate as task trees are written as pretty
-JSON, and everything else is preserved verbatim as a text file together
-with the failure category. Records are reported in manifest order. The
+writes its output file. The backend answers each prompt with a
+response (see :mod:`foonforge.client`), a failed request with an
+``error`` response carrying the failure text, which is recorded as
+``model_error`` without being parsed; a ``truncated`` response is
+recorded as ``truncated``, also unparsed. Other responses have one
+enclosing code fence stripped; those that then parse and validate as
+task trees are written as pretty JSON, and everything else is preserved
+verbatim as a text file together with the failure category. Records are reported in manifest order. The
 run's strategy is stored once, on its :class:`RunReport`.
 """
 
@@ -25,9 +26,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
-from .client import FinishReason, FixtureMissError, ModelResponse, TextGenerator
+from .client import FinishReason, ModelResponse, TextGenerator
 from .errors import (
-    ClientError,
     InvalidNodeError,
     ManifestError,
     TaskTreeError,
@@ -344,29 +344,27 @@ def run_generation(
     examples: ExampleSet | None = None,
     instructions: str | None = None,
     template: str | None = None,
-    strict_replay: bool = False,
 ) -> RunReport:
     """Generate one recipe per dish and persist a run report.
 
     Every prompt is rendered, and the backend answers the whole batch,
     before anything is written, so a :class:`PromptError` leaves nothing
-    on disk, and nor does a fixture miss under ``strict_replay``, which
-    raises the first miss in manifest order. Any other backend failure
-    becomes a ``model_error`` record with the error text preserved; only
-    manifest, configuration, and IO problems abort the run. Dishes are
-    then classified and written one by one, in manifest order.
+    on disk, and nor does anything the backend raises (a strict replay
+    client's fixture miss among them). The backend's ``error``
+    responses become ``model_error`` records; only manifest,
+    configuration, and IO problems abort the run. Dishes are then
+    classified and written one by one, in manifest order.
 
-    Memory: once the backend has answered, each prompt is let go and
-    only its context hash is kept, which a ``model_error`` record's text
-    names. The report is rendered by :func:`report_to_json` as pieces
-    and written piece by piece, so no string or bytes object of the
-    whole report is made. Every answer is still held until the report
-    is written, since the records carry them. On a 2,000-dish
-    example-based run (the ``manifest-2k`` benchmark workload, seed 77,
-    a 3.7 MiB report), the traced Python heap of one ``generate``
-    peaked at 30.3 MiB when the prompts (7.4 MiB) were held to the end
-    and the report was joined, copied and encoded before one write,
-    and peaks at 15.6 MiB now, while the report's pieces are rendered.
+    Memory: once the backend has answered, each prompt is let go. The
+    report is rendered by :func:`report_to_json` as pieces and written
+    piece by piece, so no string or bytes object of the whole report is
+    made. Every answer is still held until the report is written, since
+    the records carry them. On a 2,000-dish example-based run (the
+    ``manifest-2k`` benchmark workload, seed 77, a 3.7 MiB report), the
+    traced Python heap of one ``generate`` peaked at 30.3 MiB when the
+    prompts (7.4 MiB) were held to the end and the report was joined,
+    copied and encoded before one write, and peaks at 15.6 MiB now,
+    while the report's pieces are rendered.
     """
     out_dir = Path(out_dir)
 
@@ -381,22 +379,12 @@ def run_generation(
 
     started = _utc_now()
     answers = backend.generate_all(bundles)
-    # a model-error record names its prompt by hash; nothing later reads a prompt's text
-    hashes = [bundle.context_hash for bundle in bundles]
-    del bundles
-    if strict_replay:
-        for answer in answers:
-            if isinstance(answer, FixtureMissError):
-                raise answer
+    del bundles  # nothing reads a prompt once it is answered
 
-    records = []
-    for dish, prompt_hash, stem, answer in zip(dishes, hashes, stems, answers):
-        if isinstance(answer, ClientError):
-            error = "fixture miss" if isinstance(answer, FixtureMissError) else str(answer)
-            answer = ModelResponse(
-                f"model error: {error}\n(prompt hash {prompt_hash})", FinishReason.ERROR
-            )
-        records.append(handle_response(answer, dish, out_dir, rel_base=stem))
+    records = [
+        handle_response(answer, dish, out_dir, rel_base=stem)
+        for dish, stem, answer in zip(dishes, stems, answers)
+    ]
 
     report = RunReport(strategy, tuple(records), started, _utc_now())
     write_text_atomic(out_dir / REPORT_FILENAME, report_to_json(report))

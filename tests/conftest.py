@@ -48,11 +48,10 @@ def shipped_runs(tmp_path_factory, runs_metadata) -> list:
             run_generation(
                 manifest,
                 Strategy(name),
-                ReplayClient(data_path(*rel.split("/"))),
+                ReplayClient(data_path(*rel.split("/")), strict=True),
                 out,
                 examples=examples,
                 instructions=runs_metadata["instructions"],
-                strict_replay=True,
             )
             reports.append(out / REPORT_FILENAME)
     return reports

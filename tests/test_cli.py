@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from foonforge import cli
 from foonforge.cli import _print_report, main
-from foonforge.client import API_KEY_ENV, API_URL_ENV, LiveClient
-from foonforge.errors import ClientError
+from foonforge.client import API_KEY_ENV, API_URL_ENV, FinishReason, LiveClient, ModelResponse
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
 from foonforge.foon.validation import validate_graph
 from foonforge.pipeline import (
@@ -213,6 +212,24 @@ def test_validate_rejects_a_goal_it_would_ignore(capsys, path, extra, fragment):
     assert captured.err.startswith(f"error: {fragment}")
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--goal", "pizza"], "goal 'pizza' names no object in the graph"),
+        (
+            ["--goal", "macaroni"],
+            "goal 'macaroni' is ambiguous, variants: macaroni (raw); macaroni (cooked)",
+        ),
+        ([], "--as-task-tree on a foon file requires --goal"),
+    ],
+    ids=["unknown-goal", "ambiguous-goal", "no-goal"],
+)
+def test_validate_as_task_tree_refuses_a_goal_it_cannot_resolve(capsys, extra, message):
+    code = main(["validate", str(data_path("macaroni.foon")), "--as-task-tree", *extra])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_validate_reports_violations_without_failing(tmp_path, capsys):
     payload = {
         "goal": {"name": "phantom"},
@@ -281,6 +298,23 @@ def test_convert_to_json_requires_goal(tmp_path, capsys):
     assert "--goal" in capsys.readouterr().err
 
 
+def test_convert_prints_the_violations_validate_prints(tmp_path, capsys):
+    graph = str(data_path("macaroni.foon"))
+    dest = tmp_path / "out.json"
+    assert main(["convert", graph, str(dest), "--to", "json", "--goal", "cheese"]) == 2
+    converted = capsys.readouterr()
+    assert main(["validate", graph, "--as-task-tree", "--goal", "cheese"]) == 0
+    head, *violations = capsys.readouterr().out.splitlines()
+    assert head == f"invalid ({len(violations)} violation(s))"
+    assert "  goal: goal 'cheese' is consumed by unit 1 [unit 1]" in violations
+    assert converted.out == ""
+    assert converted.err.splitlines() == [
+        "cannot convert: graph is not a valid task tree",
+        *violations,
+    ]
+    assert not dest.exists()
+
+
 def test_retrieve_outputs_tree_json(capsys):
     code = main(
         [
@@ -296,6 +330,24 @@ def test_retrieve_outputs_tree_json(capsys):
     assert code == 0
     tree = parse_task_tree_json(capsys.readouterr().out)
     assert len(tree.units) == 3
+
+
+def test_retrieve_out_writes_what_stdout_would_print(tmp_path, capsys):
+    argv = [
+        "retrieve",
+        "--graph",
+        str(data_path("macaroni.foon")),
+        "--goal",
+        "mac and cheese",
+        "--available",
+        "water,macaroni,cheese",
+    ]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    dest = tmp_path / "tree.json"
+    assert main([*argv, "--out", str(dest)]) == 0
+    assert capsys.readouterr() == (f"wrote {dest}\n", "")
+    assert dest.read_bytes() == printed.encode("utf-8")
 
 
 def test_retrieve_reports_failure_as_data(capsys):
@@ -522,30 +574,32 @@ def test_drawn_command_lines_parse_as_the_full_parser_does(name, data):
     assert _dispatch(argv) == _full_parse(argv)
 
 
+_HELP = Path(__file__).parent / "help"
+
+
 def test_the_module_entry_point_reads_its_own_argv(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "COLUMNS": "80"}
     runs = [
-        ["validate", str(data_path("macaroni.foon"))],
-        ["-h"],
+        (module, argv)
+        for module in ("foonforge", "foonforge.cli")
+        for argv in (["validate", str(data_path("macaroni.foon"))], ["--help"])
     ]
     done = [
         subprocess.run(
-            [sys.executable, "-m", "foonforge.cli", *argv],
+            [sys.executable, "-m", module, *argv],
             env=env,
             cwd=tmp_path,
             capture_output=True,
-            text=True,
             timeout=60,
         )
-        for argv in runs
+        for module, argv in runs
     ]
-    assert [(run.returncode, run.stderr) for run in done] == [(0, ""), (0, "")]
-    assert done[0].stdout == "valid\n"
-    assert done[1].stdout.startswith("usage: foonforge [-h]")
-    assert "Cost:" not in done[1].stdout  # the docstring's notes stay out of --help
-
-
-_HELP = Path(__file__).parent / "help"
+    # the pinned help holds none of the docstring's "Cost:" notes
+    help_text = (_HELP / "foonforge.txt").read_bytes()
+    assert [(run.returncode, run.stdout, run.stderr) for run in done] == [
+        (0, b"valid\n", b""),
+        (0, help_text, b""),
+    ] * 2
 
 
 @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
@@ -1044,6 +1098,20 @@ def test_generate_max_in_flight_checked(tmp_path, capsys, sample_manifest_path, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--live", "--strict-replay"], ["--strict-replay", "--live"]],
+    ids=["live-first", "strict-first"],
+)
+def test_generate_strict_replay_applies_to_fixture_only(tmp_path, capsys, flags):
+    missing = tmp_path / "missing.json"  # read, it would exit 2
+    argv = ["generate", "--manifest", str(missing), "--strategy", "contextual",
+            "--out", str(tmp_path / "out"), *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: --strict-replay applies to --fixture only\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("extra, want", [((), 4), (("--max-in-flight", "2"), 2)])
 def test_generate_live_passes_max_in_flight_to_the_live_client(
     tmp_path, monkeypatch, sample_manifest_path, extra, want
@@ -1055,7 +1123,7 @@ def test_generate_live_passes_max_in_flight_to_the_live_client(
             built.append(kwargs)
 
         def generate_all(self, prompts):
-            return [ClientError("offline")] * len(prompts)
+            return [ModelResponse("model error: offline", FinishReason.ERROR)] * len(prompts)
 
     monkeypatch.setattr("foonforge.cli.LiveClient", Recorder)
     argv = ["generate", "--manifest", str(sample_manifest_path), "--strategy", "contextual",

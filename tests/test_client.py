@@ -98,6 +98,24 @@ def test_replay_decodes_each_entry_once(bundle):
     assert client.generate(bundle) is first
 
 
+def test_replay_batch_answers_a_miss_unless_strict(bundle):
+    first, second = (
+        render_for_dish(Strategy.CONTEXTUAL, DishSpec("a", name, ("c",))) for name in "bd"
+    )
+    fixture = {bundle.context_hash: {"text": "canned"}}
+    assert ReplayClient(fixture).generate_all([first, bundle]) == [
+        ModelResponse(
+            f"model error: fixture miss\n(prompt hash {first.context_hash})", FinishReason.ERROR
+        ),
+        ModelResponse("canned"),
+    ]
+    strict = ReplayClient(fixture, strict=True)
+    assert strict.generate_all([bundle]) == [ModelResponse("canned")]
+    with pytest.raises(FixtureMissError) as exc_info:
+        strict.generate_all([bundle, second, first])
+    assert exc_info.value.context_hash == second.context_hash  # the first miss in order
+
+
 @pytest.mark.parametrize(
     "content", [b"[" * 100_000, b'{"a": [', b"\xff\xfe{}"], ids=["nested", "truncated", "not-utf8"]
 )
@@ -230,6 +248,17 @@ def test_rate_limited_after_retry_budget(bundle):
     with pytest.raises(RateLimitedError):
         client.generate(bundle)
     assert len(client._post.calls) == MAX_RETRIES + 1
+
+
+def test_provider_error_after_retry_budget(bundle):
+    sleeper = FakeSleeper()
+    client = _live([(500, b""), (502, b""), (503, b""), (504, b"down")], sleeper)
+    with pytest.raises(ProviderError) as exc_info:
+        client.generate(bundle)
+    assert exc_info.value.status == 504
+    assert str(exc_info.value) == "provider returned HTTP 504: still failing after 3 retries"
+    assert len(client._post.calls) == MAX_RETRIES + 1 == 4
+    assert len(sleeper.napped) == MAX_RETRIES
 
 
 def test_timeout_not_retried(bundle, monkeypatch):
@@ -400,24 +429,38 @@ def test_loopback_200(bundle):
 def test_loopback_answer_longer_than_the_cap_is_a_transport_error(bundle, monkeypatch):
     body = _ok("hot soup")[1]
     monkeypatch.setattr(client_module, "MAX_ANSWER_BYTES", len(body))
-    with _Server([(200, body, {}, 0), (200, body + b" ", {}, 0)]) as server:
+    longer = (200, body + b" ", {}, 0)
+    with _Server([(200, body, {}, 0), longer, longer]) as server:
         client = _loopback(server)
         assert client.generate(bundle).text == "hot soup"  # exactly the cap
+        with pytest.raises(TransportError) as exc_info:
+            client.generate(bundle)
+        assert len(server.requests) == 2  # not retried
         [answer] = client.generate_all([bundle])
-    assert isinstance(answer, TransportError)
-    assert f"longer than {len(body)} bytes" in str(answer)
-    assert len(server.requests) == 2  # not retried
+    error = f"answer longer than {len(body)} bytes (HTTP 200)"
+    assert str(exc_info.value) == error
+    assert answer == ModelResponse(
+        f"model error: {error}\n(prompt hash {bundle.context_hash})", FinishReason.ERROR
+    )
+    assert len(server.requests) == 3
 
 
 @pytest.mark.parametrize("status", [200, 503])
 def test_loopback_body_short_of_its_length_is_a_transport_error(bundle, status):
     body = _ok("hot soup")[1]
     headers = {"Content-Length": str(len(body) + 5)}
-    with _Server([(status, body, headers, 0)]) as server:
-        [answer] = _loopback(server).generate_all([bundle])
-    assert isinstance(answer, TransportError)
-    assert str(answer) == f"IncompleteRead({len(body)} bytes read, 5 more expected)"
-    assert len(server.requests) == 1  # not retried
+    with _Server([(status, body, headers, 0)] * 2) as server:
+        client = _loopback(server)
+        with pytest.raises(TransportError) as exc_info:
+            client.generate(bundle)
+        assert len(server.requests) == 1  # not retried
+        [answer] = client.generate_all([bundle])
+    error = f"IncompleteRead({len(body)} bytes read, 5 more expected)"
+    assert str(exc_info.value) == error
+    assert answer == ModelResponse(
+        f"model error: {error}\n(prompt hash {bundle.context_hash})", FinishReason.ERROR
+    )
+    assert len(server.requests) == 2
 
 
 def test_loopback_503_is_retried(bundle):
@@ -472,3 +515,22 @@ def test_non_http_url_is_a_transport_error(bundle, tmp_path):
     client = LiveClient(api_url=secret.as_uri(), api_key="k")
     with pytest.raises(TransportError, match="unknown url type"):
         client.generate(bundle)
+
+
+def test_a_urlerror_that_timed_out_is_a_request_timeout(monkeypatch):
+    import urllib.error
+
+    reason = TimeoutError("timed out")
+    opened = []
+
+    class Opener:
+        def open(self, request, timeout):
+            opened.append((request.full_url, timeout))
+            raise urllib.error.URLError(reason)
+
+    monkeypatch.setattr(client_module, "_opener", Opener)
+    with pytest.raises(RequestTimeoutError) as exc_info:
+        client_module.urllib_post("http://example.invalid/generate", b"{}", {}, 1.5)
+    assert str(exc_info.value) == "no answer within 1.5s"
+    assert exc_info.value.__cause__.reason is reason
+    assert opened == [("http://example.invalid/generate", 1.5)]

@@ -202,11 +202,10 @@ def test_shipped_runs_leave_no_cycles(tmp_path, runs_metadata):
             run_generation(
                 manifest,
                 strategy,
-                ReplayClient(fixture),
+                ReplayClient(fixture, strict=True),
                 out,
                 examples=examples,
                 instructions=runs_metadata["instructions"],
-                strict_replay=True,
             )
 
     def evaluate():

@@ -16,6 +16,7 @@ from foonforge.metrics import (
     comparison_rows,
     format_csv_table,
     format_text_table,
+    run_mean_scores,
     score_accuracy,
     score_completeness,
     score_record,
@@ -339,6 +340,44 @@ def test_single_run_flagged(dish):
     entry = comparison.entry(Strategy.CONTEXTUAL)
     assert entry.single_run
     assert entry.reliability_label == "Consistent (single run)"
+    with pytest.raises(KeyError):
+        comparison.entry(Strategy.EXAMPLE_BASED)
+
+
+def test_an_empty_run_scores_zero():
+    assert run_mean_scores(_report([])) == MetricScores(0.0, 0.0)
+
+
+def _covering(ingredients: int, covered: int, tools: int = 0, held: int = 0) -> OutputRecord:
+    """A record whose tree uses the first ``covered`` of the dish's
+    ``ingredients`` and the first ``held`` of its ``tools``."""
+    dish = DishSpec(
+        "x",
+        f"dish {ingredients} {covered} {tools} {held}",
+        tuple(f"ingredient {i}" for i in range(ingredients)),
+        tuple(f"tool {i}" for i in range(tools)),
+    )
+    goal = ObjectNode(dish.name)
+    used = [ObjectNode(name) for name in (*dish.ingredients[:covered], *dish.tools[:held])]
+    return _ok_record(dish, TaskTree(FoonGraph((make_unit(used, "combine", [goal]),)), goal))
+
+
+def test_mean_completeness_is_printed_from_the_exact_mean():
+    # the exact mean is 0.4625, which prints as 0.463; a float sum of
+    # these six scores (math.fsum or sum, over the count) is
+    # 0.46249999999999997, which prints as 0.462
+    records = [
+        _covering(2, 1),
+        _covering(2, 1, tools=4, held=3),
+        _covering(4, 1),
+        _covering(2, 1),
+        _covering(2, 1),
+        _covering(5, 2),
+    ]
+    scores = [score_record(record).completeness for record in records]
+    assert scores == [0.5, 0.625, 0.25, 0.5, 0.5, 0.4]
+    rows = {row.metric: row.value for row in summarize_run(_report(records))}
+    assert rows["Mean completeness"] == "0.463"
 
 
 def test_compare_requires_runs():

@@ -85,6 +85,10 @@ def test_duplicate_dish_rejected(tmp_path):
         ({"categories": [{"name": "a", "dishes": [{"name": "x", "ingredients": ["y"],
                                                   "tools": ["pot", None]}]}]},
          "/categories/0/dishes/0/tools/1: "),
+        ({"categories": ["soups"]}, "/categories/0: category must be an object"),
+        ({"categories": [{"name": "a", "dishes": {}}]}, "/categories/0/dishes: must be an array"),
+        ({"categories": [{"name": "a", "dishes": ["broth"]}]},
+         "/categories/0/dishes/0: dish must be an object"),
     ],
 )
 def test_manifest_schema_errors_carry_pointers(tmp_path, payload, fragment):
@@ -349,9 +353,8 @@ def test_strict_replay_aborts_on_miss(tmp_path, sample_manifest_path):
         run_generation(
             manifest,
             Strategy.CONTEXTUAL,
-            ReplayClient({}),
+            ReplayClient({}, strict=True),
             tmp_path / "out",
-            strict_replay=True,
         )
     assert not (tmp_path / "out").exists()
 

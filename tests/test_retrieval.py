@@ -103,6 +103,26 @@ def test_matches_brute_force_oracle_on_random_graphs():
     assert feasible and infeasible
 
 
+def test_a_branch_whose_open_object_cannot_be_reached_is_cut():
+    # in the branch that takes unit 2 and excludes unit 1, x's producers
+    # (units 3 and 4) need y or y2, which only unit 1 makes
+    a, g, p, x, y, y2 = (ObjectNode(name) for name in ("a", "g", "p", "x", "y", "y2"))
+    graph = FoonGraph(
+        (
+            make_unit([a], "serve", [g]),
+            make_unit([p], "split", [a, y, y2]),
+            make_unit([x], "shape", [a]),
+            make_unit([y], "press", [x]),
+            make_unit([y2], "roll", [x]),
+        )
+    )
+    expected = brute_force_retrieve(graph, g, {"p"})
+    assert expected == (0, 1)
+    result = retrieve_task_tree(graph, g, {"p"})
+    assert isinstance(result, TaskTree)
+    assert result.units == tuple(graph.units[i] for i in expected)
+
+
 @pytest.mark.parametrize("steps", [20, 30])
 @pytest.mark.parametrize("alternatives", [False, True])
 def test_long_recipe_chains_have_known_answers(steps, alternatives):

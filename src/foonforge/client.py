@@ -40,7 +40,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -293,6 +292,9 @@ class LiveClient:
         self.max_in_flight = max_in_flight
 
     def generate_all(self, prompts: Sequence[PromptBundle]) -> list[ModelResponse]:
+        # imported here, so that the offline commands never load it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
             return list(pool.map(lambda prompt: _answer(self.generate, prompt), prompts))
 

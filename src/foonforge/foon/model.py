@@ -5,9 +5,9 @@ An object node is identified by its ``(name, states)`` pair, stored as
 same state set are the same node. Names and states are normalized to
 trimmed lowercase at construction and states are stored sorted. The
 optional ingredients annotation on container objects is not part of the
-key, but dataclass equality and hashing compare it too: two mentions of
-one node with different contents are unequal objects with equal keys,
-and :attr:`FoonGraph.node_index` keeps the first one seen. Graph code
+key, but equality and hashing compare it too: two mentions of one node
+with different contents are unequal objects with equal keys, and
+:attr:`FoonGraph.node_index` keeps the first one seen. Graph code
 matches nodes by key.
 
 No token may hold a tab or a line break: any character at which
@@ -17,29 +17,41 @@ text format.
 All types are immutable after construction and safe to share across
 threads, so a parser may hand one built node to every mention of it.
 
-Cost: a node's key and a unit's input and output key sets are built
-once, with the node or unit, and stored on it; nodes, motions and units
-use slots. A node's tokens are checked together in one pass, and only a
-node that fails it is checked token by token, which words the error.
-The parsers build each new node with one call to :func:`build_node` and
-each unit with one call to :func:`build_unit`, which set the slots of a
-blank instance without the class's ``__init__``. ``ObjectNode.__init__``
-calls :func:`build_node` too, so the node checks have one owner;
-``FunctionalUnit.__init__``, for units built by hand, filters its key
-sets so that a unit holding anything but nodes can still be built and
-reported. :func:`build_unit` makes a unit's key sets in C, by
-``frozenset(map(...))``. In timeit runs on a shared 2-vCPU VM (CPU time
-scaled to one machine speed), a one-state node took 1.1-1.3 us to build
-against 1.9-2.0 us through ``ObjectNode(...)`` before, and a unit of
-three nodes 1.3-1.4 us against 1.6-1.9 us through ``FunctionalUnit``.
+Object nodes and functional units are tuples: a node is ``(name,
+states, ingredients, key)`` and a unit ``(inputs, motion, outputs,
+input_keys, output_keys)``, with named read-only properties for
+callers. Like any tuple, a node or unit equals a plain tuple holding the
+same items; graph code tells them apart by type, so validation reports a
+plain tuple in a unit as a ``bipartite`` violation.
+
+A node's tokens are checked together in one pass, and only a node that
+fails it is checked token by token, which words the error. A parser
+whose source cannot hold a tab, a line break or a lone surrogate (see
+each parser) skips that pass and builds new nodes with
+:func:`scanned_node`, which keeps the checks that remain.
+
+Cost: a node or unit is built by one ``tuple.__new__`` call, where the
+slotted dataclasses they replace set each field through its slot's own
+setter. Timed with timeit on a shared 2-vCPU VM, 41 interleaved rounds
+against the dataclasses, a parser builds a one-state node in 0.51 of the
+time (573 against 1,142 ns at the median) and a unit of three nodes in
+0.68 of it; ``ObjectNode(...)`` and ``FunctionalUnit(...)`` take 0.92
+and 0.90 of it. Reading costs more: a tuple subclass misses the
+interpreter's fast paths for exact tuples and for slots, so unpacking a
+node's name, states and ingredients takes 2.6 times as long as reading
+three slots did (65 against 25 ns), and reading them by property 4.9
+times. So the kernels unpack a node or unit when they need most of its
+items, index it when they need one or two, and read key sets across a
+whole graph through item getters, by ``map``; a parse builds
+each node once and the kernels read it a few times.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import InvalidNodeError
@@ -53,6 +65,13 @@ NodeKey = tuple[str, tuple[str, ...]]
 # a tab, or any character at which str.splitlines breaks a line; each is
 # unprintable, so text that str.isprintable clears needs no scan
 _LINE_BREAK = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+_new_tuple = tuple.__new__
+
+# item getters, which read a node or unit in C
+_node_key = itemgetter(3)
+_unit_input_keys = itemgetter(3)
+_unit_output_keys = itemgetter(4)
 
 
 def normalize_token(raw: str) -> str:
@@ -76,62 +95,97 @@ def _checked_token(value, what: str) -> str:
     return token
 
 
-def build_node(name, states=(), ingredients=(), node=None) -> ObjectNode:
-    """A checked node from raw tokens, in one call.
+class ObjectNode(tuple):
+    """An ingredient, utensil, or intermediate product.
 
-    ``node`` is a blank instance to fill; the parsers pass none and get a
-    new node without the ``ObjectNode.__init__`` call, and ``__init__``
-    passes its own instance, so every node is checked here.
+    ``states`` describes the condition of the object ("cooked",
+    "chopped"). ``ingredients`` lists the contents of a container object;
+    entries may not contain commas because the text format stores them
+    comma-separated.
 
-    The checks run once over the node's raw text joined together: the
-    join rejects a non-string token, then one scan for tabs and line
-    breaks (only of text that is not all printable) and one ASCII test
-    (an encode only for non-ASCII text) cover every token, since
-    trimming and lowercasing never add such a character.
-    Emptiness, commas and repeated states are checked on the tokens.
-    When any check fails the tokens go through :func:`_checked_token`
-    one by one, which words the exact error; that path also accepts the
-    rare node the joined scan cannot clear, such as a name with a
-    trailing tab.
+    ``ObjectNode(name, states, ingredients)`` checks its raw tokens in
+    one pass over their joined text: the join rejects a non-string
+    token, then one scan for tabs and line breaks (only of text that is
+    not all printable) and one ASCII test (an encode only for non-ASCII
+    text) cover every token, since trimming and lowercasing never add
+    such a character. :func:`scanned_node` checks the rest. When any
+    check fails the tokens go through :func:`_checked_tokens` one by
+    one, which words the exact error; that path also accepts the rare
+    node the joined scan cannot clear, such as a name with a trailing
+    tab.
     """
-    ok = False
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, states: Iterable[str] = (), ingredients: Iterable[str] = ()):
+        node = None
+        try:
+            if type(states) is not tuple:
+                states = tuple(states)
+            if type(ingredients) is not tuple:
+                ingredients = tuple(ingredients)
+            text = "".join((name, *states, *ingredients))
+        except TypeError:  # a field that is not iterable, or a token that is not a string
+            pass
+        else:
+            if (text.isprintable() or not _LINE_BREAK.search(text)) and (
+                text.isascii() or _encodes(text)
+            ):
+                node = scanned_node(name, states, ingredients)
+        if node is None:
+            token, found, contents = _checked_tokens(name, states, ingredients)
+            node = _new_tuple(ObjectNode, (token, found, contents, (token, found)))
+        return node  # ObjectNode has no subclasses
+
+    name = property(itemgetter(0), doc="Trimmed lowercase name.")
+    states = property(itemgetter(1), doc="Trimmed lowercase states, sorted.")
+    ingredients = property(itemgetter(2), doc="Trimmed lowercase contents, sorted, each once.")
+    key = property(_node_key, doc="Node identity: ``(name, states)``.")
+
+    def __repr__(self) -> str:
+        return f"ObjectNode(name={self[0]!r}, states={self[1]!r}, ingredients={self[2]!r})"
+
+    def __getnewargs__(self):  # copy and pickle rebuild the node through ``__new__``
+        return self[:3]
+
+    def describe(self) -> str:
+        """Human-readable rendering, e.g. ``macaroni (cooked)``."""
+        name, states = self[3]
+        if not states:
+            return name
+        return f"{name} ({', '.join(states)})"
+
+
+def scanned_node(name: str, states: tuple, ingredients: tuple) -> ObjectNode | None:
+    """The node of raw tokens known to hold no tab, line break or lone
+    surrogate, or None when a check still to run fails.
+
+    Those checks are that each token is a string and not empty, that no
+    state repeats and that no ingredient holds a comma; the caller then
+    builds the node with ``ObjectNode(...)``, which words the error.
+    """
     try:
-        if type(states) is not tuple:
-            states = tuple(states)
-        if type(ingredients) is not tuple:
-            ingredients = tuple(ingredients)
-        text = "".join((name, *states, *ingredients))
-    except TypeError:  # a field that is not iterable, or a token that is not a string
-        pass
-    else:
-        if (text.isprintable() or not _LINE_BREAK.search(text)) and (
-            text.isascii() or _encodes(text)
-        ):
-            token = name.strip().lower()
-            if not states:
-                found = ()
-                ok = token
-            elif len(states) == 1:
-                found = (states[0].strip().lower(),)
-                ok = token and found[0]
-            else:
-                found = sorted([s.strip().lower() for s in states])
-                ok = token and all(found) and len(set(found)) == len(found)
-                found = tuple(found)
-            if not ingredients:
-                contents = ()
-            else:
-                contents = tuple(sorted({s.strip().lower() for s in ingredients}))
-                ok = ok and all(contents) and ("," not in text or "," not in "".join(ingredients))
-    if not ok:
-        token, found, contents = _checked_tokens(name, states, ingredients)
-    if node is None:
-        node = _new(ObjectNode)
-    _set_name(node, token)
-    _set_states(node, found)
-    _set_ingredients(node, contents)
-    _set_key(node, (token, found))
-    return node
+        token = name.strip().lower()
+        if not states:
+            found = ()
+        elif len(states) == 1:
+            found = (states[0].strip().lower(),)
+        else:
+            found = sorted([s.strip().lower() for s in states])
+            if len(set(found)) != len(found):
+                return None
+            found = tuple(found)
+        if not ingredients:
+            contents = ()
+        elif "," in "".join(ingredients):
+            return None
+        else:
+            contents = tuple(sorted({s.strip().lower() for s in ingredients}))
+    except (AttributeError, TypeError):  # a token that is not a string
+        return None
+    if not token or "" in found or "" in contents:
+        return None
+    return _new_tuple(ObjectNode, (token, found, contents, (token, found)))
 
 
 def _encodes(text: str) -> bool:
@@ -145,7 +199,7 @@ def _encodes(text: str) -> bool:
 
 
 def _checked_tokens(name, states, ingredients) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
-    """The per-token path of :func:`build_node`: the first bad token
+    """The per-token path of ``ObjectNode(...)``: the first bad token
     raises :class:`InvalidNodeError`."""
     name = _checked_token(name, "object name")
     states = tuple(_checked_token(s, "state") for s in states)
@@ -168,46 +222,9 @@ def require_unicode(text: str, what: str, pointer: str = "") -> None:
         raise InvalidNodeError(f"{what} must be valid Unicode text: {text!r}", pointer)
 
 
-@dataclass(frozen=True, slots=True)
-class ObjectNode:
-    """An ingredient, utensil, or intermediate product.
-
-    ``states`` describes the condition of the object ("cooked",
-    "chopped"). ``ingredients`` lists the contents of a container object;
-    entries may not contain commas because the text format stores them
-    comma-separated.
-    """
-
-    name: str
-    states: tuple[str, ...] = ()
-    ingredients: tuple[str, ...] = ()
-    # node identity: normalized name plus sorted state set, built once
-    key: NodeKey = field(init=False, repr=False, compare=False)
-
-    def __init__(self, name: str, states: Iterable[str] = (), ingredients: Iterable[str] = ()):
-        build_node(name, states, ingredients, self)
-
-    def describe(self) -> str:
-        """Human-readable rendering, e.g. ``macaroni (cooked)``."""
-        if not self.states:
-            return self.name
-        return f"{self.name} ({', '.join(self.states)})"
-
-
-# The node and unit classes write their own ``__init__``, and the parsers
-# build nodes and units without one (see ``build_node``): either way each
-# field is set once, by its slot's own setter, which the frozen
-# ``__setattr__`` does not guard; a generated ``__init__`` and a
-# ``__post_init__`` would set it twice.
-_new = object.__new__
-_set_name = ObjectNode.name.__set__
-_set_states = ObjectNode.states.__set__
-_set_ingredients = ObjectNode.ingredients.__set__
-_set_key = ObjectNode.key.__set__
 # whether an iterable of types holds ObjectNode alone, tested in C:
 # ``only_object_nodes(map(type, nodes))``
 only_object_nodes = frozenset([ObjectNode]).issuperset
-_node_key = attrgetter("key")
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,46 +234,50 @@ class MotionNode:
     name: str
 
     def __init__(self, name: str):
+        # the frozen __setattr__ does not guard the slot's own setter
         _set_motion_name(self, _checked_token(name, "motion name"))
 
 
 _set_motion_name = MotionNode.name.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class FunctionalUnit:
+class FunctionalUnit(tuple):
     """One manipulation action: input objects, one motion, output objects.
 
     Arity rules (at least one input and one output, and the requirement
     that a unit change something) are the validator's responsibility, not
     the constructor's, so damaged graphs remain representable and can be
-    reported on.
+    reported on. The identities on each side, ``input_keys`` and
+    ``output_keys``, are built once with the unit; a side's key set
+    skips anything that is not an :class:`ObjectNode`, so the validator
+    can report it.
     """
 
-    inputs: tuple[ObjectNode, ...]
-    motion: MotionNode
-    outputs: tuple[ObjectNode, ...]
-    # identities on each side, built once with the unit
-    input_keys: frozenset[NodeKey] = field(init=False, repr=False, compare=False)
-    output_keys: frozenset[NodeKey] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __init__(
-        self, inputs: Iterable[ObjectNode], motion: MotionNode, outputs: Iterable[ObjectNode]
+    def __new__(
+        cls, inputs: Iterable[ObjectNode], motion: MotionNode, outputs: Iterable[ObjectNode]
     ):
         inputs, outputs = tuple(inputs), tuple(outputs)
-        _set_inputs(self, inputs)
-        _set_motion(self, motion)
-        _set_outputs(self, outputs)
-        # type-confused nodes are skipped so the validator can report them
-        _set_input_keys(self, frozenset([n.key for n in inputs if isinstance(n, ObjectNode)]))
-        _set_output_keys(self, frozenset([n.key for n in outputs if isinstance(n, ObjectNode)]))
+        return _new_tuple(cls, (
+            inputs,
+            motion,
+            outputs,
+            frozenset([n[3] for n in inputs if isinstance(n, ObjectNode)]),
+            frozenset([n[3] for n in outputs if isinstance(n, ObjectNode)]),
+        ))
 
+    inputs = property(itemgetter(0), doc="Input objects, as listed.")
+    motion = property(itemgetter(1), doc="The unit's motion.")
+    outputs = property(itemgetter(2), doc="Output objects, as listed.")
+    input_keys = property(_unit_input_keys, doc="Identities of the input objects.")
+    output_keys = property(_unit_output_keys, doc="Identities of the output objects.")
 
-_set_inputs = FunctionalUnit.inputs.__set__
-_set_motion = FunctionalUnit.motion.__set__
-_set_outputs = FunctionalUnit.outputs.__set__
-_set_input_keys = FunctionalUnit.input_keys.__set__
-_set_output_keys = FunctionalUnit.output_keys.__set__
+    def __repr__(self) -> str:
+        return f"FunctionalUnit(inputs={self[0]!r}, motion={self[1]!r}, outputs={self[2]!r})"
+
+    def __getnewargs__(self):  # copy and pickle rebuild the unit through ``__new__``
+        return self[:3]
 
 
 def build_unit(
@@ -264,20 +285,15 @@ def build_unit(
     motion: MotionNode,
     outputs: tuple[ObjectNode, ...],
 ) -> FunctionalUnit:
-    """A unit of two tuples of object nodes, in one call.
-
-    The parsers, whose nodes are all :class:`ObjectNode` instances,
-    build their units with it and skip ``FunctionalUnit.__init__``,
-    which filters its key sets so that a unit holding anything else
-    can be built and reported by the validator.
-    """
-    unit = _new(FunctionalUnit)
-    _set_inputs(unit, inputs)
-    _set_motion(unit, motion)
-    _set_outputs(unit, outputs)
-    _set_input_keys(unit, frozenset(map(_node_key, inputs)))
-    _set_output_keys(unit, frozenset(map(_node_key, outputs)))
-    return unit
+    """A unit of two tuples that hold :class:`ObjectNode` instances alone,
+    as the parsers build them; its key sets are made in C."""
+    return _new_tuple(FunctionalUnit, (
+        inputs,
+        motion,
+        outputs,
+        frozenset(map(_node_key, inputs)),
+        frozenset(map(_node_key, outputs)),
+    ))
 
 
 @dataclass(frozen=True)
@@ -293,16 +309,20 @@ class FoonGraph:
     def node_index(self) -> dict[NodeKey, ObjectNode]:
         """First-seen object node for every distinct identity."""
         index: dict[NodeKey, ObjectNode] = {}
-        for unit in self.units:
-            for node in (*unit.inputs, *unit.outputs):
+        add = index.setdefault
+        for inputs, _, outputs, _, _ in self.units:
+            for node in inputs:
                 if isinstance(node, ObjectNode):
-                    index.setdefault(node.key, node)
+                    add(node[3], node)
+            for node in outputs:
+                if isinstance(node, ObjectNode):
+                    add(node[3], node)
         return index
 
     @cached_property
     def produced_keys(self) -> frozenset[NodeKey]:
         """Identities that appear as an output of some unit."""
-        return frozenset(key for unit in self.units for key in unit.output_keys)
+        return frozenset().union(*map(_unit_output_keys, self.units))
 
     def object_nodes(self) -> Iterator[ObjectNode]:
         """Distinct object nodes in first-mention order."""
@@ -326,8 +346,8 @@ class UnitIndex:
 
     @classmethod
     def build(cls, graph: FoonGraph) -> UnitIndex:
-        inputs = [unit.input_keys for unit in graph.units]
-        outputs = [unit.output_keys for unit in graph.units]
+        inputs = list(map(_unit_input_keys, graph.units))
+        outputs = list(map(_unit_output_keys, graph.units))
         producers: dict[NodeKey, list[int]] = {}
         consumers: dict[NodeKey, set[int]] = {}
         for i, (ins, outs) in enumerate(zip(inputs, outputs)):

@@ -54,13 +54,14 @@ def retrieve_task_tree(
     of the graph at all; an unreachable goal that exists in the graph is
     a :class:`RetrievalFailure`, not an error.
     """
-    if goal.key not in graph.node_index:
+    goal_key = goal.key
+    if goal_key not in graph.node_index:
         raise RetrievalError(f"goal {goal.describe()!r} is not a node of the graph")
-    goal = graph.node_index[goal.key]
+    goal = graph.node_index[goal_key]
     pantry_names = {name.strip().lower() for name in available}
     index = UnitIndex.build(graph)
 
-    if goal.key not in index.producers:
+    if goal_key not in index.producers:
         return RetrievalFailure(goal.describe(), f"goal {goal.describe()!r} is not producible")
 
     # a pantry name provisions exactly the variants no unit produces
@@ -68,14 +69,14 @@ def retrieve_task_tree(
         key for key in graph.node_index if key[0] in pantry_names and key not in index.producers
     }
     satisfiable = _saturate(index, pantry)
-    if goal.key not in satisfiable:
-        missing = _first_unsatisfiable(graph, index, goal.key, satisfiable)
+    if goal_key not in satisfiable:
+        missing = _first_unsatisfiable(graph, index, goal_key, satisfiable)
         node = graph.node_index[missing]
         return RetrievalFailure(
             node.describe(), f"no way to obtain {node.describe()!r}"
         )
 
-    best = _search(index, goal.key, satisfiable, pantry)
+    best = _search(index, goal_key, satisfiable, pantry)
     if best is None:
         return RetrievalFailure(
             goal.describe(), f"no acyclic unit selection produces {goal.describe()!r}"

@@ -17,18 +17,19 @@ Cost: after ``json.loads``, a tree is built in one pass. A memo maps
 each raw node (its name, states and ingredients as written) to the
 built node; it lives for one parse and is dropped with it, so a node a
 tree mentions again (every intermediate product is an output and then
-an input) is one dict lookup. A new node is built and checked in one
-call, over all its tokens, and each unit in one call (see
-``build_node`` and ``build_unit``); a schema error's JSON pointer is
-built only when the error is raised. ``evaluate`` on the
-``big-graphs`` benchmark workload, which parses, validates and scores
-again each of its trees of 10 to 2,000 units (no answer text repeats
-there, so none is shared; see ``pipeline.load_run_report``), took
-0.086 s at the median, against 0.116 s when each node and unit went
-through its class's ``__init__`` and every tree was indexed to be
-validated (CPU time
-scaled to one machine speed, 10 alternating pairs of 30 s runs on a
-shared 2-vCPU VM).
+an input) is one dict lookup. A source that is ASCII and holds no
+backslash, as serialized trees and 203 of the 209 distinct shipped
+answer texts are, cannot hold a token with a tab, a line break or a
+lone surrogate (strict decoding refuses a raw control character in a
+string, and any other such character is not ASCII), so its new nodes
+are built by ``scanned_node`` without scanning for them; any other
+source builds each new node with ``ObjectNode(...)``, which scans. A
+schema error's JSON pointer is built only when the error is raised. On
+the 17 valid trees of a ``big-graphs`` benchmark report (6,181 units,
+20,595 node mentions), parsing and validating took 0.85 of the CPU time
+it took with slotted dataclass nodes and units and a token scan per new
+node, and ``evaluate`` on the report 0.88 (medians of 41 paired,
+interleaved in-process rounds on a shared 2-vCPU VM).
 
 Serialization writes the indent-2 text for this one fixed shape
 directly, encoding each string with the C ``encode_basestring`` that
@@ -40,7 +41,11 @@ traced benchmark runs on a 2-vCPU VM (about 1,400 trees per iteration
 of ``manifest-2k``: 0.28 s before, 0.04 s after). The output is byte-identical to
 ``json.dumps(indent=2, ensure_ascii=False)``, which matters: serialized
 example trees are part of every example-based prompt, so one changed
-byte changes the context hash every replay fixture is keyed on.
+byte changes the context hash every replay fixture is keyed on. A
+node's arrays are laid out with constants rather than through
+:func:`string_array`: with nodes as tuples, whose fields cost more to
+read than slots did, this keeps serialization at 0.90 of its time
+before, in the paired rounds above.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ from .model import (
     MotionNode,
     ObjectNode,
     TaskTree,
-    build_node,
     build_unit,
+    scanned_node,
 )
 from .validation import validate_task_tree
 
@@ -99,15 +104,20 @@ def parse_task_tree_json(source: str) -> TaskTree:
         raise TaskTreeSchemaError("missing required field 'goal'")
     # raw node text -> built node, for this parse only
     memo: dict = {}
+    # One token check for the whole source: strict decoding refuses a raw
+    # control character in a string, so a source that is ASCII and holds
+    # no backslash yields no token with a tab, a line break or a lone
+    # surrogate, and its new nodes skip that scan.
+    scanned = source.isascii() and "\\" not in source
     try:
-        goal = _parse_node(goal_raw, memo)
+        goal = _parse_node(goal_raw, memo, scanned)
     except _Misfit as exc:
         raise TaskTreeSchemaError(exc.message, "/goal") from exc.__cause__
 
     units: list[FunctionalUnit] = []
     try:
         for unit_raw in units_raw:
-            units.append(_parse_unit(unit_raw, memo))
+            units.append(_parse_unit(unit_raw, memo, scanned))
     except _Misfit as exc:
         raise TaskTreeSchemaError(
             exc.message, f"/functional_units/{len(units)}{exc.where}"
@@ -140,11 +150,11 @@ class _Misfit(Exception):
 _ABSENT: list = []
 
 
-def _parse_unit(raw: Any, memo: dict) -> FunctionalUnit:
+def _parse_unit(raw: Any, memo: dict, scanned: bool) -> FunctionalUnit:
     if not isinstance(raw, dict):
         raise _Misfit("functional unit must be an object")
-    inputs = _parse_node_list(raw.get("inputs"), memo, "/inputs")
-    outputs = _parse_node_list(raw.get("outputs"), memo, "/outputs")
+    inputs = _parse_node_list(raw.get("inputs"), memo, scanned, "/inputs")
+    outputs = _parse_node_list(raw.get("outputs"), memo, scanned, "/outputs")
     motion_raw = raw.get("motion")
     if not isinstance(motion_raw, str):
         raise _Misfit("motion must be a string", "/motion")
@@ -158,7 +168,7 @@ def _parse_unit(raw: Any, memo: dict) -> FunctionalUnit:
     return build_unit(inputs, motion, outputs)
 
 
-def _parse_node_list(raw: Any, memo: dict, where: str) -> tuple[ObjectNode, ...]:
+def _parse_node_list(raw: Any, memo: dict, scanned: bool, where: str) -> tuple[ObjectNode, ...]:
     if not isinstance(raw, list):
         raise _Misfit("must be an array of object nodes", where)
     if not raw:
@@ -166,15 +176,17 @@ def _parse_node_list(raw: Any, memo: dict, where: str) -> tuple[ObjectNode, ...]
     nodes: list[ObjectNode] = []
     try:
         for node in raw:
-            nodes.append(_parse_node(node, memo))
+            nodes.append(_parse_node(node, memo, scanned))
     except _Misfit as exc:
         raise _Misfit(exc.message, f"{where}/{len(nodes)}") from exc.__cause__
     return tuple(nodes)
 
 
-def _parse_node(raw: Any, memo: dict) -> ObjectNode:
+def _parse_node(raw: Any, memo: dict, scanned: bool) -> ObjectNode:
     """The built node for a raw one; a repeat of an earlier node in the
-    same parse is a dict lookup, since that one passed every check."""
+    same parse is a dict lookup, since that one passed every check. A
+    new node of a ``scanned`` source is built by ``scanned_node``, and
+    by ``ObjectNode(...)`` only when a check fails, to word the error."""
     if not isinstance(raw, dict):
         raise _Misfit("object node must be an object")
     name = raw.get("name")
@@ -193,8 +205,13 @@ def _parse_node(raw: Any, memo: dict) -> ObjectNode:
             return node
         # the node rejects a token that is not a string, so the array
         # checks below run only when it fails
+        if scanned:
+            node = scanned_node(name, key[1], key[2])
+            if node is not None:
+                memo[key] = node
+                return node
         try:
-            node = memo[key] = build_node(name, key[1], key[2])
+            node = memo[key] = ObjectNode(name, key[1], key[2])
             return node
         except InvalidNodeError as exc:
             cause = exc
@@ -220,15 +237,28 @@ def string_array(values, pad: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(map(encode_string, values)) + f"\n{pad}]"
 
 
+# how ``string_array(values, "          ")`` opens, separates and closes
+# the arrays of a unit's nodes, written out for the most frequent case
+_NODE_ARRAY_OPEN = "[\n            "
+_NODE_ARRAY_SEP = ",\n            "
+_NODE_ARRAY_CLOSE = "\n          ]"
+
+
 def _node_json(node: ObjectNode) -> str:
     """An input or output node, at the depth units list them."""
-    text = (
-        f'{{\n          "name": {encode_string(node.name)},\n'
-        f'          "states": {string_array(node.states, "          ")}'
-    )
-    if node.ingredients:
-        text += f',\n          "ingredients": {string_array(node.ingredients, "          ")}'
-    return text + "\n        }"
+    name, states, ingredients, _ = node
+    if states:
+        listed = _NODE_ARRAY_SEP.join(map(encode_string, states))
+        states = f"{_NODE_ARRAY_OPEN}{listed}{_NODE_ARRAY_CLOSE}"
+    else:
+        states = "[]"
+    if ingredients:
+        contents = _NODE_ARRAY_SEP.join(map(encode_string, ingredients))
+        return (
+            f'{{\n          "name": {encode_string(name)},\n          "states": {states},\n'
+            f'          "ingredients": {_NODE_ARRAY_OPEN}{contents}{_NODE_ARRAY_CLOSE}\n        }}'
+        )
+    return f'{{\n          "name": {encode_string(name)},\n          "states": {states}\n        }}'
 
 
 def _nodes_json(nodes: tuple[ObjectNode, ...]) -> str:
@@ -238,10 +268,11 @@ def _nodes_json(nodes: tuple[ObjectNode, ...]) -> str:
 
 
 def _unit_json(unit: FunctionalUnit) -> str:
+    inputs, motion, outputs, _, _ = unit
     return (
-        f'{{\n      "inputs": {_nodes_json(unit.inputs)},\n'
-        f'      "motion": {encode_string(unit.motion.name)},\n'
-        f'      "outputs": {_nodes_json(unit.outputs)}\n    }}'
+        f'{{\n      "inputs": {_nodes_json(inputs)},\n'
+        f'      "motion": {encode_string(motion.name)},\n'
+        f'      "outputs": {_nodes_json(outputs)}\n    }}'
     )
 
 
@@ -252,13 +283,13 @@ def serialize_task_tree_json(tree: TaskTree) -> str:
     ensure_ascii=False)`` of the tree as a plain dict in the key order
     of the module docstring, with ``ingredients`` only when non-empty.
     """
-    goal = tree.goal
+    name, states, ingredients, _ = tree.goal
     text = (
-        f'{{\n  "goal": {{\n    "name": {encode_string(goal.name)},\n'
-        f'    "states": {string_array(goal.states, "    ")}'
+        f'{{\n  "goal": {{\n    "name": {encode_string(name)},\n'
+        f'    "states": {string_array(states, "    ")}'
     )
-    if goal.ingredients:
-        text += f',\n    "ingredients": {string_array(goal.ingredients, "    ")}'
+    if ingredients:
+        text += f',\n    "ingredients": {string_array(ingredients, "    ")}'
     units = "[]"
     if tree.units:
         units = "[\n    " + ",\n    ".join(map(_unit_json, tree.units)) + "\n  ]"

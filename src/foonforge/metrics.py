@@ -115,30 +115,33 @@ def _tree_facts(tree: TaskTree) -> _TreeFacts:
     side: set[NodeKey] = set()
     held: set[str] = set()
     containers = []
+    # a unit is (inputs, motion, outputs, input_keys, output_keys) and a
+    # node (name, states, ingredients, key): reads by index cost less than
+    # unpacking a tuple subclass whole
     for unit in tree.graph.units:
-        outputs = unit.output_keys
+        outputs = unit[4]
         produced |= outputs
-        consumed |= unit.input_keys
+        consumed |= unit[3]
         if goal_key not in outputs:
             side |= outputs
-        for node in unit.inputs:
-            if node.ingredients:
+        for node in unit[0]:
+            if node[2]:
                 containers.append(node)
-        for node in unit.outputs:
-            if node.ingredients:
-                held.update(node.ingredients)
+        for node in unit[2]:
+            if node[2]:
+                held.update(node[2])
     leaf_contents: set[str] = set()
-    for node in containers:
-        held.update(node.ingredients)
-        if node.key not in produced:
-            leaf_contents.update(node.ingredients)
+    for _, _, contents, key in containers:
+        held.update(contents)
+        if key not in produced:
+            leaf_contents.update(contents)
     return _TreeFacts(produced, consumed, side, held, leaf_contents)
 
 
 def _accuracy(tree: TaskTree, dish: DishSpec, facts: _TreeFacts) -> float:
     goal_matches = tree.goal.name == dish.name
 
-    motions_present = all(unit.motion.name for unit in tree.graph.units)
+    motions_present = all(unit[1].name for unit in tree.graph.units)
 
     # leaf inputs are the raw items the plan starts from; anything not in
     # the dish spec counts as hallucinated

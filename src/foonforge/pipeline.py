@@ -513,9 +513,16 @@ def load_run_report(path: str | Path, *, shared: dict | None = None) -> RunRepor
     entries = _field(raw, "records", "")
     if not isinstance(entries, list):
         raise ManifestError("records must be an array", "/records")
+    # the payload lets go of the records, and each raw record is dropped
+    # once it is built, so the report is not held twice
+    del raw["records"]
     if shared is None:
         shared = {}
-    records = tuple(_load_record(entry, i, shared) for i, entry in enumerate(entries))
+    built = []
+    for i, entry in enumerate(entries):
+        built.append(_load_record(entry, i, shared))
+        entries[i] = None
+    records = tuple(built)
     try:
         strategy = Strategy(_field(raw, "strategy", ""))
     except ValueError as exc:

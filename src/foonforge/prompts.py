@@ -75,8 +75,8 @@ class DishSpec:
     holding a lone surrogate is refused at its field's pointer, such as
     ``/ingredients/1``.
 
-    Built in one pass, as :func:`~foonforge.foon.model.build_node` builds
-    a node: one ASCII test over the joined text (an encode only for
+    Built in one pass, as :class:`~foonforge.foon.model.ObjectNode`
+    builds a node: one ASCII test over the joined text (an encode only for
     non-ASCII text), list comprehensions for the two lists, and each
     field set once, by its slot's own setter, which the frozen
     ``__setattr__`` does not guard. Only a dish that fails a check goes
@@ -184,12 +184,13 @@ def annotate_example(tree: TaskTree) -> str:
     The trailing list holds the tree's leaf input objects, i.e. the items
     you must have on hand before the first step.
     """
+    produced = tree.graph.produced_keys
     leaves = sorted(
         {
-            node.name
-            for unit in tree.units
-            for node in unit.inputs
-            if node.key not in tree.graph.produced_keys
+            name
+            for inputs, _, _, _, _ in tree.units
+            for name, _, _, key in inputs
+            if key not in produced
         }
     )
     steps = len(tree.units)

@@ -326,7 +326,8 @@ def _reference_token(value, what: str) -> str:
     token = value.strip().lower()
     if not token:
         raise InvalidNodeError(f"{what} must not be empty")
-    if "\t" in token or "\n" in token:
+    # a tab, or a line break anywhere inside: str.splitlines breaks at each
+    if "\t" in token or len(token.splitlines()) > 1:
         raise InvalidNodeError(f"{what} must not contain tabs or newlines: {token!r}")
     if not token.isascii():
         try:

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import http.server
 import json
+import os
 import random
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -331,6 +335,16 @@ class SlowPost:
         if int(dish.split()[1]) % 3 == 0:
             return 400, f"refused: {dish}".encode()
         return _ok(f"answer to {dish}")
+
+
+def test_importing_the_cli_loads_no_thread_pool(tmp_path):
+    # only a live batch needs the pool, so every other command skips its import
+    env = {**os.environ, "PYTHONPATH": str(Path(client_module.__file__).parents[1])}
+    probe = "import sys, foonforge.cli; print('concurrent.futures' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, cwd=tmp_path, capture_output=True, timeout=60
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"False\n", b"")
 
 
 def test_live_batch_keeps_manifest_order_at_any_concurrency(tmp_path):

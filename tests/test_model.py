@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from foonforge.errors import InvalidNodeError
 from foonforge.foon.model import (
+    FoonGraph,
     FunctionalUnit,
     MotionNode,
     ObjectNode,
     UnitIndex,
     make_unit,
 )
+from foonforge.foon.validation import RULE_BIPARTITE, validate_graph
 
 
 def test_object_node_normalizes_name_and_states():
@@ -60,6 +65,55 @@ def test_ingredients_sorted_deduped_and_excluded_from_identity():
     b = ObjectNode("bowl")
     assert a.key == b.key
     assert a != b  # value equality still sees the annotation
+
+
+def test_a_node_is_the_tuple_of_its_fields_and_key():
+    node = ObjectNode(" Bowl ", ("Warm",), ("Salt", "egg"))
+    assert tuple(node) == ("bowl", ("warm",), ("egg", "salt"), ("bowl", ("warm",)))
+    assert (node.name, node.states, node.ingredients, node.key) == tuple(node)
+    assert repr(node) == "ObjectNode(name='bowl', states=('warm',), ingredients=('egg', 'salt'))"
+    same = ObjectNode("bowl", ["warm"], ["egg", "salt", "SALT"])
+    assert (same, hash(same), repr(same)) == (node, hash(node), repr(node))
+    assert node != ObjectNode("bowl", ("warm",))  # contents count for equality...
+    assert node.key == ObjectNode("bowl", ("warm",)).key  # ...but not for identity
+    with pytest.raises(AttributeError):
+        node.name = "cup"
+    assert not hasattr(node, "__dict__")
+
+
+def test_a_node_equals_a_plain_tuple_but_validation_tells_them_apart():
+    # tuple equality is kept: a plain tuple of a node's items equals it, and
+    # graph code, which tells nodes apart by type, reports it all the same
+    node = ObjectNode("egg", ("raw",))
+    plain = tuple(node)
+    assert (node == plain, hash(node) == hash(plain)) == (True, True)
+    unit = FunctionalUnit([plain], MotionNode("crack"), [ObjectNode("yolk")])
+    assert unit.input_keys == frozenset()
+    report = validate_graph(FoonGraph((unit,)))
+    assert [(v.rule, v.unit_index) for v in report.violations] == [(RULE_BIPARTITE, 0)]
+
+
+def test_a_unit_is_the_tuple_of_its_sides_motion_and_key_sets():
+    egg, yolk = ObjectNode("egg"), ObjectNode("yolk", ("whole",))
+    unit = make_unit([egg], "crack", [yolk])
+    crack = MotionNode("crack")
+    assert tuple(unit) == ((egg,), crack, (yolk,), frozenset([egg.key]), frozenset([yolk.key]))
+    assert (unit.inputs, unit.motion, unit.outputs) == ((egg,), crack, (yolk,))
+    assert repr(unit) == (
+        "FunctionalUnit(inputs=(ObjectNode(name='egg', states=(), ingredients=()),), "
+        "motion=MotionNode(name='crack'), "
+        "outputs=(ObjectNode(name='yolk', states=('whole',), ingredients=()),))"
+    )
+    same = FunctionalUnit(iter([egg]), crack, [yolk])
+    assert (same, hash(same)) == (unit, hash(unit))
+    assert unit == tuple(unit)
+
+
+def test_nodes_and_units_survive_copy_and_pickle():
+    unit = make_unit([ObjectNode("bowl", ("full",), ("egg",))], "stir", [ObjectNode("batter")])
+    for again in (copy.copy(unit), copy.deepcopy(unit), pickle.loads(pickle.dumps(unit))):
+        assert (type(again), again, repr(again)) == (FunctionalUnit, unit, repr(unit))
+        assert type(again.inputs[0]) is ObjectNode
 
 
 def test_motion_node_rejects_empty():

@@ -18,7 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foonforge.errors import FoonForgeError, InvalidNodeError
+from foonforge.errors import (
+    FoonForgeError,
+    FoonSyntaxError,
+    InvalidNodeError,
+    TaskTreeJsonError,
+    TaskTreeSchemaError,
+)
 from foonforge.foon import validation
 from foonforge.foon.model import FoonGraph, FunctionalUnit, ObjectNode, TaskTree
 from foonforge.foon.text_format import parse_foon_text, serialize_foon_text
@@ -243,10 +249,11 @@ def _text_with(name, states, ingredients) -> str:
 
 
 def _assert_node_built_whole(node, name, states, ingredients):
-    for slot in ObjectNode.__slots__:
-        getattr(node, slot)  # an unset slot raises AttributeError
     direct = ObjectNode(name, states, ingredients)
-    assert node == direct
+    assert type(node) is type(direct) is ObjectNode
+    # the same tuple, item by item: name, states, ingredients and key
+    assert tuple(node) == tuple(direct) == (node.name, node.states, node.ingredients, node.key)
+    assert [type(item) for item in node] == [str, tuple, tuple, tuple]
     assert (node.key, repr(node), hash(node)) == (direct.key, repr(direct), hash(direct))
     assert node.key == (node.name, node.states)
 
@@ -263,8 +270,9 @@ def test_each_raw_node_builds_as_the_original_parsers_build_it():
             assert result.units[1].inputs[1] is node
             _assert_node_built_whole(node, name, states, ingredients)
             for unit in result.units:
-                for slot in FunctionalUnit.__slots__:
-                    getattr(unit, slot)
+                direct = FunctionalUnit(unit.inputs, unit.motion, unit.outputs)
+                assert type(unit) is FunctionalUnit
+                assert tuple(unit) == tuple(direct)  # the key sets too
         tokens = [name, *states, *ingredients] if isinstance(states, list) else [None]
         if isinstance(ingredients, list) and all(isinstance(t, str) for t in tokens):
             text = _text_with(name, states, ingredients)
@@ -424,6 +432,106 @@ _LINE = st.one_of(
 @given(st.lists(_LINE, max_size=12), st.sampled_from(["\n", "\r\n"]))
 def test_bad_text_fails_as_the_original_parser_fails(lines, newline):
     _assert_same_text(newline.join(lines))
+
+
+# --- the token check of a whole source ---------------------------------------
+
+# Each character a token may not hold: a tab, every line break of
+# str.splitlines, and a lone surrogate. Only a source that cannot hold one
+# (ASCII JSON without a backslash, ASCII text with one tab per record line)
+# skips the per-node scan for them.
+_FORBIDDEN = [
+    "\t", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\ud800",
+]
+
+
+def _with_char(char):
+    """(name, states, ingredients) with ``char`` inside and at the end of
+    a name, a state and an ingredient; trimming strips a trailing one
+    unless it is a surrogate."""
+    for token in (f"a{char}b", f"egg{char}"):
+        yield token, ["raw"], ["salt"]
+        yield "egg", ["raw", token], ["salt"]
+        yield "egg", ["raw"], ["salt", token]
+
+
+def _json_with(name, states, ingredients, *, ascii_only: bool) -> str:
+    return json.dumps(json.loads(_tree_with(name, states, ingredients)), ensure_ascii=ascii_only)
+
+
+def test_each_forbidden_character_parses_as_the_per_node_scan_parses_it():
+    for char in _FORBIDDEN:
+        for name, states, ingredients in _with_char(char):
+            escaped = _json_with(name, states, ingredients, ascii_only=True)
+            assert "\\" in escaped
+            _assert_same_json(escaped)
+            raw = _json_with(name, states, ingredients, ascii_only=False)
+            if char < " ":  # a raw control character is not JSON
+                raw = raw.replace(json.dumps(char)[1:-1], char)
+                assert _outcome(parse_task_tree_json, raw)[0] is TaskTreeJsonError
+            else:
+                assert char in raw and not raw.isascii()
+            _assert_same_json(raw)
+            _assert_same_text(_text_with(name, states, ingredients))
+
+
+def test_the_source_check_keeps_each_outcome():
+    node = parse_task_tree_json(_tree_with("egg\t", ["Raw\t"], [])).units[0].inputs[0]
+    assert node == ObjectNode("egg", ("raw",))  # trimmed, as before
+    for source, pointer in (
+        (_tree_with("a\u2028b", [], []), "/functional_units/0/inputs/0"),
+        (_json_with("a\u2028b", [], [], ascii_only=False), "/functional_units/0/inputs/0"),
+        (_tree_with("egg", ["raw", "x\ud800"], []), "/functional_units/0/inputs/0"),
+    ):
+        with pytest.raises(TaskTreeSchemaError) as caught:
+            parse_task_tree_json(source)
+        assert caught.value.pointer == pointer
+    assert str(caught.value).endswith("state must be valid Unicode text: 'x\\ud800'")
+    with pytest.raises(FoonSyntaxError) as failed:
+        parse_foon_text("O\tegg\twhite\nM\tmix\nO\tbatter\n")
+    assert (str(failed.value), failed.value.line) == (
+        "line 1: object name must not contain tabs or newlines: 'egg\\twhite'", 1
+    )
+    # a record line without a tab, after one with two: the first error still wins
+    text = "O\tegg\twhite\nM\tmix\nO\tbatter\n//\nO\tbatter\nM mix\nO\tcake\n"
+    _assert_same_text(text)
+    assert _outcome(parse_foon_text, text)[3] == 1
+
+
+def test_only_a_source_that_cannot_hold_a_forbidden_character_skips_the_scan(monkeypatch):
+    from foonforge.foon import model, text_format, tree_json
+
+    calls = []
+
+    def counted(*key):
+        calls.append(key)
+        return model.scanned_node(*key)
+
+    monkeypatch.setattr(tree_json, "scanned_node", counted)
+    monkeypatch.setattr(text_format, "scanned_node", counted)
+    tree = chain_tree(4)
+    for source, scanned in (
+        (serialize_task_tree_json(tree), True),
+        (serialize_task_tree_json(tree).replace("flour", "fl\\u006fur"), False),
+        (serialize_task_tree_json(tree).replace("flour", "flöur"), False),
+        (serialize_foon_text(tree.graph), True),
+        (serialize_foon_text(tree.graph) + "\t\n", False),
+        (serialize_foon_text(tree.graph).replace("flour", "flöur"), False),
+    ):
+        calls.clear()
+        parse = parse_task_tree_json if source.startswith("{") else parse_foon_text
+        parse(source)
+        assert len(calls) == (len(tree.graph.node_index) if scanned else 0), source
+
+
+_TOKEN = st.text(st.sampled_from(["a", "B", " ", ",", "\\", '"', "é", *_FORBIDDEN]), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TOKEN, st.lists(_TOKEN, max_size=3), st.lists(_TOKEN, max_size=2), st.booleans())
+def test_any_token_parses_as_the_original_parsers_parse_it(name, states, ingredients, ascii_only):
+    _assert_same_json(_json_with(name, states, ingredients, ascii_only=ascii_only))
+    _assert_same_text(_text_with(name, states, ingredients))
 
 
 # --- the Kahn pass and its hand-off to graphlib ---------------------------

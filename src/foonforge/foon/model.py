@@ -52,7 +52,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import InvalidNodeError
 
@@ -324,33 +324,63 @@ class FoonGraph:
         """Identities that appear as an output of some unit."""
         return frozenset().union(*map(_unit_output_keys, self.units))
 
-    def object_nodes(self) -> Iterator[ObjectNode]:
-        """Distinct object nodes in first-mention order."""
-        return iter(self.node_index.values())
+    def first_node(self, key: NodeKey) -> ObjectNode | None:
+        """``node_index.get(key)``, found by a scan that builds no index
+        and stops at the first unit that mentions ``key``."""
+        for unit in self.units:
+            if key in unit[3]:
+                side = unit[0]
+            elif key in unit[4]:
+                side = unit[2]
+            else:
+                continue
+            for node in side:
+                if type(node) is ObjectNode and node[3] == key:
+                    return node
+        return None
+
+    def nodes_named(self, name: str) -> list[ObjectNode]:
+        """The distinct object nodes called ``name``, in the order of
+        :attr:`node_index`, found by a scan that builds no index."""
+        found: dict[NodeKey, ObjectNode] = {}
+        for unit in self.units:
+            for side in (unit[0], unit[2]):
+                for node in side:
+                    if type(node) is ObjectNode and node[0] == name:
+                        found.setdefault(node[3], node)
+        return list(found.values())
 
 
 @dataclass(frozen=True)
 class UnitIndex:
-    """Each unit's key sets plus producer and consumer maps of a graph.
+    """Key sets plus producer and consumer maps of a set of a graph's units.
 
     Built in one pass by :meth:`build` for the length of one kernel call
     and dropped with it; graphs never hold one, so memory stays with the
-    caller that needs the index. ``producers`` lists unit indices in
-    ascending order; ``consumers`` holds sets, as the dependency edges do.
+    caller that needs the index. Every map is keyed by the unit's index
+    in the graph, so an index over some of the units answers with the
+    same numbers as one over all of them. ``producers`` lists unit
+    indices in ascending order; ``consumers`` holds sets, as the
+    dependency edges do.
     """
 
-    inputs: list[frozenset[NodeKey]]
-    outputs: list[frozenset[NodeKey]]
+    inputs: dict[int, frozenset[NodeKey]]
+    outputs: dict[int, frozenset[NodeKey]]
     producers: dict[NodeKey, list[int]]
     consumers: dict[NodeKey, set[int]]
 
     @classmethod
-    def build(cls, graph: FoonGraph) -> UnitIndex:
-        inputs = list(map(_unit_input_keys, graph.units))
-        outputs = list(map(_unit_output_keys, graph.units))
+    def build(cls, graph: FoonGraph, members: Iterable[int] | None = None) -> UnitIndex:
+        """The index of the units at ``members``, ascending, or of every unit."""
+        units = graph.units
+        inputs: dict[int, frozenset[NodeKey]] = {}
+        outputs: dict[int, frozenset[NodeKey]] = {}
         producers: dict[NodeKey, list[int]] = {}
         consumers: dict[NodeKey, set[int]] = {}
-        for i, (ins, outs) in enumerate(zip(inputs, outputs)):
+        for i in range(len(units)) if members is None else members:
+            unit = units[i]
+            inputs[i] = ins = unit[3]
+            outputs[i] = outs = unit[4]
             for key in ins:
                 consumers.setdefault(key, set()).add(i)
             for key in outs:

@@ -13,22 +13,26 @@ lines are ignored on input and never emitted; the canonical serialized
 form lists ``O``, then ``I``, then ``S`` lines per object, with states in
 sorted order, and ends with a trailing newline.
 
-Cost: parsing sorts the lines into units in one pass, then builds each
-unit. A memo maps each object's raw name, states and ingredients, and
-each motion's raw text, to the built node; it lives for one parse and is
-dropped with it, so an object the graph mentions again is one dict
-lookup. An ASCII source with one tab per record line cannot hold a token
-with a tab, a line break or a lone surrogate, so its new objects are
-built by ``scanned_node`` without scanning for them; any other source
-builds each new object with ``ObjectNode(...)``, which scans. A parse
-of such a source that fails is run again with the scan, so the error
-reported stays the first one in the text. On the 17 valid trees of a
-``big-graphs`` benchmark report, written in this format, parsing took
-0.90 of the CPU time it took with slotted dataclass nodes and units and
-a token scan per new object (medians of 41 paired, interleaved
-in-process rounds on a shared 2-vCPU VM). Serialization, which reads
-every field of every node, took 1.23 of its time: a tuple's fields cost
-more to read than slots did.
+Cost: parsing reads each line once, and builds a unit when the
+separator after it, or the end of the text, closes it; no list of a
+unit's lines is kept. A memo maps each object's raw name, states and
+ingredients, and each motion's raw text, to the built node; it lives
+for one parse and is dropped with it, so an object the graph mentions
+again is one dict lookup. An ASCII source with one tab per record line
+cannot hold a token with a tab, a line break or a lone surrogate, so
+its new objects are built by ``scanned_node`` without scanning for them;
+any other source builds each new object with ``ObjectNode(...)``, which
+scans. The record lines are counted before the pass, by C-level counts
+of the separators and of the empty and whitespace lines, so the choice
+is made before any unit is built. A parse that skips the scan and fails
+is run again with it, so the error reported stays the first one in the
+text. On the 42 graph files of a ``big-graphs`` benchmark workload (seed
+4242, 10-2,000 units), the one pass took 0.93 of the CPU time of the
+parse that first sorted the lines into per-unit lists and then built
+each unit (median of 21 paired, interleaved in-process rounds on a
+shared 2-vCPU VM, quartiles 0.92 and 0.97). Serialization reads every
+field of every node, and a tuple's fields cost more to read than slots
+did (see :mod:`.model`).
 """
 
 from __future__ import annotations
@@ -45,22 +49,12 @@ def parse_foon_text(source: str) -> FoonGraph:
     Raises :class:`FoonSyntaxError` with a line number for malformed
     records, units without inputs or outputs, and duplicate motion lines.
     """
-    chunks: list[list[tuple[int, str]]] = []
-    chunk: list[tuple[int, str]] = []
-    records = 0
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        if line == _SEPARATOR:
-            if chunk:
-                chunks.append(chunk)
-                records += len(chunk)
-                chunk = []
-        elif line and not line.isspace():
-            chunk.append((lineno, line))
-    if chunk:
-        chunks.append(chunk)
-        records += len(chunk)
-    if not chunks:
+    lines = source.splitlines()
+    # every line that is not a separator, empty or whitespace is a record
+    records = len(lines) - lines.count(_SEPARATOR) - lines.count("") - sum(map(str.isspace, lines))
+    if not records:
         raise FoonSyntaxError("no functional units found")
+    lines.append(_SEPARATOR)  # closes the last unit
     # One token check for the whole source: no line holds a line break,
     # and an ASCII source holds no lone surrogate. When it also holds as
     # many tabs as record lines, and every record line has the tab after
@@ -68,19 +62,20 @@ def parse_foon_text(source: str) -> FoonGraph:
     # new nodes skip the scan for these characters.
     if source.isascii() and source.count("\t") == records:
         try:
-            return _parse_units(chunks, True)
+            return _parse_lines(lines, True)
         except FoonSyntaxError:
             pass  # a line without a tab may leave one with two: parse again, scanning each node
-    return _parse_units(chunks, False)
+    return _parse_lines(lines, False)
 
 
-def _parse_units(chunks: list[list[tuple[int, str]]], scanned: bool) -> FoonGraph:
+def _parse_lines(lines: list[str], scanned: bool) -> FoonGraph:
+    """The units of ``lines``, which end with a separator, in one pass."""
+    units: list[FunctionalUnit] = []
     # raw object and motion text -> built node, for this parse only
     memo: dict = {}
-    return FoonGraph(tuple([_parse_unit(chunk, memo, scanned) for chunk in chunks]))
-
-
-def _parse_unit(chunk: list[tuple[int, str]], memo: dict, scanned: bool) -> FunctionalUnit:
+    # the open unit, from its first O or M line to the next separator (an
+    # S or I line cannot open one: with no object open it is an error)
+    first_line = 0
     inputs: list[ObjectNode] = []
     outputs: list[ObjectNode] = []
     motion: MotionNode | None = None
@@ -94,21 +89,14 @@ def _parse_unit(chunk: list[tuple[int, str]], memo: dict, scanned: bool) -> Func
     states: list[str] = []
     ingredients: list[str] | None = None
 
-    for lineno, line in chunk:
-        tag, sep, value = line.partition("\t")
-        if not sep or not value:
-            raise FoonSyntaxError(
-                f"expected '<tag>\\t<value>', got {line!r}", line=lineno
-            )
-        if tag == "S":
+    for lineno, line in enumerate(lines, start=1):
+        tag, _, value = line.partition("\t")
+        if tag == "S" and value:
             if name is None:
                 raise FoonSyntaxError("state line without a preceding object line", line=lineno)
             states.append(value)
-        elif tag == "O":
-            if name is not None:
-                section.append(_object_node(memo, scanned, name, states, ingredients, name_line))
-            name, name_line, states, ingredients = value, lineno, [], None
-        elif tag == "I":
+            continue
+        if tag == "I" and value:
             if name is None:
                 raise FoonSyntaxError(
                     "ingredients line without a preceding object line", line=lineno
@@ -116,12 +104,29 @@ def _parse_unit(chunk: list[tuple[int, str]], memo: dict, scanned: bool) -> Func
             if ingredients is not None:
                 raise FoonSyntaxError("duplicate ingredients line for one object", line=lineno)
             ingredients = value.split(",")
+            continue
+        if not (value and (tag == "O" or tag == "M") or line == _SEPARATOR):
+            if not line or line.isspace():
+                continue
+            if not value:
+                raise FoonSyntaxError(f"expected '<tag>\\t<value>', got {line!r}", line=lineno)
+            raise FoonSyntaxError(
+                f"unknown record tag {tag!r}, expected O, S, I, or M", line=lineno
+            )
+        # an O or M line, or a separator, closes the open object
+        if tag == "M" and motion is not None:
+            raise FoonSyntaxError("duplicate motion line in unit", line=lineno)
+        if name is not None:
+            key = (name, tuple(states), tuple(ingredients or ()))
+            node = memo.get(key)
+            if node is None:
+                node = _new_object(memo, scanned, key, name_line)
+            section.append(node)
+            name = None
+        if tag == "O":
+            name, name_line, states, ingredients = value, lineno, [], None
+            first_line = first_line or lineno
         elif tag == "M":
-            if motion is not None:
-                raise FoonSyntaxError("duplicate motion line in unit", line=lineno)
-            if name is not None:
-                section.append(_object_node(memo, scanned, name, states, ingredients, name_line))
-                name = None
             section = outputs
             # motion keys are strings, object keys tuples: they never collide
             motion = memo.get(value)
@@ -131,44 +136,33 @@ def _parse_unit(chunk: list[tuple[int, str]], memo: dict, scanned: bool) -> Func
                 except InvalidNodeError as exc:
                     raise FoonSyntaxError(str(exc), line=lineno) from exc
             motion_line = lineno
-        else:
-            raise FoonSyntaxError(
-                f"unknown record tag {tag!r}, expected O, S, I, or M", line=lineno
-            )
-    if name is not None:
-        section.append(_object_node(memo, scanned, name, states, ingredients, name_line))
-
-    if motion is None:
-        raise FoonSyntaxError("unit has no motion line", line=chunk[0][0])
-    if not inputs:
-        raise FoonSyntaxError("unit has no input objects", line=motion_line)
-    if not outputs:
-        raise FoonSyntaxError("unit has no output objects", line=motion_line)
-    return build_unit(tuple(inputs), motion, tuple(outputs))
+            first_line = first_line or lineno
+        elif first_line:  # a separator after a unit
+            if motion is None:
+                raise FoonSyntaxError("unit has no motion line", line=first_line)
+            if not inputs:
+                raise FoonSyntaxError("unit has no input objects", line=motion_line)
+            if not outputs:
+                raise FoonSyntaxError("unit has no output objects", line=motion_line)
+            units.append(build_unit(tuple(inputs), motion, tuple(outputs)))
+            first_line, inputs, outputs, motion = 0, [], [], None
+            section = inputs
+    return FoonGraph(tuple(units))
 
 
-def _object_node(
-    memo: dict,
-    scanned: bool,
-    name: str,
-    states: list[str],
-    ingredients: list[str] | None,
-    line: int,
-) -> ObjectNode:
-    """The built node; a repeat of an earlier object in the same parse is
-    a dict lookup, since that one passed every check. A new object of a
+def _new_object(memo: dict, scanned: bool, key: tuple, line: int) -> ObjectNode:
+    """The node of an object's raw name, states and ingredients, which
+    this parse has not met before, added to ``memo``; a repeat is a dict
+    lookup, since that one passed every check. A new object of a
     ``scanned`` source is built by ``scanned_node``, and by
     ``ObjectNode(...)`` only when a check fails, to word the error."""
-    key = (name, tuple(states), tuple(ingredients or ()))
-    node = memo.get(key)
+    node = scanned_node(*key) if scanned else None
     if node is None:
-        node = scanned_node(*key) if scanned else None
-        if node is None:
-            try:
-                node = ObjectNode(*key)
-            except InvalidNodeError as exc:
-                raise FoonSyntaxError(str(exc), line=line) from exc
-        memo[key] = node
+        try:
+            node = ObjectNode(*key)
+        except InvalidNodeError as exc:
+            raise FoonSyntaxError(str(exc), line=line) from exc
+    memo[key] = node
     return node
 
 

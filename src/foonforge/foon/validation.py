@@ -82,7 +82,7 @@ def unit_dependency_edges(index: UnitIndex) -> dict[int, set[int]]:
     input identity of ``b``.
     """
     edges: dict[int, set[int]] = {}
-    for i, keys in enumerate(index.outputs):
+    for i, keys in index.outputs.items():
         dests: set[int] = set()
         for key in keys:
             dests.update(index.consumers.get(key, ()))

@@ -10,7 +10,7 @@ import json
 import random
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from itertools import combinations, permutations
+from itertools import combinations
 
 from foonforge import resources
 from foonforge.errors import (
@@ -116,12 +116,23 @@ def random_task_tree(rng: random.Random, max_units: int = 6) -> TaskTree:
     return TaskTree(FoonGraph(tuple(units)), ObjectNode("final dish"))
 
 
-def random_retrieval_case(rng: random.Random, max_units: int = 6):
+def random_retrieval_case(
+    rng: random.Random, max_units: int = 6, *, alternatives: bool = False, outside: bool = False
+):
     """(graph, goal, available) with a healthy mix of feasible and not.
 
     Inputs often reuse earlier outputs so executable selections actually
     exist; stray states, junk units, and short pantries keep a good share
     of cases infeasible.
+
+    With ``alternatives``, some units get a twin that makes the same
+    outputs at the same cost, from the same inputs or from pantry items,
+    or one that also makes the outputs of another unit.
+    With ``outside``, units that can never help make the goal are added:
+    an unsatisfiable unit, a two-unit cycle, a unit that consumes the
+    goal, and a second recipe that shares pantry items. Either flag
+    draws only after the draws of the plain case, and the added units go
+    at drawn places among the others.
     """
     pool = rng.sample(NAMES, 6)
     units: list[FunctionalUnit] = []
@@ -151,7 +162,36 @@ def random_retrieval_case(rng: random.Random, max_units: int = 6):
         keys = sorted(graph.node_index)
     goal = graph.node_index[keys[rng.randrange(len(keys))]]
     available = set(rng.sample(pool, rng.randint(1, 5)))
-    return graph, goal, available
+    if not (alternatives or outside):
+        return graph, goal, available
+
+    added: list[FunctionalUnit] = []
+    if alternatives:
+        for unit in rng.sample(units, rng.randint(1, min(2, len(units)))):
+            inputs, outputs = unit.inputs, unit.outputs
+            draw = rng.random()
+            if draw < 0.4:
+                inputs = tuple(ObjectNode(name) for name in rng.sample(sorted(available), 1))
+            elif draw < 0.6:  # one unit for the work of two
+                outputs = _dedupe((*outputs, *rng.choice(units).outputs))
+            added.append(FunctionalUnit(inputs, MotionNode(rng.choice(MOTIONS)), outputs))
+    if outside:
+        stray = [ObjectNode("stray", (f"s{j}",)) for j in range(4)]
+        if rng.random() < 0.6:
+            added.append(make_unit([ObjectNode("ghost", ("missing",))], "sift", [stray[0]]))
+        if rng.random() < 0.6:
+            added.append(make_unit([stray[1]], "fold", [stray[2]]))
+            added.append(make_unit([stray[2]], "roll", [stray[1]]))
+        if rng.random() < 0.6:
+            added.append(make_unit([goal, ObjectNode(rng.choice(pool))], "serve", [stray[3]]))
+        if rng.random() < 0.6:
+            side = ObjectNode("side dish", ("mixed",))
+            shared = [ObjectNode(name) for name in rng.sample(sorted(available), 1)]
+            added.append(make_unit(shared, "mix", [side]))
+            added.append(make_unit([side], "plate", [ObjectNode("side plate")]))
+    for unit in added:
+        units.insert(rng.randint(0, len(units)), unit)
+    return FoonGraph(tuple(units)), goal, available
 
 
 def chain_tree(steps: int, *, goal_first: bool = False) -> TaskTree:
@@ -764,18 +804,29 @@ def brute_force_retrieve(graph: FoonGraph, goal: ObjectNode, available) -> tuple
     a unit at or before its own position. The pantry provisions a name
     only for object variants no unit in the whole graph produces.
     """
-    names = {n.strip().lower() for n in available}
-    produced_anywhere = {k for u in graph.units for k in u.output_keys}
-
-    def pantry(key):
-        return key[0] in names and key not in produced_anywhere
-
+    pantry = _pantry(graph, available)
     n = len(graph.units)
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):
             if _combo_feasible(graph, combo, goal, pantry):
                 return combo
     return None
+
+
+def selection_feasible(graph: FoonGraph, combo, goal: ObjectNode, available) -> bool:
+    """Whether the units at ``combo`` are a feasible subset, as
+    :func:`brute_force_retrieve` decides it."""
+    return _combo_feasible(graph, combo, goal, _pantry(graph, available))
+
+
+def _pantry(graph: FoonGraph, available):
+    names = {n.strip().lower() for n in available}
+    produced_anywhere = {k for u in graph.units for k in u.output_keys}
+
+    def pantry(key):
+        return key[0] in names and key not in produced_anywhere
+
+    return pantry
 
 
 def _combo_feasible(graph, combo, goal, pantry) -> bool:
@@ -787,19 +838,29 @@ def _combo_feasible(graph, combo, goal, pantry) -> bool:
         return False
     if any(goal.key in u.input_keys for u in units):
         return False
-    for perm in permutations(units):
-        if _perm_works(perm, pantry):
+    return _order_exists(units, pantry, frozenset(), set(), set())
+
+
+def _order_exists(units, pantry, placed, have, dead) -> bool:
+    """Whether the units not in ``placed`` can follow the ones in it in
+    some order: each unit's inputs come from the pantry or from units
+    before it, and its outputs feed no unit before it nor itself.
+
+    Whether a unit may come next depends only on which units come before
+    it, not on their order, so a set of placed units from which no order
+    works is recorded in ``dead`` and not walked again. This visits each
+    set once, where trying every permutation would visit each order.
+    """
+    if len(placed) == len(units):
+        return True
+    if placed in dead:
+        return False
+    for k, unit in enumerate(units):
+        if k in placed or not all(pantry(key) or key in have for key in unit.input_keys):
+            continue
+        if any(unit.output_keys & units[j].input_keys for j in (*placed, k)):
+            continue
+        if _order_exists(units, pantry, placed | {k}, have | unit.output_keys, dead):
             return True
+    dead.add(placed)
     return False
-
-
-def _perm_works(perm, pantry) -> bool:
-    have: set = set()
-    for k, unit in enumerate(perm):
-        if not all(pantry(key) or key in have for key in unit.input_keys):
-            return False
-        for earlier in perm[: k + 1]:
-            if unit.output_keys & earlier.input_keys:
-                return False
-        have |= unit.output_keys
-    return True

@@ -298,6 +298,20 @@ def test_convert_to_json_requires_goal(tmp_path, capsys):
     assert "--goal" in capsys.readouterr().err
 
 
+def test_convert_to_foon_refuses_a_goal_it_would_ignore(tmp_path, capsys):
+    source = tmp_path / "tree.json"
+    assert main(["convert", str(data_path("macaroni.foon")), str(source), "--to", "json",
+                 "--goal", "mac and cheese"]) == 0
+    capsys.readouterr()
+    dest = tmp_path / "back.foon"
+    code = main(["convert", str(source), str(dest), "--to", "foon", "--goal", "mac and cheese"])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "error: --goal applies to --to json only; a JSON tree names its goal\n"
+    )
+    assert not dest.exists()
+
+
 def test_convert_prints_the_violations_validate_prints(tmp_path, capsys):
     graph = str(data_path("macaroni.foon"))
     dest = tmp_path / "out.json"
@@ -348,6 +362,54 @@ def test_retrieve_out_writes_what_stdout_would_print(tmp_path, capsys):
     assert main([*argv, "--out", str(dest)]) == 0
     assert capsys.readouterr() == (f"wrote {dest}\n", "")
     assert dest.read_bytes() == printed.encode("utf-8")
+
+
+def test_the_goal_is_the_node_first_mentioned(tmp_path, capsys):
+    # the bowl is first mentioned holding salt, as an input of a unit that
+    # consumes it and so lies outside its backward cone
+    graph = tmp_path / "graph.foon"
+    graph.write_text(
+        "O\tbowl\nI\tsalt\nO\twater\nM\trinse\nO\tslop\n//\n"
+        "O\tflour\nM\tmix\nO\tbowl\nI\tflour\n",
+        encoding="utf-8",
+    )
+    assert main(["retrieve", "--graph", str(graph), "--goal", "Bowl", "--available", "flour"]) == 0
+    tree = json.loads(capsys.readouterr().out)
+    assert tree["goal"] == {"name": "bowl", "states": [], "ingredients": ["salt"]}
+    assert [unit["motion"] for unit in tree["functional_units"]] == ["mix"]
+
+    # a valid tree whose two units both make the bowl, the first with salt
+    graph.write_text(
+        "O\tsalt\nM\tpour\nO\tbowl\nI\tsalt\n//\nO\tflour\nM\tmix\nO\tbowl\nI\tflour\n",
+        encoding="utf-8",
+    )
+    dest = tmp_path / "tree.json"
+    assert main(["convert", str(graph), str(dest), "--to", "json", "--goal", "bowl"]) == 0
+    tree = json.loads(dest.read_text(encoding="utf-8"))
+    assert tree["goal"] == {"name": "bowl", "states": [], "ingredients": ["salt"]}
+
+
+@pytest.mark.parametrize("command", ["retrieve", "convert", "validate"])
+def test_an_ambiguous_goal_lists_its_variants_in_first_mention_order(tmp_path, capsys, command):
+    graph = tmp_path / "graph.foon"
+    graph.write_text(
+        "O\tsoup\nS\thot\nO\tbowl\nM\tserve\nO\tmeal\n//\n"
+        "O\tsoup\nS\tcold\nM\theat\nO\tsoup\nS\thot\n//\n"
+        "O\tsoup\nS\tcold\nS\tthick\nM\tstir\nO\tsoup\nS\tbland\n",
+        encoding="utf-8",
+    )
+    argv = {
+        "retrieve": ["retrieve", "--graph", str(graph), "--goal", "soup"],
+        "convert": ["convert", str(graph), str(tmp_path / "t.json"), "--to", "json",
+                    "--goal", "soup"],
+        "validate": ["validate", str(graph), "--as-task-tree", "--goal", "soup"],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: goal 'soup' is ambiguous, variants: soup (hot); soup (cold); "
+        "soup (cold, thick); soup (bland)\n",
+    )
 
 
 def test_retrieve_reports_failure_as_data(capsys):

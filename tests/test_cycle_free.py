@@ -20,7 +20,7 @@ import pytest
 from foonforge.cli import main
 from foonforge.client import FinishReason, ModelResponse, ReplayClient
 from foonforge.errors import FoonForgeError
-from foonforge.foon.model import ObjectNode
+from foonforge.foon.model import FoonGraph, ObjectNode, make_unit
 from foonforge.foon.retrieval import RetrievalFailure, retrieve_task_tree
 from foonforge.foon.text_format import parse_foon_text
 from foonforge.foon.tree_json import serialize_task_tree_json
@@ -184,6 +184,33 @@ def test_retrieve_task_tree_leaves_no_cycles(sample_graph_text, available, found
     goal = ObjectNode("mac and cheese")
     result = retrieve_task_tree(graph, goal, available)
     assert isinstance(result, RetrievalFailure) is not found
+    assert _cyclic_garbage(retrieve_task_tree, graph, goal, available) == Counter()
+
+
+def _parted_graphs():
+    """A graph of eight independent two-way ties, searched part by part,
+    and one whose parts feed each other in a cycle, searched jointly."""
+    parts = [ObjectNode("part", (f"p{j}",)) for j in range(8)]
+    makers = [make_unit([ObjectNode(item)], "grind", [part]) for part in parts
+              for item in ("salt", "sugar")]
+    yield FoonGraph((make_unit(parts, "mix", [ObjectNode("dish")]), *makers))
+    a, b, z, w, extra = (ObjectNode(name) for name in ("a", "b", "z", "w", "extra"))
+    yield FoonGraph(
+        (
+            make_unit([a, b, extra], "mix", [ObjectNode("dish")]),
+            make_unit([ObjectNode("salt")], "split", [extra, z, w]),
+            make_unit([w], "press", [a, z]),
+            make_unit([z], "roll", [b, w]),
+            make_unit([ObjectNode("sugar")], "grind", [a]),
+            make_unit([ObjectNode("sugar")], "melt", [b]),
+        )
+    )
+
+
+@pytest.mark.parametrize("graph", list(_parted_graphs()), ids=["ties", "cycle-across-parts"])
+def test_retrieval_in_parts_leaves_no_cycles(graph):
+    goal, available = ObjectNode("dish"), ("salt", "sugar")
+    assert not isinstance(retrieve_task_tree(graph, goal, available), RetrievalFailure)
     assert _cyclic_garbage(retrieve_task_tree, graph, goal, available) == Counter()
 
 

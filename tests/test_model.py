@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from foonforge.foon.model import (
     make_unit,
 )
 from foonforge.foon.validation import RULE_BIPARTITE, validate_graph
+
+from .graphgen import NAMES, random_graph
 
 
 def test_object_node_normalizes_name_and_states():
@@ -137,3 +140,41 @@ def test_graph_node_index_first_seen_and_produced_keys(sample_graph_text):
     assert ("macaroni", ("cooked",)) in graph.produced_keys
     assert ("water", ()) not in graph.produced_keys
     assert UnitIndex.build(graph).producers[("mac and cheese", ())] == [2]
+
+
+def test_scans_for_a_node_find_what_the_node_index_holds():
+    rng = random.Random(31)
+    stray = ("egg", (), (), ("egg", ()))  # a plain tuple in a unit is no node
+    for _ in range(100):
+        graph = random_graph(rng)
+        if rng.random() < 0.2:
+            unit = graph.units[0]
+            damaged = FunctionalUnit((stray, *unit.inputs), MotionNode("mix"), (*unit.outputs, 7))
+            graph = FoonGraph((damaged, *graph.units[1:]))
+        index = FoonGraph(graph.units).node_index
+        for name in NAMES:
+            assert graph.nodes_named(name) == [n for n in index.values() if n.name == name]
+            for states in ((), ("raw",), ("chopped", "cooked")):
+                assert graph.first_node((name, states)) is index.get((name, states))
+        assert "node_index" not in graph.__dict__  # neither scan builds it
+
+
+def test_a_unit_index_of_some_units_keeps_their_graph_indices():
+    rng = random.Random(32)
+    for _ in range(50):
+        graph = random_graph(rng)
+        whole = UnitIndex.build(graph)
+        members = sorted(rng.sample(range(len(graph.units)), rng.randint(1, len(graph.units))))
+        part = UnitIndex.build(graph, members)
+        assert part.inputs == {i: whole.inputs[i] for i in members}
+        assert part.outputs == {i: whole.outputs[i] for i in members}
+        assert part.producers == {
+            key: kept
+            for key, units in whole.producers.items()
+            if (kept := [i for i in units if i in members])
+        }
+        assert part.consumers == {
+            key: kept
+            for key, units in whole.consumers.items()
+            if (kept := {i for i in units if i in members})
+        }

@@ -534,6 +534,32 @@ def test_any_token_parses_as_the_original_parsers_parse_it(name, states, ingredi
     _assert_same_text(_text_with(name, states, ingredients))
 
 
+_UNITS = "O\tegg\nM\tmix\nO\tbatter\n//\nO\tbatter\nM\tbake\nO\tcake\n"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # a whitespace line holding a tab, inside a unit and between units
+        "O\tegg\n\t\nM\tmix\n \t \nO\tbatter\n\t\n//\n\t\nO\tbatter\nM\tbake\nO\tcake\n",
+        # as many tabs as record lines, one of which has none
+        "O\tegg\n\t\nM mix\nO\tbatter\n",
+        # a separator first, last, and twice in a row
+        "//\n" + _UNITS.replace("//", "//\n//") + "//\n",
+        "//\n//\n",
+        # a separator with a trailing space is a record line
+        _UNITS.replace("//", "// "),
+        _UNITS.replace("\n", "\r\n"),
+        _UNITS.replace("\n", "\r\n").replace("//", "\r\n//\r\n"),
+        _UNITS.rstrip("\n"),
+        _UNITS.rstrip("\n") + "\t",
+        "O\tcrème\nS\tfraîche\nM\tfouetter\nO\tcrème fouettée\n\u3000\n//\n\xa0\n" + _UNITS,
+    ],
+)
+def test_edge_lines_parse_as_the_original_parser_parses_them(source):
+    _assert_same_text(source)
+
+
 # --- the Kahn pass and its hand-off to graphlib ---------------------------
 
 def test_find_cycle_matches_graphlib_on_random_digraphs():

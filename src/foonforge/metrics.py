@@ -36,7 +36,16 @@ successes, so ``evaluate --compare`` over them calls
 :func:`score_record` 172 times instead of 306. With dishes shared too
 (see :func:`~foonforge.pipeline.load_run_report`), the command fell
 from 20.3 to 17.7 ms (medians of 10 alternating benchmark pairs on a
-shared 2-vCPU VM, every pair a win).
+shared 2-vCPU VM, every pair a win). A pair's coverage is the size of
+the intersection of the tree's names with each dish list, which is
+exact because a :class:`DishSpec` lists each item once, and costs less
+than a generator sum over the list. The hallucination rule is one
+subset test of the leaf names, which copies none of them, where a set
+difference would copy the leaf names outside the dish: all 3,000 of a
+2,000-unit ``big-graphs`` tree, 39 us a call. On the 1,374 successful
+records of a ``manifest-2k`` report (3-unit trees at the median), a
+:func:`score_record` call fell from 9.5-9.7 to 8.3-8.8 us (timeit, best
+of seven, in two alternating rounds).
 """
 
 from __future__ import annotations
@@ -144,29 +153,30 @@ def _accuracy(tree: TaskTree, dish: DishSpec, facts: _TreeFacts) -> float:
     motions_present = all(unit[1].name for unit in tree.graph.units)
 
     # leaf inputs are the raw items the plan starts from; anything not in
-    # the dish spec counts as hallucinated
+    # the dish spec counts as hallucinated. A subset test, not a
+    # difference: that would copy every leaf name of a large tree
     leaf_names = {key[0] for key in facts.consumed - facts.produced} | facts.leaf_contents
-    no_hallucination = leaf_names <= set(dish.ingredients) | set(dish.tools)
+    no_hallucination = leaf_names <= set(dish.ingredients).union(dish.tools)
 
     structurally_valid = validate_task_tree(tree).ok
 
     # every side product of a non-final step must feed a later step
     no_dangling = facts.side <= facts.consumed
 
-    rules = [goal_matches, motions_present, no_hallucination, structurally_valid, no_dangling]
-    return sum(rules) / ACCURACY_RULE_COUNT
+    rules = goal_matches + motions_present + no_hallucination + structurally_valid + no_dangling
+    return rules / ACCURACY_RULE_COUNT
 
 
 def _completeness(dish: DishSpec, facts: _TreeFacts) -> float:
+    # a DishSpec lists each ingredient and each tool once, so the size of
+    # an intersection counts the listed items a tree covers
     input_names = {key[0] for key in facts.consumed}
     covered_names = input_names | facts.held
-    ingredient_part = sum(1 for i in dish.ingredients if i in covered_names) / len(
-        dish.ingredients
-    )
+    ingredient_part = len(covered_names.intersection(dish.ingredients)) / len(dish.ingredients)
     if not dish.tools:
         return ingredient_part
     all_names = input_names | {key[0] for key in facts.produced}
-    tool_part = sum(1 for t in dish.tools if t in all_names) / len(dish.tools)
+    tool_part = len(all_names.intersection(dish.tools)) / len(dish.tools)
     return (ingredient_part + tool_part) / 2
 
 

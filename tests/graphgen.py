@@ -819,6 +819,22 @@ def selection_feasible(graph: FoonGraph, combo, goal: ObjectNode, available) -> 
     return _combo_feasible(graph, combo, goal, _pantry(graph, available))
 
 
+def obtainable_keys(graph: FoonGraph, available) -> set:
+    """Reference of what can be had at all, order aside: the pantry's
+    variants (as :func:`brute_force_retrieve` provisions them), then the
+    outputs of every unit whose inputs can all be had, until none is added."""
+    pantry = _pantry(graph, available)
+    have = {key for u in graph.units for key in u.input_keys if pantry(key)}
+    grown = True
+    while grown:
+        grown = False
+        for u in graph.units:
+            if u.input_keys <= have and not u.output_keys <= have:
+                have |= u.output_keys
+                grown = True
+    return have
+
+
 def _pantry(graph: FoonGraph, available):
     names = {n.strip().lower() for n in available}
     produced_anywhere = {k for u in graph.units for k in u.output_keys}

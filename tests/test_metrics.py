@@ -267,6 +267,64 @@ def test_scores_match_the_original_rules():
     assert len(completeness) >= 10
 
 
+def _name_kinds(tree: TaskTree) -> dict[str, list[str]]:
+    """The names a tree holds, by the part each plays in it."""
+    produced = tree.graph.produced_keys
+    inputs = [n for u in tree.units for n in u.inputs]
+    nodes = inputs + [n for u in tree.units for n in u.outputs]
+    return {
+        "leaf": sorted({n.name for n in inputs if n.key not in produced}),
+        "input": sorted({n.name for n in inputs if n.key in produced}),
+        "produced": sorted({n.name for u in tree.units for n in u.outputs}),
+        "container": sorted({c for n in nodes for c in n.ingredients}),
+        "absent": ["no such item"],
+    }
+
+
+def _overlapping_dish(rng: random.Random, tree: TaskTree) -> DishSpec:
+    """A dish whose ingredients and tools draw on every kind of name the
+    tree holds, and whose tools repeat some of its ingredients; half of
+    the dishes also list every leaf and container name as a tool, so
+    that the hallucination rule holds for some."""
+    kinds = _name_kinds(tree)
+    pool = list(dict.fromkeys(name for names in kinds.values() for name in names))
+    ingredients = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+    tools = rng.sample(ingredients, rng.randint(1, len(ingredients)))
+    tools += rng.sample(pool, rng.randint(0, min(3, len(pool))))
+    if rng.random() < 0.5:
+        tools += kinds["leaf"] + kinds["container"]
+    rng.shuffle(tools)
+    return DishSpec("test", tree.goal.name, tuple(ingredients), tuple(tools))
+
+
+def test_intersection_counts_match_the_original_sums():
+    rng = random.Random(2407)
+    kinds_hit: dict[str, set] = {"ingredients": set(), "tools": set()}
+    completeness, hallucination = set(), set()
+    for i in range(300):
+        if i % 2:
+            tree = _with_contents(rng, random_task_tree(rng, max_units=6))
+        else:
+            graph = random_graph(rng, max_units=6)
+            tree = TaskTree(graph, graph.units[-1].outputs[0])
+        kinds = _name_kinds(tree)
+        for _ in range(3):
+            dish = _overlapping_dish(rng, tree)
+            assert set(dish.tools) & set(dish.ingredients)
+            for field in kinds_hit:
+                listed = set(getattr(dish, field))
+                kinds_hit[field].update(k for k, names in kinds.items() if listed & set(names))
+            rules = reference_accuracy_rules(tree, dish)
+            want = MetricScores(sum(rules) / 5, reference_score_completeness(tree, dish))
+            assert score_record(_ok_record(dish, tree)) == want
+            completeness.add(want.completeness)
+            hallucination.add(rules[2])
+    every_kind = {"leaf", "input", "produced", "container", "absent"}
+    assert kinds_hit["ingredients"] == kinds_hit["tools"] == every_kind
+    assert hallucination == {True, False}
+    assert len(completeness) >= 10
+
+
 def test_completeness_alone_does_not_validate(dish, monkeypatch):
     def fail(tree):
         raise AssertionError("completeness validated the tree")

@@ -489,21 +489,21 @@ def test_counting_identity_always_holds(tmp_path, sample_manifest_path):
     assert report.total == report.json_ok + report.text_fallback == len(report.records)
 
 
-@pytest.mark.parametrize(
-    "content, detail",
-    [
-        (b'{"records": [', "not valid JSON"),
-        (b'\xff\xfe{"records": []}', "not valid JSON"),
-        (b"{}", "missing field 'records'"),
-        (b'{"records": {"a": 1}, "strategy": "contextual"}', "^/records: "),
-        (b'{"records": [{"dish": []}], "strategy": "contextual"}', "^/records/0/dish: "),
-        (b'{"records": [], "strategy": "fusion"}', "^/strategy: "),
-        (b"[]", "^/: run report must be a JSON object$"),
-        (b"5", "^/: run report must be a JSON object$"),
-        (b'"x"', "^/: run report must be a JSON object$"),
-        (b"null", "^/: run report must be a JSON object$"),
-    ],
-)
+_MALFORMED_REPORTS = [
+    (b'{"records": [', "not valid JSON"),
+    (b'\xff\xfe{"records": []}', "not valid JSON"),
+    (b"{}", "missing field 'records'"),
+    (b'{"records": {"a": 1}, "strategy": "contextual"}', "^/records: "),
+    (b'{"records": [{"dish": []}], "strategy": "contextual"}', "^/records/0/dish: "),
+    (b'{"records": [], "strategy": "fusion"}', "^/strategy: "),
+    (b"[]", "^/: run report must be a JSON object$"),
+    (b"5", "^/: run report must be a JSON object$"),
+    (b'"x"', "^/: run report must be a JSON object$"),
+    (b"null", "^/: run report must be a JSON object$"),
+]
+
+
+@pytest.mark.parametrize("content, detail", _MALFORMED_REPORTS)
 def test_load_run_report_rejects_malformed_reports(tmp_path, content, detail):
     path = tmp_path / "run_report.json"
     path.write_bytes(content)
@@ -556,6 +556,20 @@ def _two_record_report(shipped_report) -> dict:
     return {**payload, "total": 2, "json_ok": 1, "text_fallback": 1, "records": records}
 
 
+def _sweep_cases(base: dict):
+    """Each (field, value, payload) of the type sweep: ``base`` with the
+    field at ``field`` set to ``value``, or deleted."""
+    for field in _field_paths(base):
+        for value in (*_SWEEP_VALUES, _DELETED):
+            payload = json.loads(json.dumps(base))
+            holder = _at(payload, field[:-1])
+            if value is _DELETED:
+                del holder[field[-1]]
+            else:
+                holder[field[-1]] = value
+            yield field, value, payload
+
+
 def test_report_type_sweep_names_the_field_or_loads(tmp_path, shipped_runs):
     base = _two_record_report(shipped_runs[0])
     path = tmp_path / REPORT_FILENAME
@@ -563,35 +577,28 @@ def test_report_type_sweep_names_the_field_or_loads(tmp_path, shipped_runs):
     assert load_run_report(path).total == 2
 
     faults, loaded_deletions = [], set()
-    for field in _field_paths(base):
+    for field, value, payload in _sweep_cases(base):
         pointer = "".join(f"/{key}" for key in field)
         name = field[-1]
-        for value in (*_SWEEP_VALUES, _DELETED):
-            payload = json.loads(json.dumps(base))
-            holder = _at(payload, field[:-1])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            load_run_report(path)
+        except ManifestError as exc:
+            got = exc.pointer
+            if not (
+                got == pointer
+                or got.rpartition("/")[0] == pointer
+                # dropping or emptying records leaves the counts behind
+                or (got in _COUNT_POINTERS and field[0] == "records" and len(field) <= 2)
+                or (name == "outcome" and got == pointer.replace("outcome", "fallback_reason"))
+            ):
+                faults.append((pointer, value, got))
+        else:
             if value is _DELETED:
-                del holder[name]
-            else:
-                holder[name] = value
-            path.write_text(json.dumps(payload), encoding="utf-8")
-            try:
-                load_run_report(path)
-            except ManifestError as exc:
-                got = exc.pointer
-                if not (
-                    got == pointer
-                    or got.rpartition("/")[0] == pointer
-                    # dropping or emptying records leaves the counts behind
-                    or (got in _COUNT_POINTERS and field[0] == "records" and len(field) <= 2)
-                    or (name == "outcome" and got == pointer.replace("outcome", "fallback_reason"))
-                ):
-                    faults.append((pointer, value, got))
-            else:
-                if value is _DELETED:
-                    loaded_deletions.add(pointer)
-                # a loaded value has the field's own JSON type (True is no count)
-                elif type(value) is not type(_at(base, field)):
-                    faults.append((pointer, value, "loaded"))
+                loaded_deletions.add(pointer)
+            # a loaded value has the field's own JSON type (True is no count)
+            elif type(value) is not type(_at(base, field)):
+                faults.append((pointer, value, "loaded"))
     assert faults == []
     # only these fields may be absent; a list element may be dropped
     # (the counts or the dish then say what is wrong, if anything)
@@ -637,6 +644,50 @@ def test_a_repeated_dish_is_shared_but_never_hides_a_fault(tmp_path, shipped_run
     assert [r.dish for r in again] == [r.dish for r in records]
     assert all(a.dish is b.dish and a.tree is b.tree for a, b in zip(again, records))
     assert load_run_report(path).records[0].dish is not records[0].dish
+
+
+def _read(path):
+    """What loading ``path`` gives: its report, or its fault's pointer and words."""
+    try:
+        return load_run_report(path)
+    except ManifestError as exc:
+        return exc.pointer, str(exc)
+
+
+def test_the_direct_record_read_agrees_with_the_checked_one(tmp_path, shipped_runs, monkeypatch):
+    base = _two_record_report(shipped_runs[0])
+    dish = base["records"][0]["dish"]
+    cases = [content for content, _ in _MALFORMED_REPORTS]
+    cases += [json.dumps(payload).encode() for _, _, payload in _sweep_cases(base)]
+    cases += [
+        json.dumps(_repeated_dish_report(shipped_runs[0], last)).encode()
+        for last in (
+            {**dish, "tools": [5, *dish["tools"][1:]]},
+            {**dish, "ingredients": [dish["ingredients"][0], "x\ud800"]},
+            {**dish, "ingredients": [*dish["ingredients"], dish["ingredients"][0]]},
+            {**dish, "tools": [[1]]},
+        )
+    ]
+    shipped = [report.read_bytes() for report in shipped_runs]
+    read_record = pipeline._read_record
+    direct = []  # per record, whether the direct read built it
+
+    def counted(entry, shared):
+        record = read_record(entry, shared)
+        direct.append(record is not None)
+        return record
+
+    path = tmp_path / REPORT_FILENAME
+    for content in cases + shipped:
+        path.write_bytes(content)
+        direct.clear()
+        monkeypatch.setattr(pipeline, "_read_record", counted)
+        got = _read(path)
+        monkeypatch.setattr(pipeline, "_read_record", lambda entry, shared: None)
+        assert got == _read(path), content[:200]
+        if content in shipped:
+            # every shipped record is read directly, without the checked path
+            assert direct and all(direct)
 
 
 @pytest.mark.parametrize("level", ["report", "record", "dish"])

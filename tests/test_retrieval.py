@@ -16,6 +16,7 @@ from foonforge.foon.validation import validate_task_tree
 from .graphgen import (
     brute_force_retrieve,
     chain_tree,
+    obtainable_keys,
     random_retrieval_case,
     recipe_chain,
     selection_feasible,
@@ -94,6 +95,41 @@ def test_pantry_name_does_not_cover_produced_variants():
     assert len(result.units) == 2
 
 
+def test_a_pantry_name_does_not_make_a_produced_variant_obtainable():
+    # "macaroni" on hand is not the cooked variant, so the failure blames
+    # the dough that variant is made from, not the search
+    cooked = ObjectNode("macaroni", ("cooked",))
+    graph = FoonGraph(
+        (
+            make_unit([ObjectNode("pasta dough")], "boil", [cooked]),
+            make_unit([cooked], "plate", [ObjectNode("dinner")]),
+        )
+    )
+    result = retrieve_task_tree(graph, ObjectNode("dinner"), {"macaroni"})
+    assert result == RetrievalFailure("pasta dough", "no way to obtain 'pasta dough'")
+
+
+def _assert_failure_explained(graph, goal, available, result) -> None:
+    """An infeasible case's failure blames what the reference says: a goal
+    that no unit makes, an object that cannot be had at all, or, when
+    every object can be had, the search for an acyclic selection."""
+    goal = graph.first_node(goal.key)
+    have = obtainable_keys(graph, available)
+    if not any(goal.key in u.output_keys for u in graph.units):
+        assert result == RetrievalFailure(
+            goal.describe(), f"goal {goal.describe()!r} is not producible"
+        )
+    elif goal.key in have:
+        assert result == RetrievalFailure(
+            goal.describe(), f"no acyclic unit selection produces {goal.describe()!r}"
+        )
+    else:
+        assert result.message == f"no way to obtain {result.missing!r}"
+        nodes = (n for u in graph.units for n in (*u.inputs, *u.outputs))
+        blamed = {n.key for n in nodes if n.describe() == result.missing}
+        assert blamed and not blamed & have
+
+
 def test_matches_brute_force_oracle_on_random_graphs():
     rng = random.Random(1234)
     feasible = infeasible = 0
@@ -103,7 +139,7 @@ def test_matches_brute_force_oracle_on_random_graphs():
         result = retrieve_task_tree(graph, goal, available)
         if expected is None:
             infeasible += 1
-            assert isinstance(result, RetrievalFailure)
+            _assert_failure_explained(graph, goal, available, result)
         else:
             feasible += 1
             assert isinstance(result, TaskTree)
@@ -121,7 +157,7 @@ def test_matches_brute_force_oracle_with_equal_costs_and_units_outside_the_cone(
         result = retrieve_task_tree(graph, goal, available)
         if expected is None:
             infeasible += 1
-            assert isinstance(result, RetrievalFailure)
+            _assert_failure_explained(graph, goal, available, result)
             continue
         feasible += 1
         assert isinstance(result, TaskTree)

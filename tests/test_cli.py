@@ -1142,6 +1142,38 @@ def test_generate_lone_surrogate_in_instructions_exits_1(tmp_path, capsys, sampl
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dishes", [0, 1], ids=["no-dishes", "one-dish"])
+@pytest.mark.parametrize("case", ["template", "examples"])
+def test_generate_checks_its_prompt_inputs_only_when_it_renders(tmp_path, capsys, case, dishes):
+    manifest = tmp_path / "manifest.json"
+    listed = [{"name": "toast", "ingredients": ["bread"]}][:dishes]
+    manifest.write_text(json.dumps({"categories": [{"name": "c", "dishes": listed}]}))
+    (tmp_path / "no_schema.txt").write_text("{{dish_name}}", encoding="utf-8")
+    (tmp_path / "empty").mkdir()
+    strategy, extra, message = {
+        "template": (
+            "contextual",
+            ["--template", str(tmp_path / "no_schema.txt")],
+            "error: template must contain {{schema}} exactly once\n",
+        ),
+        "examples": (
+            "example-based",
+            ["--examples", str(tmp_path / "empty")],
+            "error: example-based prompts need at least one example tree\n",
+        ),
+    }[case]
+    code = _generate(tmp_path, manifest, strategy, *extra)
+    out, err = capsys.readouterr()
+    if dishes:
+        assert (code, out, err) == (1, "", message)
+        assert not (tmp_path / "out").exists()
+    else:
+        # a manifest with no dishes renders no prompt, so nothing is refused
+        assert (code, err) == (0, "")
+        assert out.endswith("total=0 json_ok=0 text_fallback=0\n")
+        assert json.loads((tmp_path / "out" / REPORT_FILENAME).read_text())["records"] == []
+
+
 @pytest.mark.parametrize(
     "extra, fragment",
     [

@@ -26,6 +26,7 @@ from foonforge.client import (
     LiveClient,
     ModelResponse,
     ReplayClient,
+    decode_response,
     load_fixture,
 )
 from foonforge.errors import (
@@ -93,6 +94,15 @@ def test_replay_client_rejects_malformed_entries_when_built(tmp_path, entry):
     path.write_text(json.dumps({"abc": entry}), encoding="utf-8")
     with pytest.raises(ClientError):
         ReplayClient(path)
+
+
+@pytest.mark.parametrize("reason", ["odd", "Complete", None, 1, True, ["complete"], {"a": 1}])
+def test_an_unknown_finish_reason_is_named_as_the_enum_words_it(reason):
+    # looked up by value, and worded by FinishReason only when the lookup fails;
+    # a value that cannot be a dict key (a list) is refused the same way
+    with pytest.raises(MalformedResponseError) as caught:
+        decode_response({"text": "x", "finish_reason": reason})
+    assert str(caught.value) == f"{reason!r} is not a valid FinishReason"
 
 
 def test_replay_decodes_each_entry_once(bundle):

@@ -4,7 +4,9 @@ A tree is validated when it is parsed and never again, and an answer
 text that several records of an ``evaluate`` hold is parsed once in
 that command, as a dish that several records hold is built once and a
 (tree, dish) pair scored once; a prompt's template is read once and its example block
-serialized once per loaded example set, so once per command; an output
+serialized once per loaded example set, so once per command, and a
+``generate`` compiles its template and hashes the prompts' shared prefix
+once, not once per dish; an output
 directory is made once, and an output file opened once. A run report
 is rendered once per ``generate`` and written piece by piece, no write
 longer than its head and its longest record. The counts are
@@ -18,9 +20,11 @@ error builds the full one, counted by wrapping
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
+import types
 from collections import Counter
 
 import pytest
@@ -29,7 +33,7 @@ from foonforge import cli, metrics, pipeline, prompts
 from foonforge.cli import main
 from foonforge.foon import tree_json, validation
 from foonforge.pipeline import FallbackReason, RunReport, load_run_report
-from foonforge.prompts import DishSpec
+from foonforge.prompts import DishSpec, load_examples
 from foonforge.resources import data_path
 
 from .graphgen import record_report_writes
@@ -100,6 +104,38 @@ def test_generate_call_counts(run1, counts):
     # once per JSON output, plus once per example tree
     assert serialized == report.json_ok + 2 == 29
     assert templates_read == 1
+
+
+def test_generate_compiles_its_template_and_hashes_its_prefix_once(
+    tmp_path, capsys, monkeypatch, acceptance_manifest_path
+):
+    compiled: list = []
+    init = prompts.CompiledTemplate.__init__
+
+    def counted_init(self, *args, **kwargs):
+        compiled.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(prompts.CompiledTemplate, "__init__", counted_init)
+    hashed: list = []
+    sha256 = hashlib.sha256
+
+    def counted_sha256(data):
+        hashed.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(prompts, "hashlib", types.SimpleNamespace(sha256=counted_sha256))
+    one_off = _count_calls(monkeypatch, prompts, "render_for_dish")
+    whole = _count_calls(monkeypatch, prompts, "context_hash")
+    report = load_run_report(_generate_run1(tmp_path / "run1", capsys, acceptance_manifest_path))
+    assert report.total == 34
+    assert len(compiled) == 1
+    # one hash, of the part every prompt shares: each dish finishes a copy of it
+    assert len(hashed) == 1
+    prefix = hashed[0].decode("utf-8").removeprefix("example-based\n")
+    example_block = load_examples(data_path("examples")).block
+    assert example_block in prefix and "{{" not in prefix
+    assert (one_off, whole) == ([], [])
 
 
 def test_each_command_serializes_its_examples_once(

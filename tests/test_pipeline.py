@@ -383,6 +383,31 @@ def test_filename_collisions_get_suffixes(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "names, stems",
+    [
+        # the second "egg pie" may not take "egg_pie_2", which a later dish holds
+        (["egg pie", "egg-pie", "egg pie 2"], ["c/egg_pie", "c/egg_pie_3", "c/egg_pie_2"]),
+        (["egg pie 2", "egg-pie", "egg pie"], ["c/egg_pie_2", "c/egg_pie", "c/egg_pie_3"]),
+        # a suffix moves past every stem taken, and the next repeat goes on from it
+        (
+            ["a", "a!", "a 2", "a 3", "a?", "b"],
+            ["c/a", "c/a_4", "c/a_2", "c/a_3", "c/a_5", "c/b"],
+        ),
+    ],
+)
+def test_suffixed_stems_never_take_another_dishs_stem(tmp_path, names, stems):
+    dishes = [{"name": name, "ingredients": ["x"]} for name in names]
+    manifest = _manifest_from(tmp_path, {"categories": [{"name": "C", "dishes": dishes}]})
+    assert pipeline._resolve_stems(manifest) == stems
+    report = run_generation(manifest, Strategy.CONTEXTUAL, ReplayClient({}), tmp_path / "out")
+    assert [r.output_path for r in report.records] == [f"{stem}.txt" for stem in stems]
+    # every dish keeps its own file
+    for record in report.records:
+        written = (tmp_path / "out" / record.output_path).read_text(encoding="utf-8")
+        assert written == record.raw_text
+
+
 def _normalized_report(path) -> dict:
     data = json.loads(path.read_text(encoding="utf-8"))
     data.pop("started")
@@ -815,6 +840,23 @@ def test_run_without_dishes_still_writes_its_report(tmp_path):
     written = (out / REPORT_FILENAME).read_text(encoding="utf-8")
     assert written == reference_report_json(report) + "\n"
     assert '"records": []' in written
+
+
+@pytest.mark.parametrize(
+    "strategy, inputs",
+    [
+        (Strategy.CONTEXTUAL, {"template": "no schema here"}),
+        (Strategy.CONTEXTUAL, {"template": "{{bogus}} {{schema}}"}),
+        (Strategy.EXAMPLE_BASED, {}),
+        (Strategy.USER_GUIDED, {"instructions": "  "}),
+    ],
+)
+def test_run_without_dishes_renders_nothing(tmp_path, strategy, inputs):
+    # no prompt is rendered, so inputs that could render none raise nothing
+    manifest = _manifest_from(tmp_path, {"categories": [{"name": "empty", "dishes": []}]})
+    report = run_generation(manifest, strategy, ReplayClient({}), tmp_path / "out", **inputs)
+    assert report.total == 0
+    assert (tmp_path / "out" / REPORT_FILENAME).is_file()
 
 
 def test_report_is_replaced_atomically(tmp_path, sample_manifest_path, monkeypatch):

@@ -1,25 +1,33 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
+import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foonforge.errors import InvalidNodeError, PromptError
-from foonforge.foon.model import ObjectNode
+from foonforge.foon.model import ObjectNode, require_unicode
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
 from foonforge.prompts import (
     OUTPUT_SCHEMA,
+    CompiledTemplate,
     DishSpec,
     ExampleSet,
+    PromptBundle,
     Strategy,
     annotate_example,
+    default_template,
     load_examples,
     render_for_dish,
 )
 from foonforge.resources import data_path
 
 from .graphgen import random_task_tree
-import random
 
 
 @pytest.fixture()
@@ -205,3 +213,211 @@ def test_load_examples_ordered_by_filename(tmp_path):
 def test_packaged_examples_parse(examples):
     for tree in examples.trees:
         assert parse_task_tree_json(serialize_task_tree_json(tree)) == tree
+
+
+# The reference renderer, as the package rendered each prompt before runs
+# compiled their template: a per-dish template check, one regex substitution
+# that looks each placeholder up as it is met, and a hash of the whole text.
+
+_REFERENCE_PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
+
+
+def _reference_substitute(template: str, values: dict[str, str]) -> str:
+    if template.count("{{schema}}") != 1:
+        raise PromptError("template must contain {{schema}} exactly once")
+
+    def repl(match: re.Match) -> str:
+        name = match.group(1)
+        if name not in values:
+            raise PromptError(f"template uses unknown placeholder {{{{{name}}}}}")
+        return values[name]
+
+    return _REFERENCE_PLACEHOLDER.sub(repl, template)
+
+
+def _reference_render(strategy, dish, *, examples=None, instructions=None, template=None):
+    """The text and hash of one dish's prompt, or the PromptError's message."""
+    ingredients = ", ".join(sorted(dish.ingredients))
+    tools = ", ".join(sorted(dish.tools)) or "none"
+    try:
+        if strategy is Strategy.EXAMPLE_BASED:
+            if examples is None or not examples.trees:
+                raise PromptError("example-based prompts need at least one example tree")
+            extra = {"examples": examples.block}
+        elif strategy is Strategy.USER_GUIDED:
+            if not instructions or not instructions.strip():
+                raise PromptError("user-guided prompts need non-empty instructions")
+            try:
+                require_unicode(instructions, "instructions")
+            except InvalidNodeError as exc:
+                raise PromptError(str(exc)) from None
+            extra = {"instructions": instructions}
+        else:
+            extra = {
+                "availability": f"Available tools: {tools}\nAvailable ingredients: {ingredients}"
+            }
+        values = {
+            "dish_name": dish.name,
+            "category": dish.category or "uncategorized",
+            "ingredients": ingredients,
+            "tools": tools,
+            "schema": OUTPUT_SCHEMA,
+            **extra,
+        }
+        if template is None:
+            template = default_template(strategy)
+        text = _reference_substitute(template, values)
+    except PromptError as exc:
+        return str(exc)
+    digest = hashlib.sha256(f"{strategy.value}\n{text}".encode("utf-8")).hexdigest()
+    return text, digest
+
+
+_NAMES = (
+    "dish_name",
+    "category",
+    "ingredients",
+    "tools",
+    "availability",
+    "examples",
+    "instructions",
+    "bogus",
+    "café",
+)
+# placeholder-like text: braces that are not a placeholder, or that wrap one
+_BRACES = ("{", "}", "{{", "}}", "{{{", "}}}", "{{ tools }}", "{{}}", "{{schema}", "%s", "{0}")
+_PIECES = st.one_of(
+    st.sampled_from(_NAMES).map(lambda name: f"{{{{{name}}}}}"),
+    st.sampled_from(_BRACES),
+    st.text(max_size=8),
+)
+_TEXTS = st.one_of(
+    st.text(max_size=12),
+    st.lists(_PIECES, max_size=4).map("".join),
+)
+
+
+def _example_set(goal: str, item: str) -> ExampleSet:
+    tree = {
+        "goal": {"name": goal, "states": []},
+        "functional_units": [
+            {
+                "inputs": [{"name": item, "states": ["raw"]}],
+                "motion": "bake",
+                "outputs": [{"name": goal, "states": []}],
+            }
+        ],
+    }
+    return ExampleSet((parse_task_tree_json(json.dumps(tree)),))
+
+
+def _mostly(good, *bad):
+    """Draws from ``good`` four times in five, else from one of ``bad``,
+    so that most draws pass every check and most renders are compared."""
+    return st.sampled_from([good] * 4 * len(bad) + list(bad)).flatmap(lambda drawn: drawn)
+
+
+_EXAMPLES = _mostly(
+    st.sampled_from(
+        [
+            _example_set("pie", "flour"),
+            _example_set("{{tools}} pie", "{{schema}} crumbs"),
+            _example_set("tarte flambée", "crème fraîche"),
+        ]
+    ),
+    st.none(),
+    st.just(ExampleSet(())),
+)
+_DISHES = st.builds(
+    DishSpec,
+    st.sampled_from(["", "lunch", "{{category}}", "café"]),
+    st.sampled_from(["soup", "{{dish_name}} stew", "{{schema}}", "crêpe", "水饺"]),
+    st.lists(st.sampled_from(["salt", "{{tools}}", "eau", "ñame"]), min_size=1, unique=True),
+    st.lists(st.sampled_from(["pot", "pan", "{{ingredients}}", "wok "]), unique=True),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    strategy=st.sampled_from(list(Strategy)),
+    pieces=st.lists(_PIECES, max_size=10),
+    # where {{schema}} goes in: once, or not at all, or twice
+    schema_at=_mostly(
+        st.lists(st.integers(0, 10), min_size=1, max_size=1),
+        st.just([]),
+        st.lists(st.integers(0, 10), min_size=2, max_size=2),
+    ),
+    examples=_EXAMPLES,
+    instructions=_mostly(_TEXTS.filter(str.strip), st.none(), st.just("  ")),
+    dishes=st.lists(_DISHES, min_size=1, max_size=3),
+)
+# the prefix is empty: the template opens with a dish field
+@example(
+    strategy=Strategy.CONTEXTUAL,
+    pieces=["{{dish_name}}", " ", "{{availability}}"],
+    schema_at=(3,),
+    examples=None,
+    instructions=None,
+    dishes=[DishSpec("", "crêpe", ("eau",))],
+)
+# instructions that are not valid Unicode are refused by the run's check
+@example(
+    strategy=Strategy.USER_GUIDED,
+    pieces=["{{instructions}}", "{{tools}}"],
+    schema_at=(0,),
+    examples=None,
+    instructions="stir \udcff well",
+    dishes=[DishSpec("x", "soup", ("salt",))],
+)
+# no dish field at all: every prompt is the prefix
+@example(
+    strategy=Strategy.USER_GUIDED,
+    pieces=["{{instructions}}"],
+    schema_at=(0,),
+    examples=None,
+    instructions="use {{tools}} {{schema}} literally",
+    dishes=[DishSpec("x", "soup", ("salt",)), DishSpec("y", "stew", ("salt",))],
+)
+def test_compiled_render_matches_the_reference(
+    strategy, pieces, schema_at, examples, instructions, dishes
+):
+    for at in schema_at:
+        pieces = [*pieces[:at], "{{schema}}", *pieces[at:]]
+    template = "".join(pieces)
+    inputs = {"examples": examples, "instructions": instructions, "template": template}
+    want = [_reference_render(strategy, dish, **inputs) for dish in dishes]
+    one_off = []
+    for dish in dishes:
+        try:
+            bundle = render_for_dish(strategy, dish, **inputs)
+            one_off.append((bundle.text, bundle.context_hash))
+        except PromptError as exc:
+            one_off.append(str(exc))
+    assert one_off == want
+    try:
+        compiled = CompiledTemplate(strategy, **inputs)
+    except PromptError as exc:
+        # every check is the run's, so the reference fails every dish alike
+        assert want == [str(exc)] * len(dishes)
+        return
+    bundles = [compiled.render(dish) for dish in dishes]
+    assert [(b.text, b.context_hash) for b in bundles] == want
+    assert all(b.strategy is strategy for b in bundles)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_packaged_templates_match_the_reference(strategy, examples):
+    inputs = {"examples": examples, "instructions": "stir {{tools}} gently"}
+    dishes = [
+        DishSpec("Dinner", "Pot Roast", ("beef", "carrot"), ("pot",)),
+        DishSpec("dessert", "crème brûlée", ("cream", "sugar", "egg")),
+    ]
+    compiled = CompiledTemplate(strategy, **inputs)
+    for dish in dishes:
+        want = _reference_render(strategy, dish, **inputs)
+        got = compiled.render(dish)
+        assert (got.text, got.context_hash) == want
+        bundle = render_for_dish(strategy, dish, **inputs)
+        assert (bundle.text, bundle.context_hash) == want
+        # a bundle built from its text alone hashes it the same way
+        assert PromptBundle(strategy, bundle.text) == bundle

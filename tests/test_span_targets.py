@@ -1,23 +1,32 @@
-"""The benchmark's span table names functions that exist.
+"""The benchmark's view of the package holds.
 
 ``perfbench/spans.py`` attaches its per-layer spans by module and
 attribute name, and skips a name it cannot find. Renaming a traced
 function would then drop its span without a word; this test fails
-instead.
+instead. Likewise ``perfbench/inputs.py`` checks each ``manifest-2k``
+run's output stems against its own rule, so a change to the package's
+stems that the benchmark would count as failed operations fails here
+first.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import pytest
+
+from foonforge.pipeline import _resolve_stems, read_manifest
+from foonforge.resources import data_path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _span_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
@@ -25,11 +34,11 @@ def _span_targets():
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = dont_write
-    return module.TARGETS
+    return module
 
 
 def test_every_span_target_resolves_to_a_package_function():
-    targets = _span_targets()
+    targets = _bench_module("spans").TARGETS
     assert targets
     missing = []
     for name, modname, attr in targets:
@@ -40,3 +49,21 @@ def test_every_span_target_resolves_to_a_package_function():
         if not callable(owner):
             missing.append(f"{name}: {modname}.{attr}")
     assert missing == []
+
+
+@pytest.fixture(scope="module")
+def bench_inputs():
+    return _bench_module("inputs")
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_output_stems_match_the_benchmarks_rule(tmp_path, bench_inputs, seed):
+    # the manifest-2k workload's manifest: 2,000 dishes, 3% of them stem twins
+    shipped = json.loads(data_path("manifest_34.json").read_text(encoding="utf-8"))
+    rng = bench_inputs.rng_for("manifest-2k", seed)
+    manifest, twins = bench_inputs.synthetic_manifest(shipped, rng, 2000, twin_share=0.03)
+    path = tmp_path / "manifest.json"
+    bench_inputs.write_json(path, manifest)
+    stems = _resolve_stems(read_manifest(path))
+    assert twins and len(set(stems)) == len(stems) == 2000
+    assert stems == bench_inputs.expected_stems(manifest)

@@ -30,20 +30,17 @@ whose source cannot hold a tab, a line break or a lone surrogate (see
 each parser) skips that pass and builds new nodes with
 :func:`scanned_node`, which keeps the checks that remain.
 
-Cost: a node or unit is built by one ``tuple.__new__`` call, where the
-slotted dataclasses they replace set each field through its slot's own
-setter. Timed with timeit on a shared 2-vCPU VM, 41 interleaved rounds
-against the dataclasses, a parser builds a one-state node in 0.51 of the
-time (573 against 1,142 ns at the median) and a unit of three nodes in
-0.68 of it; ``ObjectNode(...)`` and ``FunctionalUnit(...)`` take 0.92
-and 0.90 of it. Reading costs more: a tuple subclass misses the
-interpreter's fast paths for exact tuples and for slots, so unpacking a
-node's name, states and ingredients takes 2.6 times as long as reading
-three slots did (65 against 25 ns), and reading them by property 4.9
-times. So the kernels unpack a node or unit when they need most of its
-items, index it when they need one or two, and read key sets across a
-whole graph through item getters, by ``map``; a parse builds
-each node once and the kernels read it a few times.
+Cost: a node or unit is built by one ``tuple.__new__`` call, so a
+parse costs one build per distinct node and one per unit. Reading
+costs more than building: a tuple subclass misses the interpreter's
+fast paths for exact tuples and for slots, so the kernels unpack a node
+or unit when they need most of its items, index it when they need one
+or two, and read key sets across a whole graph through item getters, by
+``map``. A parser builds its graph and tree around the units without
+the dataclass ``__init__`` (:func:`parsed_graph`, :func:`parsed_tree`),
+so a small tree pays for its nodes, not its wrappers. The per-layer
+metric ``tree_json.parse.busy_s`` shows the build; the kernels' reads
+show in ``validation.validate.busy_s`` and ``text_format.serialize.busy_s``.
 """
 
 from __future__ import annotations
@@ -229,7 +226,12 @@ only_object_nodes = frozenset([ObjectNode]).issuperset
 
 @dataclass(frozen=True, slots=True)
 class MotionNode:
-    """The action verb connecting a unit's inputs to its outputs."""
+    """The action verb connecting a unit's inputs to its outputs.
+
+    Cost: a parse builds one per distinct verb, with the full token
+    check, or by :func:`scanned_motion` for a source that needs no scan;
+    it shows in ``tree_json.parse.busy_s`` and ``text_format.parse.busy_s``.
+    """
 
     name: str
 
@@ -239,6 +241,20 @@ class MotionNode:
 
 
 _set_motion_name = MotionNode.name.__set__
+_new_object = object.__new__
+
+
+def scanned_motion(name: str) -> MotionNode | None:
+    """The motion of a raw verb known to hold no tab, line break or lone
+    surrogate, or None when it is blank; the caller then builds it with
+    ``MotionNode(...)``, which words the error. Cost: one trim and one
+    lowercase, and no scan (``tree_json.parse.busy_s``)."""
+    token = name.strip().lower()
+    if not token:
+        return None
+    motion = _new_object(MotionNode)
+    _set_motion_name(motion, token)
+    return motion
 
 
 class FunctionalUnit(tuple):
@@ -390,7 +406,14 @@ class UnitIndex:
 
 @dataclass(frozen=True)
 class TaskTree:
-    """A goal-rooted graph whose units suffice to produce the goal."""
+    """A goal-rooted graph whose units suffice to produce the goal.
+
+    Cost: :attr:`validation` is computed once per tree, on its first
+    read, or by the parser, which builds the tree around the report
+    (:func:`parsed_tree`), so no read of a parsed tree takes the cached
+    property's lock. That fixed cost per tree shows in
+    ``generate_s.p50`` of ``manifest-2k``, a workload of small trees.
+    """
 
     graph: FoonGraph
     goal: ObjectNode
@@ -404,6 +427,23 @@ class TaskTree:
         """Full-rule validation report, computed once per tree."""
         from .validation import validate_graph  # that module imports this one
         return validate_graph(self.graph, self.goal)
+
+
+def parsed_graph(units: tuple[FunctionalUnit, ...]) -> FoonGraph:
+    """``FoonGraph(units)`` for a tuple of units, as the parsers build
+    them, without the dataclass ``__init__`` and ``__post_init__``."""
+    graph = _new_object(FoonGraph)
+    graph.__dict__["units"] = units
+    return graph
+
+
+def parsed_tree(graph: FoonGraph, goal: ObjectNode, report: ValidationReport) -> TaskTree:
+    """``TaskTree(graph, goal)`` built without its ``__init__``, holding
+    ``report``, which must be ``validate_graph(graph, goal)``, in the
+    slot its :attr:`~TaskTree.validation` property would fill."""
+    tree = _new_object(TaskTree)
+    tree.__dict__.update(graph=graph, goal=goal, validation=report)
+    return tree
 
 
 def make_unit(

@@ -13,32 +13,39 @@ lines are ignored on input and never emitted; the canonical serialized
 form lists ``O``, then ``I``, then ``S`` lines per object, with states in
 sorted order, and ends with a trailing newline.
 
-Cost: parsing reads each line once, and builds a unit when the
-separator after it, or the end of the text, closes it; no list of a
-unit's lines is kept. A memo maps each object's raw name, states and
-ingredients, and each motion's raw text, to the built node; it lives
-for one parse and is dropped with it, so an object the graph mentions
-again is one dict lookup. An ASCII source with one tab per record line
-cannot hold a token with a tab, a line break or a lone surrogate, so
-its new objects are built by ``scanned_node`` without scanning for them;
-any other source builds each new object with ``ObjectNode(...)``, which
-scans. The record lines are counted before the pass, by C-level counts
+Cost: parsing reads each line once, linear in the text, and builds a
+unit when the separator after it, or the end of the text, closes it; no
+list of a unit's lines is kept. A memo maps each object's raw name,
+states and ingredients, and each motion's raw text, to the built node;
+it lives for one parse and is dropped with it, so an object the graph
+mentions again is one dict lookup. An ASCII source with one tab per
+record line cannot hold a token with a tab, a line break or a lone
+surrogate, so its new objects and motions are built by ``scanned_node``
+and ``scanned_motion`` without scanning for them; any other source
+builds each with ``ObjectNode(...)`` or ``MotionNode(...)``, which
+scan. The record lines are counted before the pass, by C-level counts
 of the separators and of the empty and whitespace lines, so the choice
 is made before any unit is built. A parse that skips the scan and fails
 is run again with it, so the error reported stays the first one in the
-text. On the 42 graph files of a ``big-graphs`` benchmark workload (seed
-4242, 10-2,000 units), the one pass took 0.93 of the CPU time of the
-parse that first sorted the lines into per-unit lists and then built
-each unit (median of 21 paired, interleaved in-process rounds on a
-shared 2-vCPU VM, quartiles 0.92 and 0.97). Serialization reads every
-field of every node, and a tuple's fields cost more to read than slots
-did (see :mod:`.model`).
+text. Parsing shows in ``text_format.parse.busy_s`` and serialization,
+which reads every field of every node, in
+``text_format.serialize.busy_s``; on ``big-graphs`` both show in
+``convert_s.p50`` and ``validate_s.p50``.
 """
 
 from __future__ import annotations
 
 from ..errors import FoonSyntaxError, InvalidNodeError
-from .model import FoonGraph, FunctionalUnit, MotionNode, ObjectNode, build_unit, scanned_node
+from .model import (
+    FoonGraph,
+    FunctionalUnit,
+    MotionNode,
+    ObjectNode,
+    build_unit,
+    parsed_graph,
+    scanned_motion,
+    scanned_node,
+)
 
 _SEPARATOR = "//"
 
@@ -131,10 +138,13 @@ def _parse_lines(lines: list[str], scanned: bool) -> FoonGraph:
             # motion keys are strings, object keys tuples: they never collide
             motion = memo.get(value)
             if motion is None:
-                try:
-                    motion = memo[value] = MotionNode(value)
-                except InvalidNodeError as exc:
-                    raise FoonSyntaxError(str(exc), line=lineno) from exc
+                motion = scanned_motion(value) if scanned else None
+                if motion is None:
+                    try:
+                        motion = MotionNode(value)
+                    except InvalidNodeError as exc:
+                        raise FoonSyntaxError(str(exc), line=lineno) from exc
+                memo[value] = motion
             motion_line = lineno
             first_line = first_line or lineno
         elif first_line:  # a separator after a unit
@@ -147,7 +157,7 @@ def _parse_lines(lines: list[str], scanned: bool) -> FoonGraph:
             units.append(build_unit(tuple(inputs), motion, tuple(outputs)))
             first_line, inputs, outputs, motion = 0, [], [], None
             section = inputs
-    return FoonGraph(tuple(units))
+    return parsed_graph(tuple(units))
 
 
 def _new_object(memo: dict, scanned: bool, key: tuple, line: int) -> ObjectNode:

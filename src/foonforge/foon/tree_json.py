@@ -13,39 +13,39 @@ Parsing distinguishes three failure categories because the generation
 pipeline's fallback decision depends on which one occurred: JSON syntax,
 schema shape, and graph structure.
 
-Cost: after ``json.loads``, a tree is built in one pass. A memo maps
-each raw node (its name, states and ingredients as written) to the
-built node; it lives for one parse and is dropped with it, so a node a
-tree mentions again (every intermediate product is an output and then
-an input) is one dict lookup. A source that is ASCII and holds no
-backslash, as serialized trees and 203 of the 209 distinct shipped
-answer texts are, cannot hold a token with a tab, a line break or a
-lone surrogate (strict decoding refuses a raw control character in a
-string, and any other such character is not ASCII), so its new nodes
-are built by ``scanned_node`` without scanning for them; any other
-source builds each new node with ``ObjectNode(...)``, which scans. A
-schema error's JSON pointer is built only when the error is raised. On
-the 17 valid trees of a ``big-graphs`` benchmark report (6,181 units,
-20,595 node mentions), parsing and validating took 0.85 of the CPU time
-it took with slotted dataclass nodes and units and a token scan per new
-node, and ``evaluate`` on the report 0.88 (medians of 41 paired,
-interleaved in-process rounds on a shared 2-vCPU VM).
+Cost: after ``json.loads``, a tree is built in one pass, linear in its
+node mentions. A memo maps each raw node (its name, states and
+ingredients as written) and each raw verb to the built one; it lives
+for one parse and is dropped with it, so a node a tree mentions again
+(every intermediate product is an output and then an input) is one dict
+lookup. A source that is ASCII and holds no backslash, as serialized
+trees and 203 of the 209 distinct shipped answer texts are, cannot hold
+a token with a tab, a line break or a lone surrogate (strict decoding
+refuses a raw control character in a string, and any other such
+character is not ASCII), so its new nodes and verbs are built by
+``scanned_node`` and ``scanned_motion`` without scanning for them; any
+other source builds each with ``ObjectNode(...)`` or
+``MotionNode(...)``, which scan. The tree is validated once and built
+with its report already in place, so no read of
+:attr:`~.model.TaskTree.validation` computes it again. A schema error's
+JSON pointer is built only when the error is raised. It shows in
+``tree_json.parse.busy_s``, and on workloads of many small trees, whose
+fixed cost per tree counts most, in ``generate_s.p50`` of
+``manifest-2k`` and ``evaluate_s.p50`` of ``replay-34``.
 
 Serialization writes the indent-2 text for this one fixed shape
 directly, encoding each string with the C ``encode_basestring`` that
-``json.dumps(ensure_ascii=False)`` uses. Cost: ``json.dumps`` runs its C
+``json.dumps(ensure_ascii=False)`` uses: ``json.dumps`` runs its C
 encoder only when ``indent`` is ``None``, so with ``indent=2`` every
-dict and list of a tree went through the pure-Python encoder. Writing
-the text directly cut serialization CPU time four- to six-fold in
-traced benchmark runs on a 2-vCPU VM (about 1,400 trees per iteration
-of ``manifest-2k``: 0.28 s before, 0.04 s after). The output is byte-identical to
-``json.dumps(indent=2, ensure_ascii=False)``, which matters: serialized
-example trees are part of every example-based prompt, so one changed
-byte changes the context hash every replay fixture is keyed on. A
-node's arrays are laid out with constants rather than through
-:func:`string_array`: with nodes as tuples, whose fields cost more to
-read than slots did, this keeps serialization at 0.90 of its time
-before, in the paired rounds above.
+dict and list of a tree would go through the pure-Python encoder. The
+output is byte-identical to ``json.dumps(indent=2,
+ensure_ascii=False)``, which matters: serialized example trees are part
+of every example-based prompt, so one changed byte changes the context
+hash every replay fixture is keyed on. Cost: one text per distinct node
+object, kept for the length of the call, so an intermediate product is
+written once, not once as an output and again as an input; a node's
+arrays are laid out with constants rather than through
+:func:`string_array`. It shows in ``tree_json.serialize.busy_s``.
 """
 
 from __future__ import annotations
@@ -60,16 +60,18 @@ from ..errors import (
     TaskTreeSchemaError,
     TaskTreeStructureError,
 )
+from . import validation
 from .model import (
-    FoonGraph,
     FunctionalUnit,
     MotionNode,
     ObjectNode,
     TaskTree,
     build_unit,
+    parsed_graph,
+    parsed_tree,
+    scanned_motion,
     scanned_node,
 )
-from .validation import validate_task_tree
 
 
 def parse_task_tree_json(source: str) -> TaskTree:
@@ -122,9 +124,10 @@ def parse_task_tree_json(source: str) -> TaskTree:
         raise TaskTreeSchemaError(
             exc.message, f"/functional_units/{len(units)}{exc.where}"
         ) from exc.__cause__
-    tree = TaskTree(FoonGraph(tuple(units)), goal)
+    graph = parsed_graph(tuple(units))
 
-    report = validate_task_tree(tree)
+    # read through the module, so that a wrapper put there sees each call
+    report = validation.validate_graph(graph, goal)
     if not report.ok:
         first = report.violations[0]
         raise TaskTreeStructureError(
@@ -132,7 +135,7 @@ def parse_task_tree_json(source: str) -> TaskTree:
             + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else ""),
             report.violations,
         )
-    return tree
+    return parsed_tree(graph, goal, report)
 
 
 class _Misfit(Exception):
@@ -161,10 +164,13 @@ def _parse_unit(raw: Any, memo: dict, scanned: bool) -> FunctionalUnit:
     # motion text keys are strings, node keys tuples: they never collide
     motion = memo.get(motion_raw)
     if motion is None:
-        try:
-            motion = memo[motion_raw] = MotionNode(motion_raw)
-        except InvalidNodeError as exc:
-            raise _Misfit(str(exc), "/motion") from exc
+        motion = scanned_motion(motion_raw) if scanned else None
+        if motion is None:
+            try:
+                motion = MotionNode(motion_raw)
+            except InvalidNodeError as exc:
+                raise _Misfit(str(exc), "/motion") from exc
+        memo[motion_raw] = motion
     return build_unit(inputs, motion, outputs)
 
 
@@ -261,18 +267,25 @@ def _node_json(node: ObjectNode) -> str:
     return f'{{\n          "name": {encode_string(name)},\n          "states": {states}\n        }}'
 
 
-def _nodes_json(nodes: tuple[ObjectNode, ...]) -> str:
+def _nodes_json(nodes: tuple[ObjectNode, ...], texts: dict[int, str]) -> str:
+    """A unit's side; ``texts`` maps the ``id`` of each node written so far to its text."""
     if not nodes:
         return "[]"
-    return "[\n        " + ",\n        ".join(map(_node_json, nodes)) + "\n      ]"
+    listed = []
+    for node in nodes:
+        text = texts.get(id(node))
+        if text is None:
+            text = texts[id(node)] = _node_json(node)
+        listed.append(text)
+    return "[\n        " + ",\n        ".join(listed) + "\n      ]"
 
 
-def _unit_json(unit: FunctionalUnit) -> str:
+def _unit_json(unit: FunctionalUnit, texts: dict[int, str]) -> str:
     inputs, motion, outputs, _, _ = unit
     return (
-        f'{{\n      "inputs": {_nodes_json(inputs)},\n'
+        f'{{\n      "inputs": {_nodes_json(inputs, texts)},\n'
         f'      "motion": {encode_string(motion.name)},\n'
-        f'      "outputs": {_nodes_json(outputs)}\n    }}'
+        f'      "outputs": {_nodes_json(outputs, texts)}\n    }}'
     )
 
 
@@ -292,5 +305,7 @@ def serialize_task_tree_json(tree: TaskTree) -> str:
         text += f',\n    "ingredients": {string_array(ingredients, "    ")}'
     units = "[]"
     if tree.units:
-        units = "[\n    " + ",\n    ".join(map(_unit_json, tree.units)) + "\n  ]"
+        # node texts for this call only: the tree keeps every node alive, so no id is reused
+        texts: dict[int, str] = {}
+        units = "[\n    " + ",\n    ".join([_unit_json(u, texts) for u in tree.units]) + "\n  ]"
     return f'{text}\n  }},\n  "functional_units": {units}\n}}'

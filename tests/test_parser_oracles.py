@@ -26,7 +26,14 @@ from foonforge.errors import (
     TaskTreeSchemaError,
 )
 from foonforge.foon import validation
-from foonforge.foon.model import FoonGraph, FunctionalUnit, ObjectNode, TaskTree
+from foonforge.foon.model import (
+    FoonGraph,
+    FunctionalUnit,
+    MotionNode,
+    ObjectNode,
+    TaskTree,
+    scanned_motion,
+)
 from foonforge.foon.text_format import parse_foon_text, serialize_foon_text
 from foonforge.foon.tree_json import parse_task_tree_json, serialize_task_tree_json
 from foonforge.foon.validation import (
@@ -522,6 +529,62 @@ def test_only_a_source_that_cannot_hold_a_forbidden_character_skips_the_scan(mon
         parse = parse_task_tree_json if source.startswith("{") else parse_foon_text
         parse(source)
         assert len(calls) == (len(tree.graph.node_index) if scanned else 0), source
+
+
+# Every kind of verb a source that skips the scan can carry: ASCII, no
+# backslash, no tab or line break.
+_SCANNED_MOTIONS = ["mix", "Mix", "STIR FRY", " fold", "whisk  ", "  Bake  ", "a b", "", " ", "  "]
+
+
+def _motion_outcome(build, verb):
+    try:
+        motion = build(verb)
+    except InvalidNodeError as exc:
+        return str(exc)
+    return motion
+
+
+def test_scanned_motion_builds_as_the_motion_node_builds_it():
+    for verb in _SCANNED_MOTIONS:
+        want = _motion_outcome(MotionNode, verb)
+        got = scanned_motion(verb)
+        if isinstance(want, str):
+            assert got is None, verb
+            continue
+        assert type(got) is MotionNode
+        assert (got, hash(got), repr(got), got.name) == (want, hash(want), repr(want), want.name)
+
+
+def test_each_scanned_motion_parses_as_the_original_parsers_parse_it(monkeypatch):
+    from foonforge.foon import text_format, tree_json
+
+    calls = []
+
+    def counted(verb):
+        calls.append(verb)
+        return scanned_motion(verb)
+
+    monkeypatch.setattr(tree_json, "scanned_motion", counted)
+    monkeypatch.setattr(text_format, "scanned_motion", counted)
+    for verb in _SCANNED_MOTIONS:
+        want = _motion_outcome(MotionNode, verb)
+        sources = [(parse_task_tree_json, reference_parse_task_tree_json,
+                    _tree_around({"name": "pan"}, verb))]
+        if verb:  # the text format has no empty value: an "M" line needs one
+            sources.append((parse_foon_text, reference_parse_foon_text,
+                            f"O\tpan\nM\t{verb}\nO\thot pan\n"))
+        for parse, reference, source in sources:
+            assert source.isascii() and "\\" not in source
+            calls.clear()
+            _assert_same(parse, reference, source)
+            assert verb in calls, source  # the source skipped the scan
+            result = _outcome(parse, source)
+            if isinstance(want, str):
+                assert want in result[1]
+                continue
+            motion = result.units[-1].motion
+            assert type(motion) is MotionNode
+            assert (motion, hash(motion), repr(motion)) == (want, hash(want), repr(want))
 
 
 _TOKEN = st.text(st.sampled_from(["a", "B", " ", ",", "\\", '"', "é", *_FORBIDDEN]), max_size=4)

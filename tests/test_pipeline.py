@@ -55,14 +55,18 @@ def test_read_sample_manifest(sample_manifest_path):
 def test_duplicate_dish_rejected(tmp_path):
     payload = {
         "categories": [
-            {"name": "a", "dishes": [{"name": "Pasta", "ingredients": ["x"]}]},
+            {"name": "a", "dishes": [{"name": "soup", "ingredients": ["x"]},
+                                     {"name": "Pasta", "ingredients": ["x"]}]},
             {"name": "b", "dishes": [{"name": "pasta ", "ingredients": ["y"]}]},
         ]
     }
     path = tmp_path / "m.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ManifestError, match="duplicate dish"):
+    with pytest.raises(ManifestError) as exc_info:
         read_manifest(path)
+    assert str(exc_info.value) == (
+        "/categories/1/dishes/0: duplicate dish 'pasta' (also at /categories/0/dishes/1)"
+    )
 
 
 @pytest.mark.parametrize(

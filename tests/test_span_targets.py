@@ -19,8 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from foonforge.foon import tree_json
+from foonforge.foon.validation import validate_graph, validate_task_tree
 from foonforge.pipeline import _resolve_stems, read_manifest
 from foonforge.resources import data_path
+
+from .graphgen import chain_tree
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,6 +53,28 @@ def test_every_span_target_resolves_to_a_package_function():
         if not callable(owner):
             missing.append(f"{name}: {modname}.{attr}")
     assert missing == []
+
+
+def test_a_parse_validates_once_and_its_span_sees_it():
+    source = tree_json.serialize_task_tree_json(chain_tree(4))
+    tree = tree_json.parse_task_tree_json(source)
+    # the parser's report is the tree's, in place before the first read
+    assert "validation" in vars(tree)
+    report = tree.validation
+    assert report.ok and report == validate_graph(tree.graph, tree.goal)
+    assert tree.validation is report and validate_task_tree(tree) is report
+    spans = _bench_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tree_json.parse_task_tree_json(source)  # through the module, as the package calls it
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    names = [span[1] for span in tracer.spans]
+    assert names.count("validation.validate") == 1
+    assert names.count("tree_json.parse") == 1
+    assert spans.layer_metrics(tracer.spans)["calls"]["validation.validate"] == 1
 
 
 @pytest.fixture(scope="module")

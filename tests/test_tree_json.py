@@ -177,6 +177,26 @@ def test_writer_matches_json_dumps_on_empty_lists():
         assert serialize_task_tree_json(tree) == reference_tree_json(tree)
 
 
+def test_writer_matches_json_dumps_on_shared_and_equal_nodes():
+    # one node object mentioned twice, as an output and again as an input,
+    # two equal but distinct node objects, and a third of the same name:
+    # each mention is written in full
+    batter = ObjectNode("batter", ("mixed",), ("egg", "flour"))
+    pan, other_pan = ObjectNode("pan", ("hot",)), ObjectNode("pan", ("hot",))
+    egg, cake = ObjectNode("egg"), ObjectNode("cake", (), ("batter",))
+    assert pan == other_pan and pan is not other_pan
+    units = (
+        make_unit([egg, pan, ObjectNode("pan")], "mix", [batter]),
+        make_unit([batter, other_pan], "bake", [cake]),
+    )
+    tree = TaskTree(FoonGraph(units), cake)
+    assert tree.units[0].outputs[0] is tree.units[1].inputs[0]
+    text = serialize_task_tree_json(tree)
+    assert text == reference_tree_json(tree)
+    assert text.count('"name": "batter"') == 2 and text.count('"name": "pan"') == 3
+    assert parse_task_tree_json(text) == tree
+
+
 # Quotes, backslashes, control characters, characters JSON may leave
 # unescaped, and text outside the Basic Multilingual Plane; no lone
 # surrogates, tabs, line breaks or commas, which nodes reject. (The

@@ -376,7 +376,7 @@ def cmd_evaluate(args) -> int:
         rows = comparison_rows(compare_strategies(grouped))
         print(format_text_table(rows))
     else:
-        scored: dict = {}  # scores of the (tree, dish) pairs of this command only
+        scored: dict = {}  # pair scores and tree facts of this command only
         for path, report in zip(args.reports, reports):
             if len(reports) > 1:
                 print(f"# {path}")

@@ -8,44 +8,34 @@ documented here, not claimed from elsewhere. Fallback records score 0 on
 both metrics rather than being excluded, so strategy comparisons pay for
 invalid output.
 
-Two rules are true for every scored tree. Structural validity: only a
-record that holds a tree is scored, and a record holds a tree only when
-its parse, which validates, succeeded; ``load_run_report`` rebuilds
-every tree from the record's ``raw_text`` by that same parse, once per
-distinct text in a command, so the records that repeat a text share
-its tree and its validation. Motions
-present: :class:`MotionNode` refuses an empty verb, so no tree holds a
-unit without one. So the two rules add 0.4 to every successful output,
-and mean accuracy over successes is at least 0.4; the lowest score in
-the nine shipped runs is exactly that. The score keeps both rules so
-that figures stay comparable across runs.
+Two rules are true for every tree a run's records hold. Structural
+validity: a record holds a tree only when its parse, which validates,
+succeeded; ``load_run_report`` rebuilds every tree from the record's
+``raw_text`` by that same parse, once per distinct text in a command,
+so the records that repeat a text share its tree and its validation.
+Motions present: :class:`MotionNode` refuses an empty verb, so no
+parsed tree holds a unit without one. So the two rules add 0.4 to
+every successful output, and mean accuracy over successes is at least
+0.4; the lowest score in the nine shipped runs is exactly that. The score keeps both rules so that figures stay
+comparable across runs. A tree built by hand may break either: a unit
+whose motion is not a :class:`MotionNode` fails the motions rule, and
+an item that is not an :class:`ObjectNode` is skipped by every rule,
+as the unit's key sets skip it.
 
-Cost: what both scores read from a tree (the identities its units make
-and use, the side products, and the contents its nodes list) is gathered
-in one walk over its units.
-Completeness alone does not validate. In timeit runs on a shared 2-vCPU
-VM (raw CPU time, best to median of five), scoring a validated five-unit
-tree took 16-18 us against 20-22 us, and a 2,000-unit chain 2.6-2.9 ms
-against 3.3-4.2 ms; with only this change, ``big-graphs``
-``evaluate_s.p50`` fell 4.5% (6 of 6 alternating benchmark pairs).
-``evaluate`` scores each distinct (tree, dish) pair once per command:
-the reports it loads share trees by answer text and dishes by their
-stored fields, so records that repeat both share one score. The nine
-shipped runs hold 306 records but 172 such pairs, 138 of them
-successes, so ``evaluate --compare`` over them calls
-:func:`score_record` 172 times instead of 306. With dishes shared too
-(see :func:`~foonforge.pipeline.load_run_report`), the command fell
-from 20.3 to 17.7 ms (medians of 10 alternating benchmark pairs on a
-shared 2-vCPU VM, every pair a win). A pair's coverage is the size of
-the intersection of the tree's names with each dish list, which is
-exact because a :class:`DishSpec` lists each item once, and costs less
-than a generator sum over the list. The hallucination rule is one
-subset test of the leaf names, which copies none of them, where a set
-difference would copy the leaf names outside the dish: all 3,000 of a
-2,000-unit ``big-graphs`` tree, 39 us a call. On the 1,374 successful
-records of a ``manifest-2k`` report (3-unit trees at the median), a
-:func:`score_record` call fell from 9.5-9.7 to 8.3-8.8 us (timeit, best
-of seven, in two alternating rounds).
+Cost: scoring is split in two. What the scores read from a tree alone
+(the goal's name; motions present, structural validity and no dangling
+product; the leaf names with the contents they list, the covered names
+and all names) is gathered in one walk over its units, once per
+distinct tree in a command: ``evaluate`` shares one tree among the
+records that repeat its answer text, and keeps each tree's facts in
+the command's ``scored`` map, next to the scores of each distinct
+(tree, dish) pair. A pair then costs one name comparison and four set
+operations: the union of the dish's ingredients and tools, one subset
+test of the leaf names against it, which copies none of them, and two
+intersection counts, which are exact because a :class:`DishSpec` lists
+each item once. ``evaluate_s.p50`` shows the cost end to end and
+``metrics.score.busy_s`` per layer; ``metrics.score.calls`` counts the
+distinct pairs. Completeness alone does not validate.
 """
 
 from __future__ import annotations
@@ -57,7 +47,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import FoonForgeError
-from .foon.model import NodeKey, TaskTree
+from .foon.model import MotionNode, NodeKey, ObjectNode, TaskTree
 from .foon.validation import validate_task_tree
 from .pipeline import Outcome, OutputRecord, RunReport
 from .prompts import DishSpec, Strategy
@@ -105,78 +95,81 @@ class StrategyComparison:
 
 
 class _TreeFacts(NamedTuple):
-    """What the scores read from a tree, gathered in one walk."""
+    """What the scores read from a tree alone, gathered in one walk."""
 
-    produced: set[NodeKey]
-    consumed: set[NodeKey]
-    # outputs of the units that do not make the goal
-    side: set[NodeKey]
-    # contents listed by any node
-    held: set[str]
-    # contents listed by an input that no unit makes
-    leaf_contents: set[str]
+    goal_name: str
+    # motions present, structurally valid and no dangling product, summed
+    rules: int
+    # names of the inputs that no unit makes, and the contents they list
+    leaf_names: set[str]
+    # input names and the contents any node lists
+    covered_names: set[str]
+    # every object name
+    all_names: set[str]
 
 
-def _tree_facts(tree: TaskTree) -> _TreeFacts:
+def _tree_facts(tree: TaskTree, validate: bool = True) -> _TreeFacts:
+    """The tree's facts; ``validate=False`` leaves structural validity
+    out of ``rules``, for a caller that reads only the names."""
     goal_key = tree.goal.key
     produced: set[NodeKey] = set()
     consumed: set[NodeKey] = set()
+    # outputs of the units that do not make the goal
     side: set[NodeKey] = set()
+    # contents listed by any node
     held: set[str] = set()
     containers = []
+    motions_present = True
     # a unit is (inputs, motion, outputs, input_keys, output_keys) and a
     # node (name, states, ingredients, key): reads by index cost less than
-    # unpacking a tuple subclass whole
+    # unpacking a tuple subclass whole. An item that is not a node is
+    # skipped, as the unit's key sets skip it
     for unit in tree.graph.units:
         outputs = unit[4]
         produced |= outputs
         consumed |= unit[3]
         if goal_key not in outputs:
             side |= outputs
+        motion = unit[1]
+        if not (isinstance(motion, MotionNode) and motion.name):
+            motions_present = False
         for node in unit[0]:
-            if node[2]:
+            if isinstance(node, ObjectNode) and node[2]:
                 containers.append(node)
         for node in unit[2]:
-            if node[2]:
+            if isinstance(node, ObjectNode) and node[2]:
                 held.update(node[2])
-    leaf_contents: set[str] = set()
+    input_names = {key[0] for key in consumed}
+    leaf_names = {key[0] for key in consumed - produced}
     for _, _, contents, key in containers:
         held.update(contents)
         if key not in produced:
-            leaf_contents.update(contents)
-    return _TreeFacts(produced, consumed, side, held, leaf_contents)
+            leaf_names.update(contents)
+    # every side product of a non-final step must feed a later step
+    rules = motions_present + (side <= consumed)
+    if validate:
+        rules += validate_task_tree(tree).ok
+    all_names = input_names.union([key[0] for key in produced])
+    return _TreeFacts(tree.goal.name, rules, leaf_names, input_names | held, all_names)
 
 
-def _accuracy(tree: TaskTree, dish: DishSpec, facts: _TreeFacts) -> float:
-    goal_matches = tree.goal.name == dish.name
-
-    motions_present = all(unit[1].name for unit in tree.graph.units)
-
+def _accuracy(facts: _TreeFacts, dish: DishSpec) -> float:
     # leaf inputs are the raw items the plan starts from; anything not in
     # the dish spec counts as hallucinated. A subset test, not a
     # difference: that would copy every leaf name of a large tree
-    leaf_names = {key[0] for key in facts.consumed - facts.produced} | facts.leaf_contents
-    no_hallucination = leaf_names <= set(dish.ingredients).union(dish.tools)
-
-    structurally_valid = validate_task_tree(tree).ok
-
-    # every side product of a non-final step must feed a later step
-    no_dangling = facts.side <= facts.consumed
-
-    rules = goal_matches + motions_present + no_hallucination + structurally_valid + no_dangling
+    no_hallucination = facts.leaf_names <= set(dish.ingredients).union(dish.tools)
+    rules = facts.rules + (facts.goal_name == dish.name) + no_hallucination
     return rules / ACCURACY_RULE_COUNT
 
 
-def _completeness(dish: DishSpec, facts: _TreeFacts) -> float:
+def _completeness(facts: _TreeFacts, dish: DishSpec) -> float:
     # a DishSpec lists each ingredient and each tool once, so the size of
     # an intersection counts the listed items a tree covers
-    input_names = {key[0] for key in facts.consumed}
-    covered_names = input_names | facts.held
-    ingredient_part = len(covered_names.intersection(dish.ingredients)) / len(dish.ingredients)
-    if not dish.tools:
+    ingredients, tools = dish.ingredients, dish.tools
+    ingredient_part = len(facts.covered_names.intersection(ingredients)) / len(ingredients)
+    if not tools:
         return ingredient_part
-    all_names = input_names | {key[0] for key in facts.produced}
-    tool_part = len(all_names.intersection(dish.tools)) / len(dish.tools)
+    tool_part = len(facts.all_names.intersection(tools)) / len(tools)
     return (ingredient_part + tool_part) / 2
 
 
@@ -187,7 +180,7 @@ def score_accuracy(tree: TaskTree, dish: DishSpec) -> float:
     hallucinated raw inputs, structural validity, and no dangling
     intermediate products.
     """
-    return _accuracy(tree, dish, _tree_facts(tree))
+    return _accuracy(_tree_facts(tree), dish)
 
 
 def score_completeness(tree: TaskTree, dish: DishSpec) -> float:
@@ -197,35 +190,50 @@ def score_completeness(tree: TaskTree, dish: DishSpec) -> float:
     or container ingredient, and the fraction of tools appearing as an
     object name; ingredient coverage alone when the dish lists no tools.
     """
-    return _completeness(dish, _tree_facts(tree))
+    return _completeness(_tree_facts(tree, validate=False), dish)
 
 
-def score_record(record: OutputRecord) -> MetricScores:
-    """Scores for one record; fallbacks score 0 on both metrics."""
-    if record.tree is None:
+def score_record(record: OutputRecord, scored: dict | None = None) -> MetricScores:
+    """Scores for one record; fallbacks score 0 on both metrics.
+
+    ``scored`` is the map of :func:`_scores`: the tree's facts are
+    gathered once per map, under the tree's identity, with the tree
+    held in the entry. Without one, they are gathered for this call.
+    """
+    tree = record.tree
+    if tree is None:
         return MetricScores(0.0, 0.0)
-    tree, dish = record.tree, record.dish
-    facts = _tree_facts(tree)
-    return MetricScores(_accuracy(tree, dish, facts), _completeness(dish, facts))
+    if scored is None:
+        facts = _tree_facts(tree)
+    else:
+        entry = scored.get(id(tree))
+        if entry is None:
+            entry = scored[id(tree)] = (_tree_facts(tree), tree)
+        facts = entry[0]
+    return MetricScores(_accuracy(facts, record.dish), _completeness(facts, record.dish))
 
 
 def _scores(records: Sequence[OutputRecord], scored: dict | None) -> list[MetricScores]:
     """Each record's scores, with :func:`score_record` called once per
-    distinct (tree, dish) pair in ``scored``.
+    distinct (tree, dish) pair in ``scored``, which also keeps each
+    tree's facts, so a tree that meets several dishes is walked once.
 
-    The pair is keyed by identity: records that share a tree and a dish
+    A pair is keyed by identity: records that share a tree and a dish
     share their scores, and hashing a tree would walk all of it. Each
     entry holds its tree and dish, so no key outlives its objects.
+    With no map, the call shares pair scores among its records and
+    keeps no facts: a ``generate`` summary meets each tree once, and
+    holding the facts of all its trees at once would only raise its
+    memory.
     """
-    if scored is None:
-        scored = {}
+    pairs = {} if scored is None else scored
     out = []
     for record in records:
         tree, dish = record.tree, record.dish
         key = (id(tree), id(dish))
-        entry = scored.get(key)
+        entry = pairs.get(key)
         if entry is None:
-            entry = scored[key] = (score_record(record), tree, dish)
+            entry = pairs[key] = (score_record(record, scored), tree, dish)
         out.append(entry[0])
     return out
 

@@ -546,22 +546,20 @@ def load_run_report(path: str | Path, *, shared: dict | None = None) -> RunRepor
       same dish.
 
     What is not found is added. By default a call starts from an empty
-    map. Cost: the nine shipped runs hold 210 successful records but 138
-    distinct texts, and sharing them cut ``evaluate --compare`` over the
-    nine, the ``replay-34`` benchmark workload's, from 24.4 to 20.4 ms of
-    CPU (medians of 10 alternating pairs of 30 s runs on a shared 2-vCPU
-    VM, every pair a win). The same runs build 34 dish specs where they
-    held 306 dish records; with each (tree, dish) pair also scored once
-    (see :mod:`foonforge.metrics`), the command fell from 20.3 to
-    17.7 ms (-13.0%, 10 alternating pairs, every pair a win).
+    map.
 
     Each record is first read by :func:`_read_record`, which builds no
     pointer and makes no call per field; only a record it cannot build
     goes to :func:`_load_record`, the checked read, which words the
-    fault. With scoring's cheaper set tests (see
-    :mod:`foonforge.metrics`), this took ``evaluate`` over a
-    ``manifest-2k`` report (2,000 records) from 72.3 to 66.6 ms of CPU
-    (-7.8%, 10 alternating benchmark pairs, every pair a win).
+    fault.
+
+    Cost: one ``json.loads`` of the file, one direct read per record,
+    one parse and validation per distinct answer text, and one build
+    per distinct dish. Scoring what it loads then walks each distinct
+    tree once and makes four set tests per distinct (tree, dish) pair
+    (see :mod:`foonforge.metrics`), so a text that many dishes repeat is
+    parsed once and walked once. ``evaluate_s.p50`` shows the whole
+    command, and ``metrics.score.busy_s`` its scoring.
 
     The checked read takes each field in turn, and the dish's fields
     through the manifest's dish reader. A file that is not JSON, or

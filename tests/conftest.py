@@ -55,3 +55,18 @@ def shipped_runs(tmp_path_factory, runs_metadata) -> list:
             )
             reports.append(out / REPORT_FILENAME)
     return reports
+
+
+@pytest.fixture(scope="session")
+def shared_texts_report(tmp_path_factory, shipped_runs) -> object:
+    """The shipped example-based run1 report with its 27 successful
+    records' answers cut to three: the i-th success holds the text of
+    the (i mod 3)-th, so each text meets nine different dishes."""
+    payload = json.loads(shipped_runs[3].read_text(encoding="utf-8"))
+    ok = [record for record in payload["records"] if record["outcome"] == "JSON_OK"]
+    assert payload["strategy"] == "example-based" and len(ok) == 27
+    for i, record in enumerate(ok):
+        record["raw_text"] = ok[i % 3]["raw_text"]
+    path = tmp_path_factory.mktemp("shared") / REPORT_FILENAME
+    path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    return path

@@ -2,8 +2,8 @@
 
 A tree is validated when it is parsed and never again, and an answer
 text that several records of an ``evaluate`` hold is parsed once in
-that command, as a dish that several records hold is built once and a
-(tree, dish) pair scored once; a prompt's template is read once and its example block
+that command, as a dish that several records hold is built once, a
+(tree, dish) pair scored once and a tree's score facts gathered once; a prompt's template is read once and its example block
 serialized once per loaded example set, so once per command, and a
 ``generate`` compiles its template and hashes the prompts' shared prefix
 once, not once per dish; an output
@@ -20,11 +20,13 @@ error builds the full one, counted by wrapping
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
 import sys
 import types
+import weakref
 from collections import Counter
 
 import pytest
@@ -240,6 +242,60 @@ def test_each_evaluate_command_builds_its_own_dishes(shipped_runs, monkeypatch, 
         assert len(built) == 34
         # one report after another, only the successes score
         assert len(scored) == 138
+    assert outputs[0] == outputs[1]
+
+
+# evaluate --compare over the shared-texts report and the run1 report it
+# was made from, as the parent of the per-tree scoring split printed it
+_COMPARE_SHARED = (
+    "Metric         Value                    Notes\n"
+    "example-based  Medium/Low/Inconsistent  accuracy 0.653, completeness 0.491, 2 run(s)\n"
+)
+
+
+def test_evaluate_compare_gathers_each_trees_facts_once(
+    shipped_runs, shared_texts_report, monkeypatch, capsys
+):
+    reports = [shared_texts_report, shipped_runs[3]]
+    texts = _json_ok_texts(reports)
+    # three texts meet 27 dishes in the shared report; run1 holds 27 texts
+    assert (len(texts), len(set(texts))) == (54, 27)
+    facts = _count_calls(monkeypatch, metrics, "_tree_facts")
+    scored = _count_calls(monkeypatch, metrics, "score_record")
+    assert main(["evaluate", "--compare", *map(str, reports)]) == 0
+    assert capsys.readouterr().out == _COMPARE_SHARED
+    trees = [args[0] for args in facts]
+    assert len(trees) == len({id(tree) for tree in trees}) == len(set(texts))
+    records = [args[0] for args in scored]
+    pairs = {(id(r.tree), id(r.dish)) for r in records}
+    assert len(records) == len(pairs)
+    # a tree meets the dishes of every record that holds its text
+    assert sum(r.tree is not None for r in records) == 27 + 24
+    assert {id(r.tree) for r in records if r.tree is not None} == {id(tree) for tree in trees}
+
+
+def test_each_evaluate_command_gathers_its_own_facts(
+    shipped_runs, shared_texts_report, monkeypatch, capsys
+):
+    # weak references to the trees whose facts were gathered, so the
+    # count holds none of them alive
+    gathered: list = []
+    tree_facts = metrics._tree_facts
+
+    def counted(tree, *args):
+        gathered.append(weakref.ref(tree))
+        return tree_facts(tree, *args)
+
+    monkeypatch.setattr(metrics, "_tree_facts", counted)
+    outputs = []
+    for _ in range(2):
+        gathered.clear()
+        assert main(["evaluate", str(shared_texts_report), str(shipped_runs[3])]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert len(gathered) == 27
+        # no fact, and no tree, is carried from one command to the next
+        gc.collect()
+        assert [ref for ref in gathered if ref() is not None] == []
     assert outputs[0] == outputs[1]
 
 

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from foonforge import metrics
 from foonforge.errors import FoonForgeError
-from foonforge.foon.model import FoonGraph, ObjectNode, TaskTree, make_unit
+from foonforge.foon.model import (
+    FoonGraph,
+    FunctionalUnit,
+    MotionNode,
+    ObjectNode,
+    TaskTree,
+    make_unit,
+)
 from foonforge.metrics import (
     MetricScores,
     band,
@@ -22,6 +29,7 @@ from foonforge.metrics import (
     score_record,
     summarize_run,
 )
+from foonforge.foon.validation import validate_task_tree
 from foonforge.pipeline import FallbackReason, OutputRecord, RunReport, load_run_report
 from foonforge.prompts import DishSpec, Strategy
 
@@ -323,6 +331,46 @@ def test_intersection_counts_match_the_original_sums():
     assert kinds_hit["ingredients"] == kinds_hit["tools"] == every_kind
     assert hallucination == {True, False}
     assert len(completeness) >= 10
+
+
+def test_shared_facts_give_each_record_its_own_scores(shipped_runs, shared_texts_report):
+    # as evaluate --compare loads and scores: one map of trees and dishes,
+    # one of pair scores and tree facts, across every report
+    shared: dict = {}
+    reports = [load_run_report(p, shared=shared) for p in (*shipped_runs, shared_texts_report)]
+    records = [record for report in reports for record in report.records]
+    scored: dict = {}
+    got = metrics._scores(records, scored)
+    trees = {id(r.tree) for r in records if r.tree is not None}
+    assert len(records) == 340 and len(trees) == 138
+    # one entry per distinct pair and one per distinct tree
+    assert len(scored) == len({(id(r.tree), id(r.dish)) for r in records}) + len(trees)
+    for record, scores in zip(records, got):
+        assert scores == score_record(record)
+        if record.tree is not None:
+            assert scores.accuracy == score_accuracy(record.tree, record.dish)
+            assert scores.completeness == score_completeness(record.tree, record.dish)
+
+
+_EGG, _BOILED = ObjectNode("egg"), ObjectNode("egg", ["boiled"])
+
+
+@pytest.mark.parametrize(
+    "unit, accuracy",
+    [
+        # the motions rule fails, and so does validity
+        (FunctionalUnit((_EGG,), "boil", (_BOILED,)), 0.6),
+        # the plain tuple is skipped by every rule but validity
+        (FunctionalUnit((_EGG, ("x",)), MotionNode("boil"), (_BOILED,)), 0.8),
+    ],
+)
+def test_trees_that_break_the_bipartite_rule_score(unit, accuracy):
+    tree = TaskTree(FoonGraph((unit,)), _BOILED)
+    dish = DishSpec("x", "egg", ["egg"])
+    assert [v.rule for v in validate_task_tree(tree).violations] == ["bipartite"]
+    assert score_accuracy(tree, dish) == accuracy
+    assert score_completeness(tree, dish) == 1.0
+    assert score_record(_ok_record(dish, tree)) == MetricScores(accuracy, 1.0)
 
 
 def test_completeness_alone_does_not_validate(dish, monkeypatch):

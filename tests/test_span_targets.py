@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from foonforge.cli import main
 from foonforge.foon import tree_json
 from foonforge.foon.validation import validate_graph, validate_task_tree
 from foonforge.pipeline import _resolve_stems, read_manifest
@@ -75,6 +76,20 @@ def test_a_parse_validates_once_and_its_span_sees_it():
     assert names.count("validation.validate") == 1
     assert names.count("tree_json.parse") == 1
     assert spans.layer_metrics(tracer.spans)["calls"]["validation.validate"] == 1
+
+
+def test_a_traced_evaluate_records_one_score_span_per_pair(shipped_runs, capsys):
+    spans = _bench_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["evaluate", "--compare", *map(str, shipped_runs)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.missing == []
+    # the nine shipped runs hold 172 distinct (tree, dish) pairs, 138 of them successes
+    assert spans.layer_metrics(tracer.spans)["calls"]["metrics.score"] == 172
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 import os
 import re
 from dataclasses import dataclass
@@ -44,8 +43,6 @@ from .foon.tree_json import (
 )
 from .prompts import CompiledTemplate, DishSpec, ExampleSet, Strategy
 from .resources import write_text_atomic
-
-log = logging.getLogger(__name__)
 
 REPORT_FILENAME = "run_report.json"
 
@@ -85,11 +82,11 @@ class OutputRecord:
     Built in one pass, as :class:`~foonforge.prompts.DishSpec` is: the
     one check (a tree or a reason, never both nor neither), then each
     field set once, by its slot's own setter. Cost: each ``generate``
-    and ``evaluate`` builds one per dish, and a record took 0.95 us to
-    build as a frozen dataclass that set each field through
-    ``object.__setattr__`` and checked in ``__post_init__``, and takes
-    0.56 us so (best of 20 per process, medians of 6 alternating
-    processes, shared 2-vCPU VM).
+    and ``evaluate`` builds one per dish, which shows in
+    ``generate_s.p50`` and ``evaluate_s.p50`` of ``manifest-2k``; a
+    frozen dataclass that set each field through
+    ``object.__setattr__`` and checked in ``__post_init__`` cost more
+    per record.
     """
 
     dish: DishSpec
@@ -150,24 +147,17 @@ def read_manifest(path: str | Path) -> InputManifest:
     """Parse and normalize the input manifest.
 
     Schema problems carry a JSON-pointer-style location. Dish names must
-    be unique across the whole manifest after normalization.
+    be unique across the whole manifest after normalization. Each dish is
+    read by :func:`_dish`, the reader of a report's dishes too, so a dish
+    fault is worded alike in both files.
 
     Cost: one pass over the dishes, linear in their texts. A dish's JSON
-    pointer is built only when a fault is raised, and each list of texts
-    has its item types screened in C, walked only to name a fault; what
-    is left is building each :class:`DishSpec`. It shows in the
-    per-layer ``pipeline.read_manifest.busy_s``, and in
-    ``generate_s.p50`` of ``manifest-2k``, whose manifest holds 2,000
-    dishes.
+    pointer is built only when a fault is raised; what is left is
+    building each :class:`DishSpec`. It shows in the per-layer
+    ``pipeline.read_manifest.busy_s``, and in ``generate_s.p50`` of
+    ``manifest-2k``, whose manifest holds 2,000 dishes.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
-
-    if not isinstance(raw, dict):
-        raise ManifestError("manifest must be a JSON object")
+    raw = _read_object(Path(path), "manifest")
     categories_raw = raw.get("categories")
     if not isinstance(categories_raw, list) or not categories_raw:
         raise ManifestError("must be a non-empty array", "/categories")
@@ -187,7 +177,7 @@ def read_manifest(path: str | Path) -> InputManifest:
             raise ManifestError("must be an array", pointer + "/dishes")
         for di, dish_raw in enumerate(dishes_raw):
             try:
-                dish = DishSpec(*_dish_fields(dish_raw, name))
+                dish = _dish(dish_raw, name, None)
             except InvalidNodeError as exc:
                 if exc.pointer == "/category":
                     raise ManifestError(str(exc), f"{pointer}/name") from exc
@@ -202,38 +192,83 @@ def read_manifest(path: str | Path) -> InputManifest:
     return InputManifest(tuple(dishes))
 
 
-# a dish's raw (category, name, ingredients, tools), each of the right type
-_DishFields = tuple[str, str, tuple[str, ...], tuple[str, ...]]
+def _read_object(path: Path, what: str) -> dict:
+    """The JSON object the file at ``path`` holds: a file that is not
+    JSON, or whose ``what`` is not an object, raises
+    :class:`ManifestError`."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
+    if type(raw) is not dict:
+        raise ManifestError(f"{what} must be a JSON object")
+    return raw
 
 
-def _dish_fields(raw, category: str) -> _DishFields:
-    """The raw fields of a dish, type-checked; a fault raises
-    :class:`InvalidNodeError` at a pointer relative to the dish, as
-    :class:`DishSpec` does. The category, which a manifest gives per
-    category and a report per dish, is checked by the caller."""
-    if not isinstance(raw, dict):
+def _fault(holder: dict, name: str, words: str) -> str:
+    """``words``, the fault of field ``name`` of ``holder``, unless the
+    field is absent: then the fault is that it is missing."""
+    return words if name in holder else f"missing field {name!r}"
+
+
+def _dish(raw, category: str | None, shared: dict | None) -> DishSpec:
+    """The dish ``raw`` holds, in a manifest or a report.
+
+    A manifest gives the ``category`` of its dishes; a report's dish
+    holds its own, read when ``category`` is None. A report's
+    ``shared`` maps each (category, name, ingredients, tools) that built
+    to its :class:`DishSpec`, so dishes whose fields are the same
+    strings share one spec. Only a dish that built goes in, so a fault
+    is named at each dish's own pointer. A manifest shares nothing (its
+    dish names are unique) and gives None.
+
+    A fault raises :class:`InvalidNodeError` at a pointer relative to
+    the dish, as :class:`DishSpec` does, in this order: the dish, its
+    category, name, ingredients and each ingredient, tools (which may be
+    absent) and each tool, then :class:`DishSpec`'s own checks. An
+    absent field is a ``missing field``, and one of the wrong type
+    ``must be a string`` or ``must be an array``. A list item that is
+    not a string is caught by :class:`DishSpec`'s join (or the shared
+    key's hash), and the lists are walked only to name it.
+    """
+    if type(raw) is not dict:
         raise InvalidNodeError("dish must be an object")
+    if category is None:
+        category = raw.get("category")
+        if type(category) is not str:
+            words = _fault(raw, "category", "category must be a string")
+            raise InvalidNodeError(words, "/category")
     name = raw.get("name")
-    if not isinstance(name, str):
-        raise InvalidNodeError("missing dish name", "/name")
-    ingredients = _strings(raw.get("ingredients"), "missing ingredients list", "/ingredients")
-    tools = _strings(raw.get("tools", []), "tools must be an array of strings", "/tools")
-    return category, name, ingredients, tools
+    if type(name) is not str:
+        raise InvalidNodeError(_fault(raw, "name", "name must be a string"), "/name")
+    ingredients = raw.get("ingredients")
+    if type(ingredients) is not list:
+        raise InvalidNodeError(
+            _fault(raw, "ingredients", "ingredients must be an array"), "/ingredients"
+        )
+    tools = raw.get("tools", [])
+    if type(tools) is not list:
+        _refuse_non_string(ingredients, "/ingredients")  # read before the tools
+        raise InvalidNodeError("tools must be an array", "/tools")
+    fields = (category, name, tuple(ingredients), tuple(tools))
+    try:
+        if shared is None:
+            return DishSpec(*fields)
+        dish = shared.get(fields)
+        if dish is None:
+            dish = shared[fields] = DishSpec(*fields)
+    except TypeError:
+        # a text that is not a string: unhashable, or refused by the join
+        _refuse_non_string(ingredients, "/ingredients")
+        _refuse_non_string(tools, "/tools")
+        raise
+    return dish
 
 
-# whether an iterable of types holds str alone, tested in C:
-# ``_only_strings(map(type, values))``
-_only_strings = frozenset([str]).issuperset
-
-
-def _strings(value, message: str, pointer: str) -> tuple[str, ...]:
-    if not isinstance(value, list):
-        raise InvalidNodeError(message, pointer)
-    if not _only_strings(map(type, value)):
-        for i, item in enumerate(value):
-            if not isinstance(item, str):
-                raise InvalidNodeError("must be a string", f"{pointer}/{i}")
-    return tuple(value)
+def _refuse_non_string(values: list, pointer: str) -> None:
+    for i, value in enumerate(values):
+        if type(value) is not str:
+            raise InvalidNodeError("must be a string", f"{pointer}/{i}")
 
 
 def sanitize_filename(name: str) -> str:
@@ -331,12 +366,12 @@ def _write_text(path: str, content: str) -> None:
     straight to the descriptor, in a loop that resumes a short write;
     a new file gets mode ``0o666`` less the umask, as ``open`` gives.
 
-    Cost: rewriting the 2,000 emptied files of a ``manifest-2k``
-    generate (2.66 MB) measured 110 ms of CPU through
-    ``Path.write_text`` before and 53 ms this way after (medians of 21
-    interleaved rounds, one CPU of a shared 2-vCPU VM). Opening each
-    category directory once and writing with ``dir_fd=`` measured the
-    same 53 ms, so no directory handle is kept.
+    Cost: one ``os.open``, one ``os.write`` (more only after a short
+    write) and one ``os.close`` per file, with no pathlib parse or file
+    object; it shows in ``generate_s.p50`` of ``manifest-2k``, which
+    rewrites 2,000 files. Opening each category directory once and
+    writing with ``dir_fd=`` cost the same, so no directory handle is
+    kept.
     """
     data = content.encode("utf-8")
     try:
@@ -364,11 +399,9 @@ def _resolve_stems(manifest: InputManifest) -> list[str]:
     stem, and suffixes of two different stems never give one name, since
     a suffix holds no underscore. A stem that clashes with nothing stays
     as it is. Assignment depends only on the manifest, never on execution
-    order, so reruns land on identical paths. Each category's folder is
-    sanitized once. Cost: the stems of a ``manifest-2k`` manifest (2,000
-    dishes in 5 categories) took 3.20 ms when each dish sanitized its
-    category, and take 2.33 ms (best of 20 per process, medians of 6
-    alternating processes, shared 2-vCPU VM).
+    order, so reruns land on identical paths. Cost: one sanitize per
+    dish name and one per category, whose folder is sanitized once,
+    not once per dish, then one set test per suffix tried.
     """
     folders: dict[str, str] = {}
     own: list[str] = []
@@ -417,24 +450,17 @@ def run_generation(
     configuration, and IO problems abort the run. Dishes are then
     classified and written one by one, in manifest order.
 
-    Cost: compiling once, with prompts, responses and records each built
-    in one pass and each category's folder sanitized once, took
-    ``generate_s.p50`` on ``manifest-2k`` (2,000 example-based dishes)
-    from 280.1 to 261.6 ms (-6.6%) and on ``replay-34`` (the nine
-    shipped runs) from 5.50 to 5.21 ms (-5.1%), every one of 10
-    alternating benchmark pairs a win on each (shared 2-vCPU VM; see
-    ``BENCH_prompt_compile.json``).
+    Cost: one template compile per run, then one render, one answer,
+    one classification and one file write per dish, with prompts,
+    responses and records each built in one pass; ``generate_s.p50``
+    shows it (see ``BENCH_prompt_compile.json``).
 
     Memory: once the backend has answered, each prompt is let go. The
     report is rendered by :func:`report_to_json` as pieces and written
     piece by piece, so no string or bytes object of the whole report is
     made. Every answer is still held until the report is written, since
-    the records carry them. On a 2,000-dish example-based run (the
-    ``manifest-2k`` benchmark workload, seed 77, a 3.7 MiB report), the
-    traced Python heap of one ``generate`` peaked at 30.3 MiB when the
-    prompts (7.4 MiB) were held to the end and the report was joined,
-    copied and encoded before one write, and peaks at 15.6 MiB now,
-    while the report's pieces are rendered.
+    the records carry them; the heap peaks while the report's pieces
+    are rendered (see ``BENCH_report_pieces.json``).
     """
     out_dir = Path(out_dir)
 
@@ -458,12 +484,6 @@ def run_generation(
 
     report = RunReport(strategy, tuple(records), started, _utc_now())
     write_text_atomic(out_dir / REPORT_FILENAME, report_to_json(report))
-    log.info(
-        "run complete: total=%d json_ok=%d text_fallback=%d",
-        report.total,
-        report.json_ok,
-        report.text_fallback,
-    )
     return report
 
 
@@ -548,48 +568,40 @@ def load_run_report(path: str | Path, *, shared: dict | None = None) -> RunRepor
     What is not found is added. By default a call starts from an empty
     map.
 
-    Each record is first read by :func:`_read_record`, which builds no
-    pointer and makes no call per field; only a record it cannot build
-    goes to :func:`_load_record`, the checked read, which words the
-    fault.
+    Each record is read once, by :func:`_read_record`, which builds no
+    pointer for a sound record.
 
-    Cost: one ``json.loads`` of the file, one direct read per record,
-    one parse and validation per distinct answer text, and one build
-    per distinct dish. Scoring what it loads then walks each distinct
-    tree once and makes four set tests per distinct (tree, dish) pair
-    (see :mod:`foonforge.metrics`), so a text that many dishes repeat is
+    Cost: one ``json.loads`` of the file, one read per record, one parse
+    and validation per distinct answer text, and one build per distinct
+    dish. Scoring what it loads then walks each distinct tree once and
+    makes four set tests per distinct (tree, dish) pair (see
+    :mod:`foonforge.metrics`), so a text that many dishes repeat is
     parsed once and walked once. ``evaluate_s.p50`` shows the whole
     command, and ``metrics.score.busy_s`` its scoring.
 
-    The checked read takes each field in turn, and the dish's fields
-    through the manifest's dish reader. A file that is not JSON, or
-    lacks a field, or holds one of the wrong type raises
-    :class:`ManifestError`, as do counts that disagree with the records,
-    a stored ``outcome`` that disagrees with its ``fallback_reason``,
-    and a successful record whose ``raw_text`` is not a valid task tree.
-    Each of these names its field by a pointer, such as ``/records``,
-    ``/records/3/output_path`` or ``/records/3/dish/ingredients/1``;
-    ``outcome`` against
+    A file that is not JSON, or lacks a field, or holds one of the wrong
+    type raises :class:`ManifestError`, as do counts that disagree with
+    the records, a stored ``outcome`` that disagrees with its
+    ``fallback_reason``, and a successful record whose ``raw_text`` is
+    not a valid task tree. Each of these names its field by a pointer,
+    such as ``/records``, ``/records/3/output_path`` or
+    ``/records/3/dish/ingredients/1``; ``outcome`` against
     ``fallback_reason`` is named at ``/records/<i>/fallback_reason``,
     and a count that disagrees at its own pointer, such as ``/total``.
-    A count must be a JSON integer, not a float or a bool. Only a report
-    that is not an object is refused at ``/``. ``started`` and
-    ``finished`` may be absent. Unknown fields are ignored at report,
-    record and dish level alike, as the manifest reader and
+    The first fault is named, in this order: ``records``, each record,
+    ``strategy``, ``started`` and ``finished``, then each count. A count
+    must be a JSON integer, not a float or a bool. Only a report that is
+    not an object is refused at ``/``. ``started`` and ``finished`` may
+    be absent. Unknown fields are ignored at report, record and dish
+    level alike, as the manifest reader and
     :func:`~foonforge.client.decode_response` ignore theirs, so the
     per-record ``strategy`` that older versions wrote needs no special
     case.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ManifestError("run report must be a JSON object")
-    entries = _field(raw, "records", "")
-    if not isinstance(entries, list):
-        raise ManifestError("records must be an array", "/records")
+    raw = _read_object(Path(path), "run report")
+    entries = raw.get("records")
+    if type(entries) is not list:
+        raise ManifestError(_fault(raw, "records", "records must be an array"), "/records")
     # the payload lets go of the records, and each raw record is dropped
     # once it is built, so the report is not held twice
     del raw["records"]
@@ -597,23 +609,27 @@ def load_run_report(path: str | Path, *, shared: dict | None = None) -> RunRepor
         shared = {}
     built = []
     for i, entry in enumerate(entries):
-        built.append(_read_record(entry, shared) or _load_record(entry, i, shared))
+        built.append(_read_record(entry, i, shared))
         entries[i] = None
     records = tuple(built)
     try:
-        strategy = Strategy(_field(raw, "strategy", ""))
+        strategy = Strategy(raw.get("strategy"))
     except ValueError as exc:
-        raise ManifestError(str(exc), "/strategy") from exc
-    started, finished = (
-        _string_field(raw, name, "") if name in raw else "" for name in ("started", "finished")
-    )
+        raise ManifestError(_fault(raw, "strategy", str(exc)), "/strategy") from exc
+    started, finished = raw.get("started", ""), raw.get("finished", "")
+    for name, value in (("started", started), ("finished", finished)):
+        if type(value) is not str:
+            raise ManifestError(f"{name} must be a string", f"/{name}")
     report = RunReport(strategy, records, started, finished)
     for name, count in (
         ("total", report.total),
         ("json_ok", report.json_ok),
         ("text_fallback", report.text_fallback),
     ):
-        stored = _count_field(raw, name)
+        stored = raw.get(name)
+        # a bool is an int to Python, and 1.0 == 1, but neither is a count
+        if type(stored) is not int:
+            raise ManifestError(_fault(raw, name, f"{name} must be a whole number"), f"/{name}")
         if stored != count:
             raise ManifestError(
                 f"{name} {stored} is inconsistent with its records ({count})", f"/{name}"
@@ -625,82 +641,47 @@ _OUTCOMES = {outcome.value: outcome for outcome in Outcome}
 _REASONS = {None: None, **{reason.value: reason for reason in FallbackReason}}
 
 
-def _read_record(entry, shared: dict) -> OutputRecord | None:
-    """The record ``entry`` holds, or None when any check fails; the
-    caller then reads it with :func:`_load_record`, which words the fault.
+def _read_record(entry, index: int, shared: dict) -> OutputRecord:
+    """The record ``entry`` holds, the ``index``-th of its report.
 
-    Reads fields by direct indexing, checks the exact type of each field
-    that no later step refuses, and looks ``outcome`` and
-    ``fallback_reason`` up by value, so a sound record builds no pointer
-    and makes no call per field. It shares dishes and trees in
-    ``shared`` as :func:`_load_record` does, and adds only what built, so
-    a record that fails here leaves that map as the checked read would.
+    A fault raises :class:`ManifestError` at its pointer, which is built
+    only then. The first fault is named, in this order: the record, its
+    dish (see :func:`_dish`), ``outcome``, ``fallback_reason``, their
+    agreement, ``raw_text``, its parse, ``output_path``. A sound record
+    is read with exact type checks, and ``outcome`` and
+    ``fallback_reason`` are looked up by value. Dishes and trees are
+    shared through ``shared`` (see :func:`load_run_report`).
     """
+    if type(entry) is not dict:
+        raise ManifestError("record must be an object", f"/records/{index}")
+    if "dish" not in entry:
+        raise ManifestError("missing field 'dish'", f"/records/{index}/dish")
     try:
-        dish_raw = entry["dish"]
-        category = dish_raw["category"]
-        name = dish_raw["name"]
-        ingredients = dish_raw["ingredients"]
-        tools = dish_raw.get("tools", [])
-        if type(ingredients) is not list or type(tools) is not list:
-            return None
-        # the texts need no check of their own: a key that holds a
-        # non-string equals no stored key, and DishSpec's join refuses it
-        fields = (category, name, tuple(ingredients), tuple(tools))
-        dish = shared.get(fields)
-        if dish is None:
-            dish = shared[fields] = DishSpec(*fields)
-        outcome = _OUTCOMES[entry["outcome"]]
-        reason = _REASONS[entry.get("fallback_reason")]
-        raw_text = entry["raw_text"]
-        output_path = entry["output_path"]
-        if (
-            (outcome is Outcome.JSON_OK) != (reason is None)
-            or type(raw_text) is not str
-            or type(output_path) is not str
-        ):
-            return None
-        tree = None
-        if reason is None:
-            tree = shared.get(raw_text)
-            if tree is None:
-                tree = shared[raw_text] = _parse_answer(raw_text)
-    except (KeyError, TypeError, InvalidNodeError, TaskTreeError):
-        return None
-    return OutputRecord(dish, raw_text, output_path, tree, reason)
-
-
-def _load_record(entry, index: int, shared: dict) -> OutputRecord:
-    pointer = f"/records/{index}"
-    if not isinstance(entry, dict):
-        raise ManifestError("record must be an object", pointer)
-    dish_raw = _field(entry, "dish", pointer)
-    if not isinstance(dish_raw, dict):
-        raise ManifestError("dish must be an object", pointer + "/dish")
-    category = _string_field(dish_raw, "category", pointer + "/dish")
-    try:
-        fields = _dish_fields(dish_raw, category)
-        dish = shared.get(fields)
-        if dish is None:
-            # only a dish that built goes in, so a fault is named at each record's own pointer
-            dish = shared[fields] = DishSpec(*fields)
+        dish = _dish(entry["dish"], None, shared)
     except InvalidNodeError as exc:
-        raise ManifestError(str(exc), f"{pointer}/dish{exc.pointer}") from exc
+        raise ManifestError(str(exc), f"/records/{index}/dish{exc.pointer}") from exc
     try:
-        outcome = Outcome(_field(entry, "outcome", pointer))
-    except ValueError as exc:
-        raise ManifestError(str(exc), pointer + "/outcome") from exc
+        outcome = _OUTCOMES[entry["outcome"]]
+    except (KeyError, TypeError):
+        words = f"{entry.get('outcome')!r} is not a valid Outcome"
+        raise ManifestError(_fault(entry, "outcome", words), f"/records/{index}/outcome") from None
     reason_raw = entry.get("fallback_reason")
     try:
-        reason = None if reason_raw is None else FallbackReason(reason_raw)
-    except ValueError as exc:
-        raise ManifestError(str(exc), pointer + "/fallback_reason") from exc
+        reason = _REASONS[reason_raw]
+    except (KeyError, TypeError):
+        raise ManifestError(
+            f"{reason_raw!r} is not a valid FallbackReason", f"/records/{index}/fallback_reason"
+        ) from None
     if (outcome is Outcome.JSON_OK) != (reason is None):
         raise ManifestError(
             f"outcome {outcome.value} disagrees with fallback_reason {json.dumps(reason_raw)}",
-            pointer + "/fallback_reason",
+            f"/records/{index}/fallback_reason",
         )
-    raw_text = _string_field(entry, "raw_text", pointer)
+    raw_text = entry.get("raw_text")
+    if type(raw_text) is not str:
+        raise ManifestError(
+            _fault(entry, "raw_text", "raw_text must be a string"), f"/records/{index}/raw_text"
+        )
     tree = None
     if reason is None:
         tree = shared.get(raw_text)
@@ -709,29 +690,12 @@ def _load_record(entry, index: int, shared: dict) -> OutputRecord:
                 tree = shared[raw_text] = _parse_answer(raw_text)
             except TaskTreeError as exc:
                 raise ManifestError(
-                    f"JSON_OK record is not a task tree: {exc}", pointer + "/raw_text"
+                    f"JSON_OK record is not a task tree: {exc}", f"/records/{index}/raw_text"
                 ) from exc
-    output_path = _string_field(entry, "output_path", pointer)
+    output_path = entry.get("output_path")
+    if type(output_path) is not str:
+        raise ManifestError(
+            _fault(entry, "output_path", "output_path must be a string"),
+            f"/records/{index}/output_path",
+        )
     return OutputRecord(dish, raw_text, output_path, tree, reason)
-
-
-def _field(entry: dict, name: str, pointer: str):
-    try:
-        return entry[name]
-    except KeyError:
-        raise ManifestError(f"missing field {name!r}", f"{pointer}/{name}") from None
-
-
-def _string_field(entry: dict, name: str, pointer: str) -> str:
-    value = _field(entry, name, pointer)
-    if not isinstance(value, str):
-        raise ManifestError(f"{name} must be a string", f"{pointer}/{name}")
-    return value
-
-
-def _count_field(raw: dict, name: str) -> int:
-    value = _field(raw, name, "")
-    # a bool is an int to Python, and 1.0 == 1, but neither is a count
-    if type(value) is not int:
-        raise ManifestError(f"{name} must be a whole number", f"/{name}")
-    return value

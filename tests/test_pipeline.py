@@ -585,18 +585,25 @@ def _two_record_report(shipped_report) -> dict:
     return {**payload, "total": 2, "json_ok": 1, "text_fallback": 1, "records": records}
 
 
+def _edited(payload, edits):
+    """A copy of ``payload`` with each (key path, value) of ``edits`` set,
+    or deleted."""
+    payload = json.loads(json.dumps(payload))
+    for path, value in edits:
+        holder = _at(payload, path[:-1])
+        if value is _DELETED:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+    return payload
+
+
 def _sweep_cases(base: dict):
     """Each (field, value, payload) of the type sweep: ``base`` with the
     field at ``field`` set to ``value``, or deleted."""
     for field in _field_paths(base):
         for value in (*_SWEEP_VALUES, _DELETED):
-            payload = json.loads(json.dumps(base))
-            holder = _at(payload, field[:-1])
-            if value is _DELETED:
-                del holder[field[-1]]
-            else:
-                holder[field[-1]] = value
-            yield field, value, payload
+            yield field, value, _edited(base, [(field, value)])
 
 
 def test_report_type_sweep_names_the_field_or_loads(tmp_path, shipped_runs):
@@ -650,9 +657,13 @@ def test_a_repeated_dish_is_shared_but_never_hides_a_fault(tmp_path, shipped_run
     path = tmp_path / REPORT_FILENAME
     bad_tool = {**dish, "tools": [5, *dish["tools"][1:]]}
     surrogate = {**dish, "ingredients": [dish["ingredients"][0], "x\ud800"]}
+    repeated = {**dish, "ingredients": [*dish["ingredients"], dish["ingredients"][0]]}
+    unhashable_tool = {**dish, "tools": [[1]]}
     for last, pointer in (
         (bad_tool, "/records/3/dish/tools/0"),
         (surrogate, "/records/3/dish/ingredients/1"),
+        (repeated, f"/records/3/dish/ingredients/{len(dish['ingredients'])}"),
+        (unhashable_tool, "/records/3/dish/tools/0"),
     ):
         path.write_text(json.dumps(_repeated_dish_report(shipped_runs[0], last)), "utf-8")
         with pytest.raises(ManifestError) as caught:
@@ -675,48 +686,104 @@ def test_a_repeated_dish_is_shared_but_never_hides_a_fault(tmp_path, shipped_run
     assert load_run_report(path).records[0].dish is not records[0].dish
 
 
-def _read(path):
-    """What loading ``path`` gives: its report, or its fault's pointer and words."""
-    try:
-        return load_run_report(path)
-    except ManifestError as exc:
-        return exc.pointer, str(exc)
+@pytest.mark.parametrize(
+    "field, value, words",
+    [
+        ("name", _DELETED, "missing field 'name'"),
+        ("name", 5, "name must be a string"),
+        ("name", None, "name must be a string"),
+        ("ingredients", _DELETED, "missing field 'ingredients'"),
+        ("ingredients", "salt", "ingredients must be an array"),
+        ("ingredients", None, "ingredients must be an array"),
+        ("tools", "salt", "tools must be an array"),
+        ("tools", None, "tools must be an array"),
+    ],
+)
+def test_a_dish_field_is_named_missing_or_of_the_wrong_type(
+    tmp_path, shipped_runs, field, value, words
+):
+    dish = {"name": "x", "ingredients": ["y"], "tools": ["pot"]}
+    manifest = {"categories": [{"name": "a", "dishes": [dish]}]}
+    path = tmp_path / "m.json"
+    manifest = _edited(manifest, [(("categories", 0, "dishes", 0, field), value)])
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ManifestError) as caught:
+        read_manifest(path)
+    assert str(caught.value) == f"/categories/0/dishes/0/{field}: {words}"
 
-
-def test_the_direct_record_read_agrees_with_the_checked_one(tmp_path, shipped_runs, monkeypatch):
-    base = _two_record_report(shipped_runs[0])
-    dish = base["records"][0]["dish"]
-    cases = [content for content, _ in _MALFORMED_REPORTS]
-    cases += [json.dumps(payload).encode() for _, _, payload in _sweep_cases(base)]
-    cases += [
-        json.dumps(_repeated_dish_report(shipped_runs[0], last)).encode()
-        for last in (
-            {**dish, "tools": [5, *dish["tools"][1:]]},
-            {**dish, "ingredients": [dish["ingredients"][0], "x\ud800"]},
-            {**dish, "ingredients": [*dish["ingredients"], dish["ingredients"][0]]},
-            {**dish, "tools": [[1]]},
-        )
-    ]
-    shipped = [report.read_bytes() for report in shipped_runs]
-    read_record = pipeline._read_record
-    direct = []  # per record, whether the direct read built it
-
-    def counted(entry, shared):
-        record = read_record(entry, shared)
-        direct.append(record is not None)
-        return record
-
+    report = _edited(_two_record_report(shipped_runs[0]), [(("records", 1, "dish", field), value)])
     path = tmp_path / REPORT_FILENAME
-    for content in cases + shipped:
-        path.write_bytes(content)
-        direct.clear()
-        monkeypatch.setattr(pipeline, "_read_record", counted)
-        got = _read(path)
-        monkeypatch.setattr(pipeline, "_read_record", lambda entry, shared: None)
-        assert got == _read(path), content[:200]
-        if content in shipped:
-            # every shipped record is read directly, without the checked path
-            assert direct and all(direct)
+    path.write_text(json.dumps(report), encoding="utf-8")
+    with pytest.raises(ManifestError) as caught:
+        load_run_report(path)
+    assert str(caught.value) == f"/records/1/dish/{field}: {words}"
+
+
+# faults of a JSON_OK record, in the order a record is read: its dish
+# (category, name, ingredients and each ingredient, tools and each tool,
+# then the dish's own checks), outcome, fallback_reason, their agreement,
+# raw_text, its parse, output_path; each (key path, value, pointer)
+_RECORD_FAULTS = [
+    (("records", 0, "dish", "category"), 5, "/records/0/dish/category"),
+    (("records", 0, "dish", "name"), 5, "/records/0/dish/name"),
+    (("records", 0, "dish", "ingredients"), "salt", "/records/0/dish/ingredients"),
+    (("records", 0, "dish", "ingredients", 0), 5, "/records/0/dish/ingredients/0"),
+    (("records", 0, "dish", "tools"), "pot", "/records/0/dish/tools"),
+    (("records", 0, "dish", "tools", 0), 5, "/records/0/dish/tools/0"),
+    (("records", 0, "dish", "ingredients", 1), "x\ud800", "/records/0/dish/ingredients/1"),
+    (("records", 0, "outcome"), "X", "/records/0/outcome"),
+    (("records", 0, "fallback_reason"), "bogus", "/records/0/fallback_reason"),
+    (("records", 0, "fallback_reason"), "schema", "/records/0/fallback_reason"),
+    (("records", 0, "raw_text"), 5, "/records/0/raw_text"),
+    (("records", 0, "raw_text"), "not a tree", "/records/0/raw_text"),
+    (("records", 0, "output_path"), 5, "/records/0/output_path"),
+]
+# faults of a report, in the order it is read: records, each record,
+# strategy, started and finished, then the counts
+_REPORT_FAULTS = [
+    (("records",), 5, "/records"),
+    (("records", 0, "output_path"), 5, "/records/0/output_path"),
+    (("records", 1, "dish"), [], "/records/1/dish"),
+    (("strategy",), "fusion", "/strategy"),
+    (("started",), 5, "/started"),
+    (("finished",), None, "/finished"),
+    (("total",), 3, "/total"),
+    (("json_ok",), True, "/json_ok"),
+    (("text_fallback",), _DELETED, "/text_fallback"),
+]
+
+
+def _fault_pairs(faults):
+    """Each (first, second) of ``faults`` in their order, on two fields
+    neither of which holds the other."""
+    for i, first in enumerate(faults):
+        for second in faults[i + 1:]:
+            a, b = first[0], second[0]
+            if a[:len(b)] != b and b[:len(a)] != a:
+                yield first, second
+
+
+def test_the_first_fault_in_reading_order_is_named(tmp_path, shipped_runs):
+    base = _two_record_report(shipped_runs[0])
+    pairs = [*_fault_pairs(_RECORD_FAULTS), *_fault_pairs(_REPORT_FAULTS)]
+    # the outcome, not the later output_path; the dish, not the later raw_text
+    assert (
+        ((("records", 0, "outcome"), "X", "/records/0/outcome"),
+         (("records", 0, "output_path"), 5, "/records/0/output_path")) in pairs
+    )
+    assert (
+        ((("records", 0, "dish", "name"), 5, "/records/0/dish/name"),
+         (("records", 0, "raw_text"), 5, "/records/0/raw_text")) in pairs
+    )
+    path = tmp_path / REPORT_FILENAME
+    named = []
+    for first, second in pairs:
+        payload = _edited(base, [first[:2], second[:2]])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ManifestError) as caught:
+            load_run_report(path)
+        named.append((first[2], second[2], caught.value.pointer))
+    assert [(a, b, got) for a, b, got in named if got != a] == []
 
 
 @pytest.mark.parametrize("level", ["report", "record", "dish"])

@@ -11,34 +11,26 @@ with no parser built (see ``_read_plain``). Anything else, such as help,
 ``--``, ``--x=y``, an abbreviation, a repeat, or an unknown, missing or
 bad argument, goes to the full argparse parser built from the same
 table, so every usage line, message, exit code and ``--help`` text is
-argparse's own. Building and running the full parser cost about 1.3 ms
-of CPU per call (6 parsers and 31 arguments, each making a help
-formatter that reads the terminal size), and one command's parser about
-0.2 ms, more than the work of a small ``validate``, ``convert`` or
-``retrieve``; reading a plain line from the table costs about 10 us.
-On the ``replay-34`` benchmark workload, the median ``validate`` call
-fell from 0.37 to 0.15 ms of CPU time when the one-command parser gave
-way to the table, ``convert`` from 0.55 to 0.31 ms and ``retrieve``
-from 0.50 to 0.27 ms (medians of 10 alternating pairs of 30 s runs on a
-shared 2-vCPU VM, every pair a win). No parser is cached across calls:
-a fresh process builds one either way, so a cache would only move the
-cost out of the benchmark's timed calls, while every ``foonforge`` run
-still pays it.
+argparse's own. Building even one command's parser (its arguments, and
+a help formatter for each that reads the terminal size) costs more than
+the work of a small ``validate``, ``convert`` or ``retrieve``, while
+reading a plain line from the table costs a small fraction of it; it
+shows in ``validate_s``, ``convert_s`` and ``retrieve_s`` of
+``replay-34``. No parser is cached across calls: a fresh process
+builds one either way, so a cache would only move the cost out of the
+benchmark's timed calls, while every ``foonforge`` run still pays it.
 
 Cost: the handler runs with Python's cyclic garbage collector paused,
 and ``main`` restores the caller's setting on every exit (a caller
 that had it off keeps it off). A command builds thousands of small
 objects (nodes, units, key sets, records), and the collector walked
-them again and again while they lived: on the ``big-graphs`` benchmark
-workload, 259 collections took 12% of the CPU time of a ``generate``
-and 225 took 15% of an ``evaluate``; 3% and 8% on ``manifest-2k``. With
-the pause, ``big-graphs`` ``evaluate`` fell from 137.6 to 117.7 ms of
-CPU and ``generate`` from 196 to 175 ms (medians of 10 alternating
-pairs of 30 s runs on a shared 2-vCPU VM, every pair a win). Pausing is safe
-because that data holds no reference cycle, so reference counting
-frees all of it: nodes, units, trees and records are frozen values
-that refer only to values built before them, and no error keeps the
-frame that raised it (see ``tree_json._parse_node``).
+them again and again while they lived, most of all on the large trees
+of ``big-graphs``, where it shows in ``generate_s`` and
+``evaluate_s``. Pausing is safe because that data holds no reference
+cycle, so reference counting frees all of it: nodes, units, trees and
+records are frozen values that refer only to values built before them,
+and no error keeps the frame that raised it (see
+``tree_json._parse_node``).
 ``tests/test_cycle_free.py`` runs every parse outcome, validation,
 retrieval and the nine shipped runs with the collector off and finds
 nothing for it to free. A plain command line builds no parser, so no
@@ -74,7 +66,7 @@ from .metrics import (
 )
 from .pipeline import load_run_report, read_manifest, run_generation
 from .prompts import Strategy, load_examples
-from .resources import data_path
+from .resources import data_path, read_text, write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -289,8 +281,7 @@ def cmd_generate(args) -> int:
 def _read_source(path: str | Path) -> str:
     """The text of an input file; one that is not UTF-8 is refused by name."""
     try:
-        with open(path, encoding="utf-8") as file:
-            return file.read()
+        return read_text(path)
     except UnicodeDecodeError as exc:
         raise FoonForgeError(f"{path} is not UTF-8 text: {exc}") from exc
 
@@ -314,11 +305,9 @@ def _resolve_goal(graph: FoonGraph, name: str) -> ObjectNode:
     order, inputs before outputs.
 
     :meth:`FoonGraph.nodes_named` finds the variants by a scan that
-    builds no node index. On the 1,120-unit retrieval graph of a
-    ``big-graphs`` benchmark workload (seed 4242), a call took 0.37 ms
-    of CPU, where one that built :attr:`FoonGraph.node_index` and read
-    its nodes took 0.73 ms (best of seven timeit runs of 100, on a
-    shared 2-vCPU VM).
+    builds no node index, which costs less than building
+    :attr:`FoonGraph.node_index` to read its nodes; it shows in
+    ``retrieve_s`` of ``big-graphs``.
     """
     wanted = name.strip().lower()
     candidates = graph.nodes_named(wanted)
@@ -383,7 +372,7 @@ def cmd_evaluate(args) -> int:
             rows = summarize_run(report, scored=scored)
             print(format_text_table(rows))
     if args.csv:
-        Path(args.csv).write_text(format_csv_table(rows), encoding="utf-8")
+        write_text(args.csv, format_csv_table(rows))
     return EXIT_OK
 
 
@@ -404,10 +393,10 @@ def cmd_convert(args) -> int:
             print("cannot convert: graph is not a valid task tree", file=sys.stderr)
             _print_violations(report, sys.stderr)
             return EXIT_IO
-        Path(args.dest).write_text(serialize_task_tree_json(tree) + "\n", encoding="utf-8")
+        write_text(args.dest, serialize_task_tree_json(tree) + "\n")
     else:
         tree = parse_task_tree_json(source)
-        Path(args.dest).write_text(serialize_foon_text(tree.graph), encoding="utf-8")
+        write_text(args.dest, serialize_foon_text(tree.graph))
     print(f"wrote {args.dest}")
     return EXIT_OK
 
@@ -422,7 +411,7 @@ def cmd_retrieve(args) -> int:
         return EXIT_OK
     rendered = serialize_task_tree_json(result) + "\n"
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        write_text(args.out, rendered)
         print(f"wrote {args.out}")
     else:
         print(rendered, end="")

@@ -56,6 +56,7 @@ from .errors import (
     TransportError,
 )
 from .prompts import PromptBundle
+from .resources import read_text
 
 API_KEY_ENV = "FOONFORGE_API_KEY"
 API_URL_ENV = "FOONFORGE_API_URL"
@@ -91,11 +92,10 @@ class ModelResponse:
     not ASCII must encode to UTF-8, since outputs are UTF-8 files: a lone
     surrogate raises ``UnicodeEncodeError`` here. Built in one pass, as
     :class:`~foonforge.prompts.DishSpec` is: the checks, then each field
-    set once, by its slot's own setter. Cost: with
-    :func:`decode_response`'s value-to-member lookup, decoding 2,000
-    fixture entries, as a replay client built for a ``manifest-2k`` run
-    does, fell from 2.60 to 1.20 ms (best of 20 per process, medians of
-    6 alternating processes, shared 2-vCPU VM).
+    set once, by its slot's own setter. Cost: one build per fixture
+    entry, through :func:`decode_response`'s value-to-member lookup; it
+    shows in ``generate_s.p50`` of ``manifest-2k``, whose replay client
+    decodes 2,000 entries.
     """
 
     text: str
@@ -213,7 +213,7 @@ def load_fixture(path: str | Path) -> dict[str, dict]:
     Entries are checked where they are decoded, by :class:`ReplayClient`.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except (ValueError, RecursionError) as exc:
         raise ClientError(f"fixture {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

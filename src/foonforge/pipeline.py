@@ -42,13 +42,12 @@ from .foon.tree_json import (
     string_array,
 )
 from .prompts import CompiledTemplate, DishSpec, ExampleSet, Strategy
-from .resources import write_text_atomic
+from .resources import read_text, write_text, write_text_atomic
 
 REPORT_FILENAME = "run_report.json"
 
 _FENCE = re.compile(r"\A```[^\n]*\n(.*)\n```\s*\Z", re.DOTALL)
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
-_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
 class Outcome(str, Enum):
@@ -149,7 +148,10 @@ def read_manifest(path: str | Path) -> InputManifest:
     Schema problems carry a JSON-pointer-style location. Dish names must
     be unique across the whole manifest after normalization. Each dish is
     read by :func:`_dish`, the reader of a report's dishes too, so a dish
-    fault is worded alike in both files.
+    fault is worded alike in both files, and a category's fault is worded
+    as a dish's: an absent field is a ``missing field``, one of the wrong
+    type ``must be a string`` or ``must be an array``, and a blank name
+    ``must not be empty``.
 
     Cost: one pass over the dishes, linear in their texts. A dish's JSON
     pointer is built only when a fault is raised; what is left is
@@ -159,8 +161,9 @@ def read_manifest(path: str | Path) -> InputManifest:
     """
     raw = _read_object(Path(path), "manifest")
     categories_raw = raw.get("categories")
-    if not isinstance(categories_raw, list) or not categories_raw:
-        raise ManifestError("must be a non-empty array", "/categories")
+    if type(categories_raw) is not list or not categories_raw:
+        words = _fault(raw, "categories", "categories must be a non-empty array")
+        raise ManifestError(words, "/categories")
 
     dishes: list[DishSpec] = []
     # dish name -> (category index, dish index) of its first dish
@@ -170,11 +173,15 @@ def read_manifest(path: str | Path) -> InputManifest:
         if not isinstance(cat_raw, dict):
             raise ManifestError("category must be an object", pointer)
         name = cat_raw.get("name")
-        if not isinstance(name, str) or not name.strip():
-            raise ManifestError("missing category name", pointer + "/name")
+        if type(name) is not str:
+            words = _fault(cat_raw, "name", "name must be a string")
+            raise ManifestError(words, pointer + "/name")
+        if not name.strip():
+            raise ManifestError("category name must not be empty", pointer + "/name")
         dishes_raw = cat_raw.get("dishes")
-        if not isinstance(dishes_raw, list):
-            raise ManifestError("must be an array", pointer + "/dishes")
+        if type(dishes_raw) is not list:
+            words = _fault(cat_raw, "dishes", "dishes must be an array")
+            raise ManifestError(words, pointer + "/dishes")
         for di, dish_raw in enumerate(dishes_raw):
             try:
                 dish = _dish(dish_raw, name, None)
@@ -197,7 +204,7 @@ def _read_object(path: Path, what: str) -> dict:
     JSON, or whose ``what`` is not an object, raises
     :class:`ManifestError`."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except (ValueError, RecursionError) as exc:
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     if type(raw) is not dict:
@@ -357,35 +364,20 @@ def handle_response(
 
 
 def _write_text(path: str, content: str) -> None:
-    """Write a dish's output file as UTF-8, creating its directory on
-    first use.
+    """Write a dish's output file with :func:`~foonforge.resources.write_text`,
+    creating its directory on first use.
 
     Trying the write first costs no ``mkdir`` per file. These files are
     written in place: a temp file and a rename per dish would cost more
-    than the write itself. The text is encoded once and its bytes go
-    straight to the descriptor, in a loop that resumes a short write;
-    a new file gets mode ``0o666`` less the umask, as ``open`` gives.
-
-    Cost: one ``os.open``, one ``os.write`` (more only after a short
-    write) and one ``os.close`` per file, with no pathlib parse or file
-    object; it shows in ``generate_s.p50`` of ``manifest-2k``, which
-    rewrites 2,000 files. Opening each category directory once and
+    than the write itself. Opening each category directory once and
     writing with ``dir_fd=`` cost the same, so no directory handle is
     kept.
     """
-    data = content.encode("utf-8")
     try:
-        fd = os.open(path, _WRITE_FLAGS, 0o666)
+        write_text(path, content)
     except FileNotFoundError:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd = os.open(path, _WRITE_FLAGS, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            written = os.write(fd, view)
-            view = view[written:]
-    finally:
-        os.close(fd)
+        write_text(path, content)
 
 
 def _resolve_stems(manifest: InputManifest) -> list[str]:

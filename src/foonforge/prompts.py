@@ -33,7 +33,7 @@ from pathlib import Path
 from .errors import InvalidNodeError, PromptError, TaskTreeError
 from .foon.model import TaskTree, require_unicode
 from .foon.tree_json import parse_task_tree_json, serialize_task_tree_json
-from .resources import read_data_text
+from .resources import read_data_text, read_text
 
 log = logging.getLogger(__name__)
 
@@ -88,11 +88,11 @@ class DishSpec:
     ``__setattr__`` does not guard. Only a dish that fails a check goes
     field by field, to word the error. Slots keep field reads fast: a
     frozen dataclass that stored its fields through its ``__dict__``
-    built as fast but read each field about four times slower (timeit).
-    Cost: a ``manifest-2k`` ``generate``, whose manifest holds 2,000
-    dishes, read ``generate_s.p50`` 2.3% lower than when each field was
-    set twice, through ``__post_init__`` (8 of 10 alternating benchmark
-    pairs on a shared 2-vCPU VM).
+    built as fast but read each field several times slower. Cost: one
+    build per dish of a manifest, and per distinct dish of a report,
+    each field set once; setting each twice, through ``__post_init__``,
+    read higher in ``generate_s.p50`` of ``manifest-2k``, whose manifest
+    holds 2,000 dishes.
     """
 
     category: str
@@ -224,7 +224,7 @@ def load_examples(directory: str | Path) -> ExampleSet:
     trees: list[TaskTree] = []
     for file in sorted(path.glob("*.json")):
         try:
-            trees.append(parse_task_tree_json(file.read_text(encoding="utf-8")))
+            trees.append(parse_task_tree_json(read_text(file)))
         except (TaskTreeError, UnicodeDecodeError) as exc:
             log.warning("skipping invalid example %s: %s", file.name, exc)
     return ExampleSet(tuple(trees))
@@ -258,17 +258,16 @@ class CompiledTemplate:
     text and hash are those of :func:`context_hash` over the whole text.
 
     Cost: the prefix is the share of each prompt that a run renders and
-    hashes once. On the shipped 34-dish manifest it is 3,060 of an
-    example-based prompt's 3,724-3,761 characters (81-82%), 34-35% of a
-    user-guided one and 30-31% of a contextual one. Rendering the 2,000
-    example-based prompts of a ``manifest-2k`` run (seed 77) took
-    21.9 ms when each dish checked the template, substituted it by a
-    regex with a callback per placeholder and hashed the whole text, and
-    takes 8.1 ms compiled once (best of 20 per process, medians of 6
-    alternating processes, shared 2-vCPU VM). A one-off render, which
-    compiles for its one dish, costs a little more than the per-dish
-    substitution did: 11.4 against 10.9 us, since it splits, copies and
-    hashes in two parts what that hashed whole.
+    hashes once: on the shipped 34-dish manifest, most of an
+    example-based prompt and about a third of a user-guided or
+    contextual one. Each dish then costs one fill of the slots, one join
+    and one hash of its own part, where checking the template,
+    substituting it by a regex and hashing the whole text for each dish
+    cost more; it shows in ``generate_s.p50`` of ``manifest-2k``, which
+    renders 2,000 example-based prompts. A one-off render, which
+    compiles for its one dish, costs a little more than such a per-dish
+    substitution, since it splits, copies and hashes in two parts what
+    that hashes whole.
     """
 
     __slots__ = ("strategy", "_prefix", "_prefix_hash", "_tail", "_slots")

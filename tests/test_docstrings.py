@@ -16,7 +16,7 @@ import re
 
 import pytest
 
-from foonforge import metrics, pipeline
+from foonforge import cli, client, metrics, pipeline, prompts, resources
 from foonforge.foon import model, text_format, tree_json
 
 _TIMING = re.compile(r"\d(?:[\d.,]*\d)?\s*(?:(?:ms|us|µs)\b|%)")
@@ -35,7 +35,9 @@ def _docstrings(module) -> list[tuple[str, str]]:
 
 
 @pytest.mark.parametrize(
-    "module", [tree_json, model, text_format, metrics, pipeline], ids=lambda m: m.__name__
+    "module",
+    [tree_json, model, text_format, metrics, pipeline, cli, client, prompts, resources],
+    ids=lambda m: m.__name__,
 )
 def test_docstrings_quote_no_timing(module):
     quoted = [

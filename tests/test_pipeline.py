@@ -90,7 +90,7 @@ def test_duplicate_dish_rejected(tmp_path):
                                                   "tools": ["pot", None]}]}]},
          "/categories/0/dishes/0/tools/1: "),
         ({"categories": ["soups"]}, "/categories/0: category must be an object"),
-        ({"categories": [{"name": "a", "dishes": {}}]}, "/categories/0/dishes: must be an array"),
+        ({"categories": [{"name": "a", "dishes": {}}]}, "/categories/0/dishes: dishes must be an array"),
         ({"categories": [{"name": "a", "dishes": ["broth"]}]},
          "/categories/0/dishes/0: dish must be an object"),
     ],
@@ -717,6 +717,48 @@ def test_a_dish_field_is_named_missing_or_of_the_wrong_type(
     with pytest.raises(ManifestError) as caught:
         load_run_report(path)
     assert str(caught.value) == f"/records/1/dish/{field}: {words}"
+
+
+@pytest.mark.parametrize(
+    "path, value, fault",
+    [
+        (("categories",), _DELETED, "/categories: missing field 'categories'"),
+        (("categories",), 5, "/categories: categories must be a non-empty array"),
+        (("categories",), {}, "/categories: categories must be a non-empty array"),
+        (("categories",), [], "/categories: categories must be a non-empty array"),
+        (("categories", 0, "name"), _DELETED, "/categories/0/name: missing field 'name'"),
+        (("categories", 0, "name"), 5, "/categories/0/name: name must be a string"),
+        (("categories", 0, "name"), None, "/categories/0/name: name must be a string"),
+        (("categories", 0, "name"), "  ", "/categories/0/name: category name must not be empty"),
+        (("categories", 0, "name"), "", "/categories/0/name: category name must not be empty"),
+        (("categories", 0, "dishes"), _DELETED, "/categories/0/dishes: missing field 'dishes'"),
+        (("categories", 0, "dishes"), 5, "/categories/0/dishes: dishes must be an array"),
+        (("categories", 0, "dishes"), None, "/categories/0/dishes: dishes must be an array"),
+    ],
+)
+def test_a_category_fault_is_worded_as_a_dish_fault(tmp_path, capsys, path, value, fault):
+    dish = {"name": "x", "ingredients": ["y"]}
+    manifest = _edited({"categories": [{"name": "a", "dishes": [dish]}]}, [(path, value)])
+    manifest_path = tmp_path / "m.json"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ManifestError) as caught:
+        read_manifest(manifest_path)
+    assert str(caught.value) == fault
+
+    fixture = data_path("fixtures", "replay_contextual_run1.json")
+    argv = [
+        "generate",
+        "--manifest",
+        str(manifest_path),
+        "--strategy",
+        "contextual",
+        "--fixture",
+        str(fixture),
+        "--out",
+        str(tmp_path / "out"),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {fault}\n"
 
 
 # faults of a JSON_OK record, in the order a record is read: its dish

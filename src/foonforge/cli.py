@@ -356,8 +356,10 @@ def cmd_evaluate(args) -> int:
     if args.csv and len(args.reports) > 1 and not args.compare:
         print("error: --csv with several reports needs --compare", file=sys.stderr)
         return EXIT_CONFIG
-    shared: dict = {}  # trees and dishes, for the reports of this command only
-    reports = [load_run_report(p, shared=shared) for p in args.reports]
+    # trees and dishes, and the trees' nodes and verbs, for the reports of this command only
+    shared: dict = {}
+    nodes: dict = {}
+    reports = [load_run_report(p, shared=shared, nodes=nodes) for p in args.reports]
     if args.compare:
         grouped: dict[Strategy, list] = {}
         for report in reports:

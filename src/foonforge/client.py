@@ -214,6 +214,8 @@ def load_fixture(path: str | Path) -> dict[str, dict]:
     """
     try:
         raw = json.loads(read_text(path))
+    except UnicodeDecodeError as exc:  # a ValueError too: caught first
+        raise ClientError(f"fixture {path} is not UTF-8 text: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise ClientError(f"fixture {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -160,6 +160,10 @@ def scanned_node(name: str, states: tuple, ingredients: tuple) -> ObjectNode | N
     Those checks are that each token is a string and not empty, that no
     state repeats and that no ingredient holds a comma; the caller then
     builds the node with ``ObjectNode(...)``, which words the error.
+
+    A field that normalizing leaves equal to the raw one is the raw
+    string or tuple itself, so a parser's memo key, which holds the raw
+    fields, and the node share one copy of them.
     """
     try:
         token = name.strip().lower()
@@ -182,6 +186,12 @@ def scanned_node(name: str, states: tuple, ingredients: tuple) -> ObjectNode | N
         return None
     if not token or "" in found or "" in contents:
         return None
+    if token == name:
+        token = name
+    if found == states:
+        found = states
+    if contents == ingredients:
+        contents = ingredients
     return _new_tuple(ObjectNode, (token, found, contents, (token, found)))
 
 

@@ -40,15 +40,12 @@ neither builds :attr:`FoonGraph.node_index`. Only the goal's backward
 cone is then indexed, saturated and searched. Every producer of an
 object in the cone is in it, so the pantry, the saturation and the
 search read the same facts about each such object as they would over
-the whole graph, and unit indices stay those of the graph. On the
-1,120-unit retrieval graph of a ``big-graphs`` benchmark workload (seed
-4242), whose five queries have cones of 8-14 units, a call took 1.01 ms
-of CPU, where indexing the whole graph took 1.62 ms and the rest of the
-call 1.05 ms (medians over five passes of the queries, on a shared
-2-vCPU VM). On a goal that needs k parts, each made by either of two
-one-step units, the search took 0.98 s at k = 14 and 2.0 s at k = 15,
-doubling with each part; it now takes 2.2 ms at k = 15 and 9.6 ms at
-k = 40.
+the whole graph, and unit indices stay those of the graph, so a query
+whose cone is a small part of a large graph pays for the one pass and
+its cone. Retrieval shows in ``retrieval.retrieve.busy_s`` and
+``retrieve_s``, and the cones it searched in ``retrieval.cone_units``;
+the timings are in ``BENCH_cone_retrieve.json`` and
+``BENCH_node_memo.json``.
 """
 
 from __future__ import annotations

@@ -15,10 +15,19 @@ schema shape, and graph structure.
 
 Cost: after ``json.loads``, a tree is built in one pass, linear in its
 node mentions. A memo maps each raw node (its name, states and
-ingredients as written) and each raw verb to the built one; it lives
-for one parse and is dropped with it, so a node a tree mentions again
-(every intermediate product is an output and then an input) is one dict
-lookup. A source that is ASCII and holds no backslash, as serialized
+ingredients as written) and each raw verb to the built one, so a node
+mentioned again (every intermediate product is an output and then an
+input) is one dict lookup. A caller that parses many trees in one
+command passes one memo to every parse (``nodes=``): a ``generate``
+run's answers, and the reports an ``evaluate`` loads, keep naming the
+same water, salt and pot, and each is built and checked once per
+command. The memo is safe to share because the same raw tokens always
+build the same node, nodes and verbs are immutable, and only a node or
+verb that passed its checks enters it. A new node's name, states and
+ingredients reuse the raw string or tuple that normalizing leaves
+unchanged (see :func:`~.model.scanned_node`), so the memo's key and the
+node hold one copy of them. Without a memo a parse makes its own and
+drops it. A source that is ASCII and holds no backslash, as serialized
 trees and 203 of the 209 distinct shipped answer texts are, cannot hold
 a token with a tab, a line break or a lone surrogate (strict decoding
 refuses a raw control character in a string, and any other such
@@ -74,13 +83,20 @@ from .model import (
 )
 
 
-def parse_task_tree_json(source: str) -> TaskTree:
+def parse_task_tree_json(source: str, *, nodes: dict | None = None) -> TaskTree:
     """Parse and fully validate a task tree.
 
     The report stays cached on the tree for scoring and the CLI to reuse.
     A tree that breaks a structural rule raises
     :class:`TaskTreeStructureError` carrying that report's violations,
     which is how ``validate`` prints them.
+
+    ``nodes`` is the caller's memo of built nodes and verbs, which every
+    parse it is given to reads and adds to, so the trees of one command
+    share each node they mention (see the module docstring); by default
+    a parse starts from an empty one. Only a node or verb that passed
+    its checks goes in, so every result, and every error, is that of a
+    parse with an empty memo.
     """
     try:
         payload = json.loads(source)
@@ -104,22 +120,22 @@ def parse_task_tree_json(source: str) -> TaskTree:
     goal_raw = payload.get("goal")
     if goal_raw is None:
         raise TaskTreeSchemaError("missing required field 'goal'")
-    # raw node text -> built node, for this parse only
-    memo: dict = {}
+    if nodes is None:
+        nodes = {}
     # One token check for the whole source: strict decoding refuses a raw
     # control character in a string, so a source that is ASCII and holds
     # no backslash yields no token with a tab, a line break or a lone
     # surrogate, and its new nodes skip that scan.
     scanned = source.isascii() and "\\" not in source
     try:
-        goal = _parse_node(goal_raw, memo, scanned)
+        goal = _parse_node(goal_raw, nodes, scanned)
     except _Misfit as exc:
         raise TaskTreeSchemaError(exc.message, "/goal") from exc.__cause__
 
     units: list[FunctionalUnit] = []
     try:
         for unit_raw in units_raw:
-            units.append(_parse_unit(unit_raw, memo, scanned))
+            units.append(_parse_unit(unit_raw, nodes, scanned))
     except _Misfit as exc:
         raise TaskTreeSchemaError(
             exc.message, f"/functional_units/{len(units)}{exc.where}"
@@ -189,8 +205,8 @@ def _parse_node_list(raw: Any, memo: dict, scanned: bool, where: str) -> tuple[O
 
 
 def _parse_node(raw: Any, memo: dict, scanned: bool) -> ObjectNode:
-    """The built node for a raw one; a repeat of an earlier node in the
-    same parse is a dict lookup, since that one passed every check. A
+    """The built node for a raw one; a node already in ``memo`` is a
+    dict lookup, since it passed every check when it went in. A
     new node of a ``scanned`` source is built by ``scanned_node``, and
     by ``ObjectNode(...)`` only when a check fails, to word the error."""
     if not isinstance(raw, dict):
@@ -222,8 +238,8 @@ def _parse_node(raw: Any, memo: dict, scanned: bool) -> ObjectNode:
         except InvalidNodeError as exc:
             cause = exc
     # the traceback of ``cause`` holds this frame: drop it before the
-    # frame ends, or the two form a cycle that keeps the parse's memo
-    # and payload alive until a collection, which ``cli.main`` pauses
+    # frame ends, or the two form a cycle that keeps the memo and the
+    # payload alive until a collection, which ``cli.main`` pauses
     try:
         if not isinstance(states, list) or any(not isinstance(s, str) for s in states):
             raise _Misfit("'states' must be an array of strings")

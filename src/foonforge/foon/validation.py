@@ -21,12 +21,11 @@ selection with the same :func:`find_cycle`. The key sets the rules
 read are built once per unit, when the unit is built. A unit is a
 tuple, whose items cost more to read than the slots of the dataclass it
 replaced (see :mod:`~foonforge.foon.model`), so each unit is unpacked
-once in the first pass and indexed for its key sets in the others. In
-timeit runs on a shared 2-vCPU VM, 41 rounds interleaved with the
-dataclass units, a 2,000-unit chain validated in 1.10 of its time
-before when listed leaf first (3.2 ms) and in 1.01 of it listed goal
-first (7.9 ms), and the 17 valid trees of a ``big-graphs`` benchmark
-report in 1.12 of it; parsing, which builds the units, gains more.
+once in the first pass and indexed for its key sets in the others.
+Validation shows in ``validation.validate.busy_s`` and, on the large
+trees of ``big-graphs``, in ``validate_s``; the timings of the tuple
+units against the dataclass ones are in ``BENCH_tuple_nodes.json`` and
+``BENCH_node_memo.json``.
 """
 
 from __future__ import annotations

@@ -201,10 +201,12 @@ def read_manifest(path: str | Path) -> InputManifest:
 
 def _read_object(path: Path, what: str) -> dict:
     """The JSON object the file at ``path`` holds: a file that is not
-    JSON, or whose ``what`` is not an object, raises
+    UTF-8 text or not JSON, or whose ``what`` is not an object, raises
     :class:`ManifestError`."""
     try:
         raw = json.loads(read_text(path))
+    except UnicodeDecodeError as exc:  # a ValueError too: caught first
+        raise ManifestError(f"{path} is not UTF-8 text: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     if type(raw) is not dict:
@@ -302,11 +304,12 @@ def strip_code_fence(text: str) -> str:
     return match.group(1) if match else text
 
 
-def _parse_answer(text: str) -> TaskTree:
+def _parse_answer(text: str, nodes: dict | None) -> TaskTree:
     """The one parse of an answer: strip one enclosing code fence, then
-    parse and validate the task tree. ``generate`` classifies with it and
-    ``evaluate`` rebuilds trees with it, so the two cannot disagree."""
-    return parse_task_tree_json(strip_code_fence(text))
+    parse and validate the task tree, with the command's memo of built
+    ``nodes``. ``generate`` classifies with it and ``evaluate`` rebuilds
+    trees with it, so the two cannot disagree."""
+    return parse_task_tree_json(strip_code_fence(text), nodes=nodes)
 
 
 def handle_response(
@@ -315,6 +318,7 @@ def handle_response(
     out_dir: str | Path,
     *,
     rel_base: str | None = None,
+    nodes: dict | None = None,
 ) -> OutputRecord:
     """Persist one model response and classify the outcome.
 
@@ -333,7 +337,12 @@ def handle_response(
     within itself, and the fixtures are built by
     ``scripts/build_fixtures.py``, so how often live answers repeat word
     for word is not known (:func:`load_run_report` shares the parses
-    that repeat across the runs a command loads).
+    that repeat across the runs a command loads). The nodes and verbs
+    of the answers do repeat: ``nodes`` is the run's memo of them,
+    which :func:`run_generation` passes to every call, so each distinct
+    raw node is built and checked once per run (see
+    :mod:`foonforge.foon.tree_json`). By default a call's parse makes
+    its own.
     """
     out_dir = os.fspath(out_dir) or "."
     if rel_base is None:
@@ -346,7 +355,7 @@ def handle_response(
         reason = FallbackReason.TRUNCATED
     else:
         try:
-            tree = _parse_answer(text)
+            tree = _parse_answer(text, nodes)
         except TaskTreeJsonError:
             reason = FallbackReason.JSON_SYNTAX
         except TaskTreeSchemaError:
@@ -444,8 +453,10 @@ def run_generation(
 
     Cost: one template compile per run, then one render, one answer,
     one classification and one file write per dish, with prompts,
-    responses and records each built in one pass; ``generate_s.p50``
-    shows it (see ``BENCH_prompt_compile.json``).
+    responses and records each built in one pass, and one build per
+    distinct raw node and verb of the run's answers, whose parses share
+    one memo (see :func:`handle_response`); ``generate_s.p50`` shows it
+    (see ``BENCH_prompt_compile.json``).
 
     Memory: once the backend has answered, each prompt is let go. The
     report is rendered by :func:`report_to_json` as pieces and written
@@ -469,8 +480,9 @@ def run_generation(
     answers = backend.generate_all(bundles)
     del bundles  # nothing reads a prompt once it is answered
 
+    nodes: dict = {}  # built nodes and verbs, for this run's answers only
     records = [
-        handle_response(answer, dish, out_dir, rel_base=stem)
+        handle_response(answer, dish, out_dir, rel_base=stem, nodes=nodes)
         for dish, stem, answer in zip(dishes, stems, answers)
     ]
 
@@ -537,7 +549,9 @@ def _record_json(record: OutputRecord) -> str:
     )
 
 
-def load_run_report(path: str | Path, *, shared: dict | None = None) -> RunReport:
+def load_run_report(
+    path: str | Path, *, shared: dict | None = None, nodes: dict | None = None
+) -> RunReport:
     """Rebuild a report from ``run_report.json``, reading no other file.
 
     Each successful record's tree is rebuilt from its ``raw_text`` by
@@ -557,16 +571,23 @@ def load_run_report(path: str | Path, *, shared: dict | None = None) -> RunRepor
       pointer, and a dish that differs only in an unknown field is the
       same dish.
 
-    What is not found is added. By default a call starts from an empty
-    map.
+    ``nodes`` is the command's memo of built nodes and verbs, which
+    every parse of every report it loads reads and adds to, so the
+    trees share each node they mention (see
+    :mod:`foonforge.foon.tree_json`). It is its own map, since a verb's
+    key is its raw text, as an answer's is in ``shared``.
+
+    What is not found is added. By default a call starts from empty
+    maps.
 
     Each record is read once, by :func:`_read_record`, which builds no
     pointer for a sound record.
 
     Cost: one ``json.loads`` of the file, one read per record, one parse
-    and validation per distinct answer text, and one build per distinct
-    dish. Scoring what it loads then walks each distinct tree once and
-    makes four set tests per distinct (tree, dish) pair (see
+    and validation per distinct answer text, one build per distinct raw
+    node and verb, and one build per distinct dish. Scoring what it
+    loads then walks each distinct tree once and makes four set tests
+    per distinct (tree, dish) pair (see
     :mod:`foonforge.metrics`), so a text that many dishes repeat is
     parsed once and walked once. ``evaluate_s.p50`` shows the whole
     command, and ``metrics.score.busy_s`` its scoring.
@@ -599,9 +620,11 @@ def load_run_report(path: str | Path, *, shared: dict | None = None) -> RunRepor
     del raw["records"]
     if shared is None:
         shared = {}
+    if nodes is None:
+        nodes = {}
     built = []
     for i, entry in enumerate(entries):
-        built.append(_read_record(entry, i, shared))
+        built.append(_read_record(entry, i, shared, nodes))
         entries[i] = None
     records = tuple(built)
     try:
@@ -633,7 +656,7 @@ _OUTCOMES = {outcome.value: outcome for outcome in Outcome}
 _REASONS = {None: None, **{reason.value: reason for reason in FallbackReason}}
 
 
-def _read_record(entry, index: int, shared: dict) -> OutputRecord:
+def _read_record(entry, index: int, shared: dict, nodes: dict) -> OutputRecord:
     """The record ``entry`` holds, the ``index``-th of its report.
 
     A fault raises :class:`ManifestError` at its pointer, which is built
@@ -642,7 +665,8 @@ def _read_record(entry, index: int, shared: dict) -> OutputRecord:
     agreement, ``raw_text``, its parse, ``output_path``. A sound record
     is read with exact type checks, and ``outcome`` and
     ``fallback_reason`` are looked up by value. Dishes and trees are
-    shared through ``shared`` (see :func:`load_run_report`).
+    shared through ``shared``, and nodes through ``nodes`` (see
+    :func:`load_run_report`).
     """
     if type(entry) is not dict:
         raise ManifestError("record must be an object", f"/records/{index}")
@@ -679,7 +703,7 @@ def _read_record(entry, index: int, shared: dict) -> OutputRecord:
         tree = shared.get(raw_text)
         if tree is None:
             try:
-                tree = shared[raw_text] = _parse_answer(raw_text)
+                tree = shared[raw_text] = _parse_answer(raw_text, nodes)
             except TaskTreeError as exc:
                 raise ManifestError(
                     f"JSON_OK record is not a task tree: {exc}", f"/records/{index}/raw_text"

@@ -696,7 +696,8 @@ def test_generate_malformed_manifest_exits_2(tmp_path, capsys, content, sample_f
         ]
     )
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: /: {manifest} is not valid JSON: ")
+    words = "is not UTF-8 text" if content.startswith(b"\xff") else "is not valid JSON"
+    assert capsys.readouterr().err.startswith(f"error: /: {manifest} {words}: ")
     assert not (tmp_path / "out").exists()
 
 

@@ -136,7 +136,8 @@ def test_replay_batch_answers_a_miss_unless_strict(bundle):
 def test_load_fixture_rejects_unreadable_json(tmp_path, content):
     path = tmp_path / "f.json"
     path.write_bytes(content)
-    with pytest.raises(ClientError, match="not valid JSON"):
+    words = "not UTF-8 text" if content.startswith(b"\xff") else "not valid JSON"
+    with pytest.raises(ClientError, match=words):
         load_fixture(path)
 
 

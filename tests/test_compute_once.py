@@ -3,7 +3,9 @@
 A tree is validated when it is parsed and never again, and an answer
 text that several records of an ``evaluate`` hold is parsed once in
 that command, as a dish that several records hold is built once, a
-(tree, dish) pair scored once and a tree's score facts gathered once; a prompt's template is read once and its example block
+(tree, dish) pair scored once and a tree's score facts gathered once;
+a raw node that several answers name is built once per ``generate`` run
+and once per ``evaluate`` command; a prompt's template is read once and its example block
 serialized once per loaded example set, so once per command, and a
 ``generate`` compiles its template and hashes the prompts' shared prefix
 once, not once per dish; an output
@@ -35,7 +37,8 @@ from foonforge import cli, metrics, pipeline, prompts
 from foonforge.cli import main
 from foonforge.foon import tree_json, validation
 from foonforge.pipeline import FallbackReason, RunReport, load_run_report
-from foonforge.prompts import DishSpec, load_examples
+from foonforge.client import ReplayClient
+from foonforge.prompts import DishSpec, Strategy, load_examples
 from foonforge.resources import data_path
 
 from .graphgen import record_report_writes
@@ -197,6 +200,79 @@ def test_each_evaluate_command_parses_its_own_answers(shipped_runs, counts, caps
         # no parse is carried from one command to the next
         assert len(counts["parse"]) == distinct
     assert outputs[0] == outputs[1]
+
+
+def _raw_nodes(texts) -> set:
+    """Each distinct raw node, (name, states, ingredients) as written, of the answers."""
+    found = set()
+    for text in set(texts):
+        payload = json.loads(pipeline.strip_code_fence(text))
+        mentions = [payload["goal"]]
+        for unit in payload["functional_units"]:
+            mentions += unit["inputs"] + unit["outputs"]
+        found |= {
+            (n["name"], tuple(n.get("states", ())), tuple(n.get("ingredients", ())))
+            for n in mentions
+        }
+    return found
+
+
+def _count_node_builds(monkeypatch) -> list:
+    """The raw fields of every node a JSON parse builds."""
+    built: list = []
+    scanned_node, object_node = tree_json.scanned_node, tree_json.ObjectNode
+
+    def scanned(*fields):
+        node = scanned_node(*fields)
+        if node is not None:
+            built.append(fields)
+        return node
+
+    def checked(*fields):
+        node = object_node(*fields)
+        built.append(fields)
+        return node
+
+    monkeypatch.setattr(tree_json, "scanned_node", scanned)
+    monkeypatch.setattr(tree_json, "ObjectNode", checked)
+    return built
+
+
+def test_evaluate_compare_builds_each_distinct_node_once(shipped_runs, monkeypatch, capsys):
+    built = _count_node_builds(monkeypatch)
+    assert main(["evaluate", "--compare", *map(str, shipped_runs)]) == 0
+    assert capsys.readouterr().out == _COMPARE_NINE
+    # the 138 distinct answers mention 990 raw nodes when each is counted
+    # once per answer, but 366 distinct ones across all nine runs
+    raw = _raw_nodes(_json_ok_texts(shipped_runs))
+    assert len(built) == len(set(built)) == len(raw) == 366
+    assert set(built) == raw
+    # and nothing is carried from one command to the next
+    built.clear()
+    assert main(["evaluate", "--compare", *map(str, shipped_runs)]) == 0
+    assert len(built) == 366
+    capsys.readouterr()
+
+
+def test_generate_builds_each_distinct_node_once(tmp_path, monkeypatch, runs_metadata):
+    manifest = pipeline.read_manifest(data_path(runs_metadata["manifest"]))
+    examples = load_examples(data_path(runs_metadata["examples_dir"]))
+    backend = ReplayClient(data_path("fixtures", "replay_example_based_run1.json"), strict=True)
+    built = _count_node_builds(monkeypatch)  # the answers' nodes, not the examples'
+    report = pipeline.run_generation(
+        manifest,
+        Strategy.EXAMPLE_BASED,
+        backend,
+        tmp_path,
+        examples=examples,
+        instructions=runs_metadata["instructions"],
+    )
+    texts = [r.raw_text for r in report.records if r.tree is not None]
+    assert len(texts) == 27
+    # a failed answer builds the nodes before its fault, once each too
+    assert len(built) == len(set(built))
+    assert set(built) >= _raw_nodes(texts)
+    assert len(_raw_nodes(texts)) < sum(len(_raw_nodes([t])) for t in texts)
 
 
 def _count_dish_builds(monkeypatch) -> list:

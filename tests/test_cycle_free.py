@@ -29,6 +29,7 @@ from foonforge.metrics import compare_strategies, summarize_run
 from foonforge.pipeline import (
     REPORT_FILENAME,
     FallbackReason,
+    InputManifest,
     handle_response,
     load_run_report,
     read_manifest,
@@ -126,6 +127,33 @@ def test_handle_response_leaves_no_cycles(tmp_path, case):
     assert handle_response(ModelResponse(text, finish), dish, tmp_path).fallback_reason is reason
     response = ModelResponse(text, finish)
     assert _cyclic_garbage(handle_response, response, dish, tmp_path) == Counter()
+
+
+class _Answers:
+    """A backend that answers the i-th prompt with the i-th response."""
+
+    def __init__(self, responses):
+        self.responses = responses
+
+    def generate_all(self, prompts):
+        return self.responses[: len(prompts)]
+
+
+def test_a_generate_run_that_shares_its_memo_leaves_no_cycles(tmp_path):
+    # every answer of the run, good and bad, parses through the run's one memo,
+    # and a node or verb that fails its checks meets nodes the memo already holds
+    cases = [_RESPONSES[case] for case in _RESPONSES] * 2
+    responses = [ModelResponse(text, finish) for text, finish, _ in cases]
+    manifest = InputManifest(
+        tuple(DishSpec("pasta", f"dish {i}", ("macaroni",)) for i in range(len(cases)))
+    )
+
+    def generate():
+        return run_generation(manifest, Strategy.CONTEXTUAL, _Answers(responses), tmp_path)
+
+    report = generate()
+    assert [r.fallback_reason for r in report.records] == [reason for _, _, reason in cases]
+    assert _cyclic_garbage(generate) == Counter()
 
 
 _BAD_FOON = {

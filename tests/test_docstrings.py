@@ -17,7 +17,7 @@ import re
 import pytest
 
 from foonforge import cli, client, metrics, pipeline, prompts, resources
-from foonforge.foon import model, text_format, tree_json
+from foonforge.foon import model, retrieval, text_format, tree_json, validation
 
 _TIMING = re.compile(r"\d(?:[\d.,]*\d)?\s*(?:(?:ms|us|µs)\b|%)")
 
@@ -36,7 +36,19 @@ def _docstrings(module) -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize(
     "module",
-    [tree_json, model, text_format, metrics, pipeline, cli, client, prompts, resources],
+    [
+        tree_json,
+        model,
+        text_format,
+        validation,
+        retrieval,
+        metrics,
+        pipeline,
+        cli,
+        client,
+        prompts,
+        resources,
+    ],
     ids=lambda m: m.__name__,
 )
 def test_docstrings_quote_no_timing(module):

@@ -158,6 +158,7 @@ def test_a_non_utf8_input_file_is_named_with_its_bad_byte(tmp_path, capsys, comm
 
 @pytest.mark.parametrize("what", ["manifest", "report", "fixture"])
 def test_a_non_utf8_json_file_is_not_valid_json(tmp_path, capsys, what):
+    # named as a graph, tree or template is, by the file's text; each keeps its exit code
     bad = tmp_path / "bad.json"
     head = b'{"categories": [], "pad": "' + b"x" * 9000
     bad.write_bytes(head + _BAD_TAIL)
@@ -169,9 +170,9 @@ def test_a_non_utf8_json_file_is_not_valid_json(tmp_path, capsys, what):
     code, out, err = _run(capsys, argv)
     decode = _decode_error(len(head))
     if what == "fixture":
-        assert (code, out, err) == (1, "", f"error: fixture {bad} is not valid JSON: {decode}\n")
+        assert (code, out, err) == (1, "", f"error: fixture {bad} is not UTF-8 text: {decode}\n")
     else:
-        assert (code, out, err) == (2, "", f"error: /: {bad} is not valid JSON: {decode}\n")
+        assert (code, out, err) == (2, "", f"error: /: {bad} is not UTF-8 text: {decode}\n")
     assert not (tmp_path / "out").exists()
 
 

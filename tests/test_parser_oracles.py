@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foonforge import cli
 from foonforge.errors import (
     FoonForgeError,
     FoonSyntaxError,
@@ -43,7 +44,9 @@ from foonforge.foon.validation import (
     find_cycle,
     validate_graph,
 )
+from foonforge.pipeline import load_run_report, strip_code_fence
 from foonforge.prompts import DishSpec
+from foonforge.resources import data_path
 
 from .graphgen import (
     MUTATORS,
@@ -819,3 +822,183 @@ _DISH_TEXT = st.sampled_from([
 )
 def test_random_dishes_build_as_the_original_checks_build_them(category, name, ingredients, tools):
     _assert_same_dish(category, name, ingredients, tools)
+
+
+# --- one memo across the parses of a command ------------------------------
+
+def _shipped_fixture_texts() -> list:
+    """The 306 answers of the nine shipped fixtures, fences stripped, in
+    fixture order."""
+    runs = json.loads(data_path("fixtures", "runs.json").read_text(encoding="utf-8"))
+    texts = []
+    for fixtures in runs["strategies"].values():
+        for rel in fixtures:
+            entries = json.loads(data_path(*rel.split("/")).read_text(encoding="utf-8"))
+            texts += [strip_code_fence(entry["text"]) for entry in entries.values()]
+    return texts
+
+
+def _graphgen_texts() -> list:
+    """Seeded graphgen trees and their mutants, tidy and written untidily."""
+    rng = random.Random(63)
+    trees = [chain_tree(n) for n in (1, 4, 9)] + [chain_tree(5, goal_first=True)]
+    trees += [random_task_tree(rng, max_units=6) for _ in range(60)]
+    texts = []
+    for tree in trees:
+        texts += [serialize_task_tree_json(tree), _tree_json(rng, tree)]
+        for mutate in MUTATORS:
+            texts.append(_tree_json(rng, mutate(tree)[0]))
+    return texts
+
+
+def _assert_memo_keeps_each_outcome(sources) -> dict:
+    """Parse ``sources`` in order through one memo: each result must be
+    the result of a parse with an empty memo. Returns the memo."""
+    memo: dict = {}
+    for source in sources:
+        got = _outcome(lambda s: parse_task_tree_json(s, nodes=memo), source)
+        want = _outcome(parse_task_tree_json, source)
+        assert got == want, source
+        if isinstance(want, TaskTree):
+            assert repr(got) == repr(want)
+            assert got.validation == want.validation
+            assert [n.ingredients for n in _nodes(got)] == [n.ingredients for n in _nodes(want)]
+            assert [u.motion for u in got.units] == [u.motion for u in want.units]
+    return memo
+
+
+def test_shipped_answers_parse_through_one_memo_as_each_parses_alone():
+    texts = _shipped_fixture_texts()
+    assert len(texts) == 306
+    memo = _assert_memo_keeps_each_outcome(texts)
+    assert _assert_memo_keeps_each_outcome(texts[::-1]).keys() == memo.keys()
+
+
+def test_graphgen_trees_parse_through_one_memo_as_each_parses_alone():
+    texts = _graphgen_texts()
+    _assert_memo_keeps_each_outcome(texts)
+    _assert_memo_keeps_each_outcome(texts[::-1])
+
+
+def test_bad_nodes_fail_through_one_memo_as_each_fails_alone():
+    sources = [_tree_around(node) for node in _bad_nodes()]
+    sources += [_tree_around({"name": "pan"}, motion) for motion in [*_TOKENS, *_NOT_STRINGS]]
+    _assert_memo_keeps_each_outcome(sources)
+    _assert_memo_keeps_each_outcome(sources[::-1])
+
+
+def test_scanned_and_scanning_sources_share_one_memo():
+    tree = chain_tree(4)
+    scanned = serialize_task_tree_json(tree)
+    # the same raw tokens, from sources that must be scanned for them
+    escaped = scanned.replace("flour", "fl\\u006fur")
+    untidy = _tree_json(random.Random(64), tree)
+    accented = untidy[:-1] + ', "note": "crème"}'  # an unknown field, ignored
+    tabbed = _tree_with("egg\t", ["Raw\t"], [])  # trimmed to a node the scan never sees
+    assert not accented.isascii() and "\\" not in untidy
+    for order in ([scanned, escaped, accented, tabbed], [tabbed, accented, escaped, scanned]):
+        memo = _assert_memo_keeps_each_outcome(order)
+        first, second = (parse_task_tree_json(s, nodes=memo) for s in (scanned, escaped))
+        # the built nodes are shared, whichever source built them
+        assert all(a is b for a, b in zip(_nodes(first), _nodes(second)))
+        assert all(a.motion is b.motion for a, b in zip(first.units, second.units))
+
+
+def test_a_node_that_fails_its_checks_fails_again_through_the_same_memo():
+    memo: dict = {}
+    good = parse_task_tree_json(_tree_around({"name": "pan"}), nodes=memo)
+    for node, motion in (
+        ({"name": "pan", "states": ["Hot", "hot"]}, "cook"),
+        ({"name": "bowl", "ingredients": ["salt,pepper"]}, "cook"),
+        ({"name": "egg\ud800"}, "cook"),
+        ({"name": "pan"}, " "),
+        ({"name": "pan"}, "stir\nfry"),
+    ):
+        source = _tree_around(node, motion)
+        with pytest.raises(TaskTreeSchemaError) as first:
+            parse_task_tree_json(source, nodes=memo)
+        with pytest.raises(TaskTreeSchemaError) as again:
+            parse_task_tree_json(source, nodes=memo)
+        assert (str(again.value), again.value.pointer) == (str(first.value), first.value.pointer)
+        assert first.value.pointer.startswith("/functional_units/1/")
+    # what passed still passes, and nothing that failed went in
+    assert parse_task_tree_json(_tree_around({"name": "pan"}), nodes=memo) == good
+    assert ("pan", (), ()) in memo and "cook" in memo
+    for key in (
+        ("pan", ("Hot", "hot"), ()),
+        ("bowl", (), ("salt,pepper",)),
+        ("egg\ud800", (), ()),
+        " ",
+        "stir\nfry",
+    ):
+        assert key not in memo
+
+
+def _evaluate_reports(monkeypatch, capsys, paths) -> tuple[int, str, list]:
+    """Run ``evaluate --compare`` on ``paths``; its exit code, its
+    stderr, and the reports it loaded with the memo each load was given."""
+    loaded = []
+
+    def load(path, **kwargs):
+        report = load_run_report(path, **kwargs)
+        loaded.append((report, kwargs["nodes"]))
+        return report
+
+    monkeypatch.setattr(cli, "load_run_report", load)
+    code = cli.main(["evaluate", "--compare", *map(str, paths)])
+    return code, capsys.readouterr().err, loaded
+
+
+def test_the_trees_of_one_evaluate_share_their_nodes(shipped_runs, monkeypatch, capsys):
+    code, _, loaded = _evaluate_reports(monkeypatch, capsys, shipped_runs)
+    assert code == 0 and len(loaded) == 9
+    memo = loaded[0][1]
+    assert all(nodes is memo for _, nodes in loaded)
+    trees = {id(r.tree): r.tree for report, _ in loaded for r in report.records if r.tree}
+    trees = list(trees.values())
+    assert len(trees) == 138
+    built = {id(node) for node in memo.values() if type(node) is ObjectNode}
+    holders: dict = {}
+    for tree in trees:
+        for node in {id(n): n for n in _nodes(tree)}.values():
+            assert id(node) in built  # every node a tree holds is the memo's
+            holders[id(node)] = holders.get(id(node), 0) + 1
+    # most distinct trees name some node that another tree names too
+    shared = [t for t in trees if any(holders[id(n)] > 1 for n in _nodes(t))]
+    assert len(shared) > len(trees) // 2
+
+
+def test_a_raw_text_that_is_an_earlier_verb_is_still_parsed(
+    shipped_runs, tmp_path, monkeypatch, capsys
+):
+    first = json.loads(shipped_runs[0].read_text(encoding="utf-8"))
+    answer = next(r["raw_text"] for r in first["records"] if r["outcome"] == "JSON_OK")
+    verb = json.loads(strip_code_fence(answer))["functional_units"][0]["motion"]
+    payload = json.loads(shipped_runs[1].read_text(encoding="utf-8"))
+    index = next(i for i, r in enumerate(payload["records"]) if r["outcome"] == "JSON_OK")
+    payload["records"][index]["raw_text"] = verb
+    bad = tmp_path / "run_report.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    code, err, loaded = _evaluate_reports(monkeypatch, capsys, [shipped_runs[0], bad])
+    assert verb in loaded[0][1]  # the memo holds the verb the first report's trees used
+    assert code == 2
+    assert err.startswith(
+        f"error: /records/{index}/raw_text: JSON_OK record is not a task tree: not valid JSON: "
+    )
+
+
+def test_a_built_node_holds_each_raw_field_that_normalizing_keeps():
+    rng = random.Random(65)
+    memo: dict = {}
+    for _ in range(20):
+        tree = random_task_tree(rng, max_units=6)
+        for source in (serialize_task_tree_json(tree), _tree_json(rng, tree)):
+            parse_task_tree_json(source, nodes=memo)
+    kept = changed = 0
+    for key, node in memo.items():
+        if isinstance(key, tuple):
+            for raw, field in zip(key, node):
+                assert (raw is field) == (raw == field)
+                kept += raw is field
+                changed += raw is not field
+    assert kept and changed

@@ -520,7 +520,7 @@ def test_counting_identity_always_holds(tmp_path, sample_manifest_path):
 
 _MALFORMED_REPORTS = [
     (b'{"records": [', "not valid JSON"),
-    (b'\xff\xfe{"records": []}', "not valid JSON"),
+    (b'\xff\xfe{"records": []}', "not UTF-8 text"),
     (b"{}", "missing field 'records'"),
     (b'{"records": {"a": 1}, "strategy": "contextual"}', "^/records: "),
     (b'{"records": [{"dish": []}], "strategy": "contextual"}', "^/records/0/dish: "),

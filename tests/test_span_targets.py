@@ -78,6 +78,39 @@ def test_a_parse_validates_once_and_its_span_sees_it():
     assert spans.layer_metrics(tracer.spans)["calls"]["validation.validate"] == 1
 
 
+def test_a_parse_given_a_memo_is_one_span_each_time():
+    source = tree_json.serialize_task_tree_json(chain_tree(4))
+    spans = _bench_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    memo: dict = {}
+    try:
+        first = tree_json.parse_task_tree_json(source, nodes=memo)
+        second = tree_json.parse_task_tree_json(source, nodes=memo)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert first.goal is second.goal  # the second parse built no node
+    names = [span[1] for span in tracer.spans]
+    assert names.count("tree_json.parse") == names.count("validation.validate") == 2
+    calls = spans.layer_metrics(tracer.spans)["calls"]
+    assert calls["tree_json.parse"] == calls["validation.validate"] == 2
+
+
+def test_a_traced_evaluate_records_one_parse_span_per_distinct_answer(shipped_runs, capsys):
+    # the package's own calls pass the command's memo by keyword
+    spans = _bench_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["evaluate", "--compare", *map(str, shipped_runs)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    # the nine shipped runs hold 210 successes but 138 distinct answers
+    assert spans.layer_metrics(tracer.spans)["calls"]["tree_json.parse"] == 138
+
+
 def test_a_traced_evaluate_records_one_score_span_per_pair(shipped_runs, capsys):
     spans = _bench_module("spans")
     tracer = spans.Tracer()
